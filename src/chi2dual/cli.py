@@ -4,9 +4,11 @@ Data files are UTF-8 CSV, one observation per row, columns = coordinates,
 blank lines skipped; the first non-blank line may be a header, and any other
 unparseable cell is a hard error with its line number.  Range options take
 ``LO:HI`` and accept a negative LO as a separate token
-(``--lambda-range -0.25:0.75``).  Reports print as JSON (17 significant
-digits, locale-independent) and depend only on the inputs and the seed.
-Exit codes: 0 = no rejection, 3 = rejection, 1 = error.
+(``--lambda-range -0.25:0.75``); option names must be spelled in full.
+Reports print as JSON (17 significant digits, locale-independent) and depend
+only on the inputs and the seed.  Exit codes: 0 = no rejection,
+3 = rejection, 1 = error, 2 = usage error (argparse: a missing, unknown or
+malformed option).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -196,14 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    linear = sub.add_parser("linear-test", help="test a finite set of moment constraints")
+    def command(name: str, func: Callable, help_text: str) -> argparse.ArgumentParser:
+        # allow_abbrev=False: every option spelling that parses is one that
+        # _join_range_values recognizes
+        cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        cmd.set_defaults(func=func)
+        return cmd
+
+    linear = command("linear-test", cmd_linear_test, "test a finite set of moment constraints")
     linear.add_argument("--data", required=True, help="CSV of observations")
     linear.add_argument("--constraints", required=True, help="JSON constraints file")
     linear.add_argument("--alpha", type=float, default=0.05)
     linear.add_argument("--json", help="also write the report to this path")
-    linear.set_defaults(func=cmd_linear_test)
 
-    marg = sub.add_parser("marginal-test", help="test all marginal distributions")
+    marg = command("marginal-test", cmd_marginal_test, "test all marginal distributions")
     marg.add_argument("--data", required=True)
     marg.add_argument(
         "--marginals",
@@ -213,9 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     marg.add_argument("--alpha", type=float, default=0.05)
     marg.add_argument("--m", type=int, default=None, help="grid cut count (default n^(1/4) rule)")
     marg.add_argument("--json")
-    marg.set_defaults(func=cmd_marginal_test)
 
-    contam = sub.add_parser("contam-test", help="test exponentiality against contamination")
+    contam = command("contam-test", cmd_contam_test, "test exponentiality against contamination")
     contam.add_argument("--data", required=True)
     contam.add_argument("--theta-range", required=True, help="rate interval LO:HI, 0 < LO <= HI")
     contam.add_argument(
@@ -224,12 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
     contam.add_argument("--pareto", default="2.0,1.5", help="contaminant parameters G,NU")
     contam.add_argument("--alpha", type=float, default=0.05)
     contam.add_argument("--json")
-    contam.set_defaults(func=cmd_contam_test)
 
-    cal = sub.add_parser("calibrate", help="run a Monte Carlo replication plan")
+    cal = command("calibrate", cmd_calibrate, "run a Monte Carlo replication plan")
     cal.add_argument("--plan", required=True, help="JSON plan file")
     cal.add_argument("--json")
-    cal.set_defaults(func=cmd_calibrate)
 
     return parser
 

@@ -29,8 +29,9 @@ nu > 1) and density positivity are checkable and enforced.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -118,43 +119,34 @@ class MixtureDensity:
 
 @dataclass(frozen=True)
 class DualGFunction:
-    """Dual candidate g = 2 (f_beta / h(theta, lambda) - 1).
+    """Dual candidate g = 2 (f_alpha / h(theta, lambda) - 1).
 
-    ``beta`` defaults to alpha (the family tied to the null rate being
-    profiled); a free beta gives the alpha-independent variant.
+    The numerator is the exponential density at the null rate ``alpha``
+    being profiled.
     """
 
     alpha: float
     theta: float
     lam: float
     spec: ContaminationSpec
-    beta: float | None = None
-
-    @property
-    def beta_eff(self) -> float:
-        return self.alpha if self.beta is None else self.beta
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         h = MixtureDensity(self.theta, self.lam, self.spec).pdf(x)
-        num = exponential_pdf(x, self.beta_eff)
+        num = exponential_pdf(x, self.alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             return 2.0 * (num / h - 1.0)
 
 
 # ---------------------------------------------------------------------------
 # Model integral int g f_alpha dx = amp * int e^(-s x) / h dx - 2,
-# with s = alpha + beta and amp = 2 alpha beta.
+# with s = 2 alpha and amp = 2 alpha^2.
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        # mapped to [0, 1]
-        _GL_CACHE[order] = ((nodes + 1.0) / 2.0, weights / 2.0)
-    return _GL_CACHE[order]
+    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return (nodes + 1.0) / 2.0, weights / 2.0
 
 
 def _integral_batch(
@@ -162,10 +154,9 @@ def _integral_batch(
     thetas: np.ndarray,
     lams: np.ndarray,
     spec: ContaminationSpec,
-    betas: np.ndarray | None = None,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Model integral for a batch of (theta, lambda[, beta]) at fixed alpha.
+    """Model integral for a batch of (theta, lambda) at fixed alpha.
 
     Returns +inf where the integral diverges (lambda = 0, theta >= s) and
     NaN where the point is excluded (mixture density nonpositive at a node,
@@ -174,10 +165,10 @@ def _integral_batch(
     """
     thetas = np.asarray(thetas, dtype=float)
     lams = np.asarray(lams, dtype=float)
-    betas_eff = np.full_like(thetas, alpha) if betas is None else np.asarray(betas, float)
+    alphas = np.full_like(thetas, alpha)
     n_params = thetas.shape[0]
-    s = alpha + betas_eff
-    amp = 2.0 * alpha * betas_eff
+    s = alpha + alphas
+    amp = 2.0 * alpha * alphas
     gamma, nu = spec.pareto_gamma, spec.pareto_nu
     out = np.empty(n_params)
     out.fill(np.nan)
@@ -331,14 +322,7 @@ def model_integral(g: DualGFunction, tol: float = 1e-10) -> float:
     density is nonpositive at a quadrature node and QuadratureFailure when
     the error target cannot be met.
     """
-    value = _integral_batch(
-        g.alpha,
-        np.array([g.theta]),
-        np.array([g.lam]),
-        g.spec,
-        betas=None if g.beta is None else np.array([g.beta]),
-        tol=tol,
-    )[0]
+    value = _integral_batch(g.alpha, np.array([g.theta]), np.array([g.lam]), g.spec, tol=tol)[0]
     if np.isnan(value):
         raise NonPositiveDensity(
             f"mixture density nonpositive on the integration range at "
@@ -385,7 +369,7 @@ _EXCLUDED_PENALTY = 1e30
 
 
 class _InnerObjective:
-    """sup-side objective over (theta, lambda[, beta]) for one fixed alpha.
+    """sup-side objective over (theta, lambda) for one fixed alpha.
 
     Precomputes the data-dependent pieces (Pareto density at the sample,
     f_alpha at the sample) so each parameter evaluation costs one exp over
@@ -393,42 +377,26 @@ class _InnerObjective:
     """
 
     def __init__(
-        self,
-        x: np.ndarray,
-        alpha: float,
-        spec: ContaminationSpec,
-        settings: SearchSettings,
-        beta_free: bool = False,
+        self, x: np.ndarray, alpha: float, spec: ContaminationSpec, settings: SearchSettings
     ) -> None:
         self.x = x
         self.alpha = alpha
         self.spec = spec
         self.settings = settings
-        self.beta_free = beta_free
         self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
         self.f_alpha_x = alpha * np.exp(-alpha * x)
         self.evaluations = 0
 
-    def _numerator(self, betas: np.ndarray) -> np.ndarray:
-        if not self.beta_free:
-            # beta is tied to alpha: reuse the precomputed density values
-            return np.broadcast_to(self.f_alpha_x[None, :], (betas.shape[0], self.x.shape[0]))
-        return betas[:, None] * np.exp(-betas[:, None] * self.x[None, :])
-
-    def batch(
-        self, thetas: np.ndarray, lams: np.ndarray, betas: np.ndarray | None = None
-    ) -> np.ndarray:
+    def batch(self, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Objective values; NaN marks excluded points."""
         self.evaluations += thetas.shape[0]
-        integrals = _integral_batch(
-            self.alpha, thetas, lams, self.spec, betas=betas, tol=self.settings.quad_tol
-        )
-        betas_eff = np.full_like(thetas, self.alpha) if betas is None else betas
+        tol = self.settings.quad_tol
+        integrals = _integral_batch(self.alpha, thetas, lams, self.spec, tol=tol)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             h = (1.0 - lams)[:, None] * thetas[:, None] * np.exp(
                 -thetas[:, None] * self.x[None, :]
             ) + lams[:, None] * self.r_x[None, :]
-            g = 2.0 * (self._numerator(betas_eff) / h - 1.0)
+            g = 2.0 * (self.f_alpha_x[None, :] / h - 1.0)
             conjugate = np.mean(g, axis=1) + 0.25 * np.mean(g * g, axis=1)
         values = integrals - conjugate
         values[~np.isfinite(values)] = np.nan
@@ -436,10 +404,7 @@ class _InnerObjective:
 
     def point(self, params: np.ndarray) -> float:
         """Negated objective for the simplex refiner (NaN -> large penalty)."""
-        thetas = np.array([params[0]])
-        lams = np.array([params[1]])
-        betas = np.array([params[2]]) if self.beta_free else None
-        value = self.batch(thetas, lams, betas)[0]
+        value = self.batch(np.array([params[0]]), np.array([params[1]]))[0]
         if np.isnan(value):
             return _EXCLUDED_PENALTY
         return -value
@@ -449,41 +414,57 @@ class _InnerObjective:
 class Chi2SimpleResult:
     """Supremum of the dual objective over the mixture parameters.
 
-    ``start_points`` records the refinement starts as (theta, lambda, beta,
-    objective) tuples: the search certificate.
+    ``start_points`` records the refinement starts as (theta, lambda, alpha,
+    objective) tuples: the search certificate.  Slot 2 always holds the
+    fixed null rate alpha.
     """
 
     value: float
     theta_hat: float
     lambda_hat: float
-    beta_hat: float
     start_points: tuple[tuple[float, float, float, float], ...]
     n_evaluations: int
 
 
 def _candidate_grid(
-    alpha: float, spec: ContaminationSpec, settings: SearchSettings, beta_free: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    g = settings.inner_grid if not beta_free else max(4, settings.inner_grid // 2)
+    alpha: float, spec: ContaminationSpec, settings: SearchSettings
+) -> tuple[np.ndarray, np.ndarray]:
+    g = settings.inner_grid
     thetas = np.linspace(spec.theta_lo, spec.theta_hi, g)
     # interior lambda points (the interval is open) plus the lambda = 0 line,
     # where the closed form is exact and the null optimum lives
     step = (spec.lambda_hi - spec.lambda_lo) / g
     lams = spec.lambda_lo + step * (np.arange(g) + 0.5)
     lams = np.concatenate((lams, [0.0]))
-    if not beta_free:
-        t_grid, l_grid = np.meshgrid(thetas, lams, indexing="ij")
-        t_flat, l_flat = t_grid.ravel(), l_grid.ravel()
-        # anchor: the exactly-null candidate (theta = alpha, lambda = 0)
-        t_flat = np.concatenate((t_flat, [alpha]))
-        l_flat = np.concatenate((l_flat, [0.0]))
-        return t_flat, l_flat, None
-    betas = np.linspace(spec.theta_lo, spec.theta_hi, g)
-    t_grid, l_grid, b_grid = np.meshgrid(thetas, lams, betas, indexing="ij")
+    t_grid, l_grid = np.meshgrid(thetas, lams, indexing="ij")
+    # anchor: the exactly-null candidate (theta = alpha, lambda = 0)
     t_flat = np.concatenate((t_grid.ravel(), [alpha]))
     l_flat = np.concatenate((l_grid.ravel(), [0.0]))
-    b_flat = np.concatenate((b_grid.ravel(), [alpha]))
-    return t_flat, l_flat, b_flat
+    return t_flat, l_flat
+
+
+def _refine(
+    negated: Callable[[np.ndarray], float],
+    start: tuple[float, float],
+    spec: ContaminationSpec,
+    settings: SearchSettings,
+) -> scipy.optimize.OptimizeResult:
+    """Bounded Nelder-Mead on (theta, lambda) inside the open mixing interval."""
+    eps = 1e-9
+    return scipy.optimize.minimize(
+        negated,
+        np.asarray(start, dtype=float),
+        method="Nelder-Mead",
+        bounds=[
+            (spec.theta_lo, spec.theta_hi),
+            (spec.lambda_lo + eps, spec.lambda_hi - eps),
+        ],
+        options={
+            "fatol": settings.objective_tol,
+            "xatol": 1e-4,
+            "maxfev": settings.nm_max_evals,
+        },
+    )
 
 
 def chi2_simple(
@@ -491,7 +472,6 @@ def chi2_simple(
     alpha_fixed: float,
     spec: ContaminationSpec,
     settings: SearchSettings | None = None,
-    beta_free: bool = False,
 ) -> Chi2SimpleResult:
     """Divergence estimate for the simple null at rate ``alpha_fixed``.
 
@@ -508,9 +488,9 @@ def chi2_simple(
             f"[{spec.theta_lo}, {spec.theta_hi}]"
         )
     x = _require_positive_data(sample)
-    inner = _InnerObjective(x, alpha_fixed, spec, settings, beta_free=beta_free)
-    thetas, lams, betas = _candidate_grid(alpha_fixed, spec, settings, beta_free)
-    values = inner.batch(thetas, lams, betas)
+    inner = _InnerObjective(x, alpha_fixed, spec, settings)
+    thetas, lams = _candidate_grid(alpha_fixed, spec, settings)
+    values = inner.batch(thetas, lams)
     finite = np.isfinite(values)
     if not np.any(finite):
         raise OptimizationFailure(
@@ -519,51 +499,24 @@ def chi2_simple(
     order = np.argsort(-values[finite], kind="stable")
     cand_idx = np.flatnonzero(finite)[order[: settings.nm_starts]]
 
-    betas_arr = betas if betas is not None else np.full_like(thetas, alpha_fixed)
     best_value = float(np.nanmax(values))
-    best_point = (
-        float(thetas[np.nanargmax(values)]),
-        float(lams[np.nanargmax(values)]),
-        float(betas_arr[np.nanargmax(values)]),
-    )
+    i_best = np.nanargmax(values)
+    best_point = (float(thetas[i_best]), float(lams[i_best]))
     starts = []
-    eps = 1e-9
-    bounds = [
-        (spec.theta_lo, spec.theta_hi),
-        (spec.lambda_lo + eps, spec.lambda_hi - eps),
-    ]
-    if beta_free:
-        bounds.append((spec.theta_lo, spec.theta_hi))
     for i in cand_idx:
-        start = [thetas[i], lams[i]] + ([betas_arr[i]] if beta_free else [])
-        starts.append((float(thetas[i]), float(lams[i]), float(betas_arr[i]), float(values[i])))
-        result = scipy.optimize.minimize(
-            inner.point,
-            np.asarray(start, dtype=float),
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "fatol": settings.objective_tol,
-                "xatol": 1e-4,
-                "maxfev": settings.nm_max_evals,
-            },
-        )
+        starts.append((float(thetas[i]), float(lams[i]), float(alpha_fixed), float(values[i])))
+        result = _refine(inner.point, (thetas[i], lams[i]), spec, settings)
         if -result.fun > best_value:
             best_value = float(-result.fun)
-            best_point = (
-                float(result.x[0]),
-                float(result.x[1]),
-                float(result.x[2]) if beta_free else alpha_fixed,
-            )
+            best_point = (float(result.x[0]), float(result.x[1]))
     if best_value < 0.0:
         # the anchor candidate is exactly feasible with value 0
         best_value = 0.0
-        best_point = (alpha_fixed, 0.0, alpha_fixed)
+        best_point = (alpha_fixed, 0.0)
     return Chi2SimpleResult(
         value=best_value,
         theta_hat=best_point[0],
         lambda_hat=best_point[1],
-        beta_hat=best_point[2],
         start_points=tuple(starts),
         n_evaluations=inner.evaluations,
     )
@@ -626,15 +579,13 @@ def contamination_test(
     spec: ContaminationSpec,
     alpha_level: float,
     settings: SearchSettings | None = None,
-    beta_free: bool = False,
-    compute_gap: bool = False,
 ) -> TestReport:
     """Test exponentiality against Pareto contamination.
 
     Statistic: n times the profile minimum over the null rate of the
     supremum divergence; chi-square(1) upper-tail p-value.  Diagnostics
-    carry the profiled rate, the best mixture parameters, and (optionally)
-    the numerical minimax commutation gap.
+    carry the profiled rate and the best mixture parameters;
+    ``minimax_gap`` checks the order of the inf and sup separately.
     """
     settings = settings or SearchSettings()
     alpha_level = _check_level(alpha_level)
@@ -643,16 +594,14 @@ def contamination_test(
     evaluated: dict[float, Chi2SimpleResult] = {}
 
     def profile(alpha: float) -> float:
-        result = chi2_simple(sample, alpha, spec, settings, beta_free=beta_free)
+        result = chi2_simple(sample, alpha, spec, settings)
         evaluated[alpha] = result
         return result.value
 
     alpha_hat, value = _profile_minimize(
         profile, spec.theta_lo, spec.theta_hi, settings
     )
-    at_min = evaluated.get(alpha_hat) or chi2_simple(
-        sample, alpha_hat, spec, settings, beta_free=beta_free
-    )
+    at_min = evaluated.get(alpha_hat) or chi2_simple(sample, alpha_hat, spec, settings)
     statistic = sample.n * max(value, 0.0)
     p_value = chi2_sf(statistic, 1)
     diagnostics = {
@@ -662,10 +611,6 @@ def contamination_test(
         "chi2_value": float(max(value, 0.0)),
         "n": float(sample.n),
     }
-    if beta_free:
-        diagnostics["beta_hat"] = at_min.beta_hat
-    if compute_gap:
-        diagnostics["minimax_gap"] = minimax_gap(sample, spec, settings)
     return TestReport(
         statistic=float(statistic),
         df_or_sd=1.0,
@@ -716,9 +661,7 @@ def minimax_gap(
         )
         return value if math.isfinite(value) else math.nan
 
-    thetas, lams, _ = _candidate_grid(
-        0.5 * (spec.theta_lo + spec.theta_hi), spec, settings, beta_free=False
-    )
+    thetas, lams = _candidate_grid(0.5 * (spec.theta_lo + spec.theta_hi), spec, settings)
     # drop the anchor point (specific to the forward order)
     thetas, lams = thetas[:-1], lams[:-1]
     values = np.array([min_over_alpha(float(t), float(l)) for t, l in zip(thetas, lams)])
@@ -733,22 +676,7 @@ def minimax_gap(
         value = min_over_alpha(float(params[0]), float(params[1]))
         return _EXCLUDED_PENALTY if not math.isfinite(value) else -value
 
-    eps = 1e-9
-    bounds = [
-        (spec.theta_lo, spec.theta_hi),
-        (spec.lambda_lo + eps, spec.lambda_hi - eps),
-    ]
     for i in cand_idx:
-        result = scipy.optimize.minimize(
-            negated,
-            np.array([thetas[i], lams[i]]),
-            method="Nelder-Mead",
-            bounds=bounds,
-            options={
-                "fatol": settings.objective_tol,
-                "xatol": 1e-4,
-                "maxfev": settings.nm_max_evals,
-            },
-        )
+        result = _refine(negated, (thetas[i], lams[i]), spec, settings)
         sup_inf = max(sup_inf, float(-result.fun))
     return abs(inf_sup - sup_inf)

@@ -18,8 +18,8 @@ mutated, so concurrent use on shared read-only samples is safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -72,7 +72,6 @@ class ConstraintFamily:
     functions: tuple[Callable[[np.ndarray], np.ndarray], ...]
     targets: np.ndarray
     names: tuple[str, ...] | None = None
-    includes_unit: bool = True
 
     def __post_init__(self) -> None:
         funcs = tuple(self.functions)
@@ -109,25 +108,13 @@ class ConstraintFamily:
             cols.append(vals)
         return np.column_stack(cols)
 
-    def prefix(self, k: int) -> "ConstraintFamily":
-        """First k functions/targets; used by nested (sieve) families."""
-        if not 1 <= k <= self.k:
-            raise InvalidInput(f"prefix size {k} outside 1..{self.k}")
-        return ConstraintFamily(
-            functions=self.functions[:k],
-            targets=self.targets[:k],
-            names=self.names[:k] if self.names is not None else None,
-        )
-
 
 @dataclass(frozen=True)
 class MomentVectors:
     """Constraint discrepancies and covariance for one sample/family pair.
 
     ``nu_n`` holds targets minus empirical means, ``s_n`` the empirical
-    centered covariance of the constraint functions.  ``gamma_n`` and ``s``
-    are the sqrt(n)-scaled discrepancy and the population covariance; they
-    are only available in simulations where the sampling law is known.
+    centered covariance of the constraint functions.
     """
 
     nu_n: np.ndarray
@@ -135,8 +122,6 @@ class MomentVectors:
     empirical_means: np.ndarray
     targets: np.ndarray
     n: int
-    gamma_n: np.ndarray | None = None
-    s: np.ndarray | None = None
 
     @property
     def k(self) -> int:
@@ -195,13 +180,16 @@ def moment_vectors(sample: Sample, fam: ConstraintFamily) -> MomentVectors:
     )
 
 
-def _solve_spd(s_n: np.ndarray, nu_n: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve S x = nu by Cholesky; return (x, condition number).
+def dual_coefficients(mv: MomentVectors) -> DualSolution:
+    """Solve the dual system S a = 2 nu and assemble the optimal function.
 
-    Raises SingularCovariance on factorization failure or when the
-    eigenvalue-based condition estimate exceeds CONDITION_LIMIT.
+    The intercept is a0 = -sum_i a_i mean(f_i), which centers the optimal
+    function under the empirical measure.  The returned chi2_value equals
+    both nu' S^{-1} nu and (1/4) a' S a.  S is factored by Cholesky; raises
+    SingularCovariance on factorization failure or when the eigenvalue-based
+    condition estimate exceeds CONDITION_LIMIT.
     """
-    eigs = np.linalg.eigvalsh(s_n)
+    eigs = np.linalg.eigvalsh(mv.s_n)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_max <= 0.0 or lam_min <= 0.0:
         raise SingularCovariance(
@@ -214,21 +202,10 @@ def _solve_spd(s_n: np.ndarray, nu_n: np.ndarray) -> tuple[np.ndarray, float]:
             f"covariance condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
     try:
-        factor = scipy.linalg.cho_factor(s_n, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(mv.s_n, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularCovariance(f"Cholesky factorization failed: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, nu_n, check_finite=False)
-    return x, cond
-
-
-def dual_coefficients(mv: MomentVectors) -> DualSolution:
-    """Solve the dual system S a = 2 nu and assemble the optimal function.
-
-    The intercept is a0 = -sum_i a_i mean(f_i), which centers the optimal
-    function under the empirical measure.  The returned chi2_value equals
-    both nu' S^{-1} nu and (1/4) a' S a.
-    """
-    x, cond = _solve_spd(mv.s_n, mv.nu_n)
+    x = scipy.linalg.cho_solve(factor, mv.nu_n, check_finite=False)
     a = 2.0 * x
     a0 = -float(a @ mv.empirical_means)
     chi2 = max(float(mv.nu_n @ x), 0.0)
@@ -237,8 +214,7 @@ def dual_coefficients(mv: MomentVectors) -> DualSolution:
 
 def chi2_quadratic(mv: MomentVectors) -> float:
     """Quadratic-form value nu' S^{-1} nu of the divergence estimate."""
-    x, _ = _solve_spd(mv.s_n, mv.nu_n)
-    return max(float(mv.nu_n @ x), 0.0)
+    return dual_coefficients(mv).chi2_value
 
 
 def dual_function_values(sample: Sample, dual: DualSolution, fam: ConstraintFamily) -> np.ndarray:

@@ -11,10 +11,12 @@ actually tested.  Two equivalent parametrizations are provided:
 
 They are related by a unit-triangular change of basis, so the quadratic
 form is identical under both; the cell form is better conditioned and is
-the default.  For d = 2 the scaled statistic also equals the minimum of a
-Pearson-type weighted discrepancy over all cell tables with the
-hypothesized marginals (``pearson_min_form``), which serves as an
-independent cross-check of the quadratic form.
+the one ``marginal_test`` uses.  The cumulative form is kept as the
+reference that tests check the cell form against.  For d = 2 the scaled
+statistic also equals the minimum of a Pearson-type weighted discrepancy
+over all cell tables with the hypothesized marginals
+(``pearson_min_form``), which serves as an independent cross-check of the
+quadratic form.
 """
 
 from __future__ import annotations
@@ -521,7 +523,6 @@ def marginal_test(
     spec: MarginalSpec,
     alpha: float,
     m: int | None = None,
-    delta_form: bool = True,
 ) -> TestReport:
     """Test all d marginals simultaneously against the hypothesized CDFs.
 
@@ -547,23 +548,14 @@ def marginal_test(
             SmallSampleWarning,
             stacklevel=2,
         )
-    grid = Grid.uniform(m_eff)
-    degenerate = _count_empty_marginal_cells(pit, grid)
+    degenerate = _count_empty_marginal_cells(pit, Grid.uniform(m_eff))
     if degenerate > 0:
         warnings.warn(
             f"{degenerate} marginal grid cells have zero observations",
             DegenerateCellsWarning,
             stacklevel=2,
         )
-
-    def family_builder(k: int) -> ConstraintFamily:
-        return build_indicator_family(grid, sample.d, delta_form=delta_form)
-
-    plan = SievePlan(
-        k_of_n=lambda n: sample.d * m_eff,
-        family_builder=family_builder,
-    )
-    report = sieve_test(pit, plan, alpha)
+    report = sieve_test(pit, marginal_sieve_plan(sample.d, lambda n: m_eff), alpha)
     diagnostics = dict(report.diagnostics)
     diagnostics["m"] = float(m_eff)
     diagnostics["d"] = float(sample.d)

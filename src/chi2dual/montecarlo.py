@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,15 +33,6 @@ from .rng import Stream, replicate_seed
 
 _SALT_SELECT = 0x5E1EC7
 _SALT_PARETO = 0x9A3E70
-
-SCENARIOS = (
-    "linear_null",
-    "linear_alt",
-    "marginal_null",
-    "marginal_alt",
-    "contam_null",
-    "contam_alt",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -225,49 +217,50 @@ def _contam_spec(params: dict) -> ContaminationSpec:
     )
 
 
-def _run_replicate(plan: ReplicationPlan, stream: Stream) -> TestReport:
+def _linear_null(plan: ReplicationPlan, stream: Stream) -> TestReport:
+    sample = Sample(rnormal(stream, plan.n).reshape(-1, 1))
+    return test_linear(sample, _linear_moment_family(), plan.alpha)
+
+
+def _linear_alt(plan: ReplicationPlan, stream: Stream) -> TestReport:
+    sample = Sample(stream.uniforms(plan.n).reshape(-1, 1))
+    return test_linear(sample, _mean_quarter_family(), plan.alpha)
+
+
+def _marginal_replicate(plan: ReplicationPlan, stream: Stream, beta_first: bool) -> TestReport:
+    d = int(plan.params.get("d", 2))
+    m = plan.params.get("m")
+    data = runif_d(stream, plan.n, d)
+    if beta_first:
+        data = data.copy()
+        data[:, 0] = rbeta22(stream.derive(0xB22), plan.n)
+    spec = MarginalSpec.all_uniform(d)
+    return marginal_test(Sample(data), spec, plan.alpha, m=None if m is None else int(m))
+
+
+def _contam_replicate(plan: ReplicationPlan, stream: Stream, contaminated: bool) -> TestReport:
     params = plan.params
-    if plan.scenario == "linear_null":
-        sample = Sample(rnormal(stream, plan.n).reshape(-1, 1))
-        return test_linear(sample, _linear_moment_family(), plan.alpha)
-    if plan.scenario == "linear_alt":
-        sample = Sample(stream.uniforms(plan.n).reshape(-1, 1))
-        return test_linear(sample, _mean_quarter_family(), plan.alpha)
-    if plan.scenario in ("marginal_null", "marginal_alt"):
-        d = int(params.get("d", 2))
-        m = params.get("m")
-        data = runif_d(stream, plan.n, d)
-        if plan.scenario == "marginal_alt":
-            data = data.copy()
-            data[:, 0] = rbeta22(stream.derive(0xB22), plan.n)
-        sample = Sample(data)
-        spec = MarginalSpec.all_uniform(d)
-        return marginal_test(sample, spec, plan.alpha, m=None if m is None else int(m))
-    if plan.scenario in ("contam_null", "contam_alt"):
-        spec = _contam_spec(params)
-        theta0 = float(params.get("theta0", 1.0))
-        if plan.scenario == "contam_null":
-            data = rexp(stream, plan.n, theta0)
-        else:
-            lam = float(params.get("lam", 0.15))
-            data = rmixture(
-                stream, plan.n, theta0, lam, spec.pareto_gamma, spec.pareto_nu
-            )
-        sample = Sample(data.reshape(-1, 1))
-        settings = SearchSettings(
-            alpha_tol=float(params.get("alpha_tol", SearchSettings().alpha_tol))
-        )
-        return contamination_test(sample, spec, plan.alpha, settings=settings)
-    raise InvalidInput(f"unknown scenario {plan.scenario!r}")
+    spec = _contam_spec(params)
+    theta0 = float(params.get("theta0", 1.0))
+    if contaminated:
+        lam = float(params.get("lam", 0.15))
+        data = rmixture(stream, plan.n, theta0, lam, spec.pareto_gamma, spec.pareto_nu)
+    else:
+        data = rexp(stream, plan.n, theta0)
+    settings = SearchSettings(alpha_tol=float(params.get("alpha_tol", SearchSettings().alpha_tol)))
+    return contamination_test(Sample(data.reshape(-1, 1)), spec, plan.alpha, settings=settings)
 
 
-def _reference_cdf(plan: ReplicationPlan) -> Callable[[float], float]:
-    if plan.scenario.startswith("linear"):
-        k = 3 if plan.scenario == "linear_null" else 1
-        return lambda v: chi2_cdf(v, k)
-    if plan.scenario.startswith("marginal"):
-        return normal_cdf
-    return lambda v: chi2_cdf(v, 1)
+# scenario -> (one replicate on its stream, CDF of the statistic's reference law)
+_SCENARIO_TABLE = {
+    "linear_null": (_linear_null, lambda v: chi2_cdf(v, 3)),
+    "linear_alt": (_linear_alt, lambda v: chi2_cdf(v, 1)),
+    "marginal_null": (partial(_marginal_replicate, beta_first=False), normal_cdf),
+    "marginal_alt": (partial(_marginal_replicate, beta_first=True), normal_cdf),
+    "contam_null": (partial(_contam_replicate, contaminated=False), lambda v: chi2_cdf(v, 1)),
+    "contam_alt": (partial(_contam_replicate, contaminated=True), lambda v: chi2_cdf(v, 1)),
+}
+SCENARIOS = tuple(_SCENARIO_TABLE)
 
 
 def run_plan(plan: ReplicationPlan) -> CalibrationReport:
@@ -277,13 +270,14 @@ def run_plan(plan: ReplicationPlan) -> CalibrationReport:
     recorded and tolerated up to 1% of the replicate count.
     """
     start = time.perf_counter()
+    replicate, reference_cdf = _SCENARIO_TABLE[plan.scenario]
     statistics: list[float] = []
     rejections = 0
     failed: list[int] = []
     for r in range(plan.replicates):
         stream = Stream(replicate_seed(plan.base_seed, r))
         try:
-            report = _run_replicate(plan, stream)
+            report = replicate(plan, stream)
         except Chi2DualError:
             failed.append(r)
             if len(failed) > 0.01 * plan.replicates:
@@ -297,7 +291,7 @@ def run_plan(plan: ReplicationPlan) -> CalibrationReport:
     if not statistics:
         raise PlanFailure("all replicates failed")
     succeeded = len(statistics)
-    ks = ks_one_sample(np.array(statistics), _reference_cdf(plan))
+    ks = ks_one_sample(np.array(statistics), reference_cdf)
     return CalibrationReport(
         plan=plan,
         rejection_rate=rejections / succeeded,

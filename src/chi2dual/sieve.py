@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .core import ConstraintFamily, Sample, chi2_quadratic, moment_vectors
 from .errors import InvalidInput, MissingBound, RateConditionWarning
 from .linear import STD_NORMAL, TestReport, _check_level, normal_cdf
@@ -54,12 +52,15 @@ class SievePlan:
     bridge_rate: Callable[[int], float] | None = None
 
 
+def _chi2_and_standardized(sample: Sample, fam: ConstraintFamily) -> tuple[float, float]:
+    """chi2_n and (n * chi2_n - k) / sqrt(2k) for the given finite family."""
+    chi2 = chi2_quadratic(moment_vectors(sample, fam))
+    return chi2, (sample.n * chi2 - fam.k) / math.sqrt(2.0 * fam.k)
+
+
 def standardized_statistic(sample: Sample, fam: ConstraintFamily) -> float:
     """(n * chi2_n - k) / sqrt(2k) for the given finite family."""
-    mv = moment_vectors(sample, fam)
-    chi2 = chi2_quadratic(mv)
-    k = fam.k
-    return (sample.n * chi2 - k) / math.sqrt(2.0 * k)
+    return _chi2_and_standardized(sample, fam)[1]
 
 
 @dataclass(frozen=True)
@@ -140,9 +141,7 @@ def sieve_test(sample: Sample, plan: SievePlan, alpha: float) -> TestReport:
     fam = plan.family_builder(k)
     if fam.k != k:
         raise InvalidInput(f"family builder returned k={fam.k}, expected {k}")
-    mv = moment_vectors(sample, fam)
-    chi2 = chi2_quadratic(mv)
-    statistic = (sample.n * chi2 - k) / math.sqrt(2.0 * k)
+    chi2, statistic = _chi2_and_standardized(sample, fam)
     p_value = 1.0 - normal_cdf(statistic)
     diagnostics = {
         "k": float(k),

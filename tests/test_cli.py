@@ -147,6 +147,14 @@ class TestLinearCommand:
         assert code == EXIT_ERROR
         assert "dependent" in capsys.readouterr().err
 
+    def test_missing_constraints_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        write_csv(data, [[1.0], [2.0]])
+        with pytest.raises(SystemExit) as exc:
+            main(["linear-test", "--data", str(data)])
+        assert exc.value.code == 2
+        assert "--constraints" in capsys.readouterr().err
+
 
 class TestMarginalCommand:
     def test_null_accepts(self, tmp_path):
@@ -239,6 +247,15 @@ class TestContamCommand:
         args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
         assert main(args + option) == EXIT_OK
         assert (seen[0].lambda_lo, seen[0].lambda_hi) == (-0.25, 0.75)
+
+    def test_abbreviated_option_is_unrecognized(self, tmp_path, capsys):
+        data = tmp_path / "c.csv"
+        write_csv(data, [[1.0], [2.0]])
+        args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--lambda", "-0.25:0.75"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --lambda -0.25:0.75" in capsys.readouterr().err
 
     def test_malformed_negative_range(self, tmp_path, capsys):
         data = tmp_path / "c.csv"

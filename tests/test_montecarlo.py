@@ -114,6 +114,18 @@ class TestGenerators:
         assert d == pytest.approx(0.25, abs=1e-12)
 
 
+# scenario, n, replicates, reference law; small n for linear_alt keeps its
+# statistics where chi2(1) and chi2(3) still differ
+REFERENCE_LAW_CASES = [
+    ("linear_null", 200, 8, "chi2_3"),
+    ("linear_alt", 3, 8, "chi2_1"),
+    ("marginal_null", 300, 8, "normal"),
+    ("marginal_alt", 300, 8, "normal"),
+    ("contam_null", 60, 2, "chi2_1"),
+    ("contam_alt", 60, 2, "chi2_1"),
+]
+
+
 class TestRunPlan:
     def test_determinism_bit_for_bit(self):
         plan = ReplicationPlan(
@@ -187,6 +199,31 @@ class TestRunPlan:
             ReplicationPlan("bogus", n=10, replicates=5, base_seed=0)
         with pytest.raises(InvalidInput):
             ReplicationPlan("linear_null", n=0, replicates=5, base_seed=0)
+
+    @pytest.mark.parametrize("scenario, n, replicates, law", REFERENCE_LAW_CASES)
+    def test_scenario_reference_law(self, scenario, n, replicates, law):
+        import scipy.stats
+
+        laws = {
+            "chi2_3": scipy.stats.chi2(3).cdf,
+            "chi2_1": scipy.stats.chi2(1).cdf,
+            "normal": scipy.stats.norm.cdf,
+        }
+        params = {"alpha_tol": 0.05} if scenario.startswith("contam") else {}
+        report = run_plan(ReplicationPlan(scenario, n, replicates, 5, params=params))
+        assert report.n_failures == 0
+        stats = np.array(report.statistics)
+        assert report.ks_distance == pytest.approx(
+            ks_one_sample(stats, laws[law]), rel=1e-12, abs=1e-14
+        )
+        # the pin is sharp only if the other laws give a different distance
+        for other in set(laws) - {law}:
+            assert abs(report.ks_distance - ks_one_sample(stats, laws[other])) > 1e-6
+
+    def test_every_scenario_has_a_reference_law_case(self):
+        from chi2dual.montecarlo import SCENARIOS
+
+        assert sorted(case[0] for case in REFERENCE_LAW_CASES) == sorted(SCENARIOS)
 
     def test_plan_round_trip(self):
         plan = ReplicationPlan(
