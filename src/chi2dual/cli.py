@@ -14,6 +14,7 @@ malformed option).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ import numpy as np
 
 from .contamination import ContaminationSpec, contamination_test
 from .core import ConstraintFamily, Sample
-from .errors import Chi2DualError, SingularCovariance
+from .errors import Chi2DualError, InvalidInput, SingularCovariance
 from .exprparse import ExprError, compile_expression
 from .linear import TestReport, test_linear
 from .marginal import marginal_test, parse_marginal_spec
@@ -44,10 +45,11 @@ class CliError(Exception):
 
 def read_csv_sample(path: str) -> Sample:
     """Parse a CSV of observations; the first non-blank line may be a header."""
-    rows: list[list[float]] = []
+    # one flat list: a list per row gives the garbage collector one object per row to scan
+    cells: list[float] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     width = None
     header_allowed = True
@@ -56,35 +58,43 @@ def read_csv_sample(path: str) -> Sample:
         if not line:
             continue
         first_line, header_allowed = header_allowed, False
-        cells = [c.strip() for c in line.split(",")]
         try:
-            values = [float(c) for c in cells]
+            values = list(map(float, line.split(",")))  # float() strips blanks itself
         except ValueError:
             if first_line:
                 continue  # header row
             raise CliError(f"{path}:{lineno}: unparseable cell in {line!r}") from None
         if width is None:
-            width = len(values)
+            width, first_row_line = len(values), lineno
         elif len(values) != width:
             raise CliError(
                 f"{path}:{lineno}: expected {width} columns, found {len(values)}"
             )
-        rows.append(values)
-    if not rows:
+        cells += values
+    if not cells:
         raise CliError(f"{path}: no observations")
-    return Sample(np.array(rows), source=path)
+    data = np.array(cells).reshape(-1, width)
+    # float() also reads nan, inf and overflowing literals such as 1e999
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        lines = text.splitlines()[first_row_line - 1:]
+        lineno = [n for n, raw in enumerate(lines, start=first_row_line) if raw.strip()][bad[0]]
+        raise CliError(f"{path}:{lineno}: non-finite cell")
+    return Sample(data, source=path)
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def read_constraints(path: str, d: int) -> ConstraintFamily:
     """Constraints file: JSON {"constraints": [{"f": expr, "target": value}]}."""
-    import json
-
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    payload = _read_json(path)
     entries = payload.get("constraints") if isinstance(payload, dict) else payload
     if not isinstance(entries, list) or not entries:
         raise CliError(f"{path}: expected a non-empty list under 'constraints'")
@@ -174,17 +184,19 @@ def cmd_contam_test(args: argparse.Namespace) -> int:
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    import json
-
-    try:
-        payload = json.loads(Path(args.plan).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise CliError(f"cannot read {args.plan}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{args.plan}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    payload = _read_json(args.plan)
+    if not isinstance(payload, dict):
+        raise CliError(f"{args.plan}: expected a JSON object of plan fields")
     if "base_seed" not in payload:
-        payload["base_seed"] = int(os.environ.get(SEED_ENV_VAR, "0"))
-    plan = ReplicationPlan.from_json_dict(payload)
+        seed = os.environ.get(SEED_ENV_VAR, "0")
+        try:
+            payload["base_seed"] = int(seed)
+        except ValueError:
+            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from None
+    try:
+        plan = ReplicationPlan.from_json_dict(payload)
+    except InvalidInput as exc:
+        raise CliError(f"{args.plan}: {exc}") from exc
     payload = run_plan(plan).to_json_dict()
     del payload["wall_time"]  # a measurement: the report must repeat byte for byte
     _write_report(payload, args.json)
@@ -257,10 +269,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_join_range_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except Chi2DualError as exc:
+    except (CliError, Chi2DualError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -21,6 +21,10 @@ Parameter points where the mixture density is nonpositive at any quadrature
 node, or where the integral diverges (lambda = 0 with theta >= 2 alpha),
 are excluded from the search: they fall outside the admissible dual class.
 
+The search and ``dual_objective_contam`` evaluate the same mixture density
+and the same conjugate (``core.legendre_batch``): n * dual_objective_contam
+at the reported (alpha_hat, theta_hat, lambda_hat) is the statistic exactly.
+
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
 point) are documented preconditions; only identifiability (gamma > 1,
@@ -37,7 +41,7 @@ from typing import Callable
 import numpy as np
 import scipy.optimize
 
-from .core import Sample, legendre_transform
+from .core import Sample, legendre_batch, legendre_transform
 from .errors import (
     InvalidInput,
     InvalidSpec,
@@ -50,6 +54,9 @@ from .linear import CHI_SQUARED, TestReport, _check_level, chi2_sf
 # Truncate the model integral where its integrand drops below this level;
 # the analytic tail added afterwards is of the same magnitude.
 TAIL_TOLERANCE = 1e-15
+# Quadrature error target; Nelder-Mead tolerance on its simplex values.
+QUAD_TOLERANCE = 1e-10
+OBJECTIVE_TOLERANCE = 1e-8
 # Uniform panels keep the integrand's complex poles (where the mixture
 # terms trade dominance) at a safe distance from every panel.
 _N_PANELS = 16
@@ -102,9 +109,14 @@ def pareto_pdf(x: np.ndarray, gamma: float, nu: float) -> np.ndarray:
     return out
 
 
+def _mixture_density(x: np.ndarray, theta, lam, r_x: np.ndarray) -> np.ndarray:
+    """h(x) = (1 - lambda) theta e^(-theta x) + lambda r(x) for x >= 0, given r_x = r(x)."""
+    return (1.0 - lam) * theta * np.exp(-theta * x) + lam * r_x
+
+
 @dataclass(frozen=True)
 class MixtureDensity:
-    """h(x) = (1 - lambda) f_theta(x) + lambda r(x)."""
+    """h(x) = (1 - lambda) f_theta(x) + lambda r(x), zero for x < 0."""
 
     theta: float
     lam: float
@@ -112,9 +124,9 @@ class MixtureDensity:
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return (1.0 - self.lam) * exponential_pdf(x, self.theta) + self.lam * pareto_pdf(
-            x, self.spec.pareto_gamma, self.spec.pareto_nu
-        )
+        r_x = pareto_pdf(x, self.spec.pareto_gamma, self.spec.pareto_nu)
+        h = _mixture_density(np.maximum(x, 0.0), self.theta, self.lam, r_x)
+        return np.where(x >= 0.0, h, 0.0)
 
 
 @dataclass(frozen=True)
@@ -154,24 +166,20 @@ def _integral_batch(
     thetas: np.ndarray,
     lams: np.ndarray,
     spec: ContaminationSpec,
-    tol: float = 1e-10,
 ) -> np.ndarray:
     """Model integral for a batch of (theta, lambda) at fixed alpha.
 
     Returns +inf where the integral diverges (lambda = 0, theta >= s) and
     NaN where the point is excluded (mixture density nonpositive at a node,
     or lambda outside [., 1)).  Raises QuadratureFailure if refinement does
-    not reach ``tol`` on an admissible point.
+    not reach QUAD_TOLERANCE on an admissible point.
     """
     thetas = np.asarray(thetas, dtype=float)
     lams = np.asarray(lams, dtype=float)
-    alphas = np.full_like(thetas, alpha)
-    n_params = thetas.shape[0]
-    s = alpha + alphas
-    amp = 2.0 * alpha * alphas
+    s = 2.0 * alpha
+    amp = 2.0 * alpha * alpha
     gamma, nu = spec.pareto_gamma, spec.pareto_nu
-    out = np.empty(n_params)
-    out.fill(np.nan)
+    out = np.full(thetas.shape[0], np.nan)
 
     invalid = (lams >= 1.0) | (thetas <= 0.0)
     zero_lam = (lams == 0.0) & ~invalid
@@ -179,7 +187,7 @@ def _integral_batch(
         div = zero_lam & (thetas >= s)
         ok = zero_lam & ~div
         out[div] = np.inf
-        out[ok] = amp[ok] / (thetas[ok] * (s[ok] - thetas[ok])) - 2.0
+        out[ok] = amp / (thetas[ok] * (s - thetas[ok])) - 2.0
 
     active = ~zero_lam & ~invalid
     # lambda < 0 with theta >= s: exponentially growing integrand against a
@@ -191,14 +199,12 @@ def _integral_batch(
 
     th = thetas[idx]
     lm = lams[idx]
-    ss = s[idx]
-    am = amp[idx]
 
-    x_cut, tail = _truncation_and_tail(am, ss, th, lm, gamma, nu)
+    x_cut, tail = _truncation_and_tail(amp, s, th, lm, gamma, nu)
 
     # closed-form segment below the Pareto onset: h is purely exponential
-    c = ss - th
-    scale = am / ((1.0 - lm) * th)
+    c = s - th
+    scale = amp / ((1.0 - lm) * th)
     with np.errstate(over="ignore"):
         seg0 = np.where(c == 0.0, nu, -np.expm1(-c * nu) / np.where(c == 0.0, 1.0, c))
     i_low = scale * seg0
@@ -210,12 +216,12 @@ def _integral_batch(
     hi = breaks[:, 1:]
     width = hi - lo
 
-    def integrand(x, th_, lm_, ss_, am_):
+    def integrand(x, th_, lm_):
+        # every node lies above nu, where r is the Pareto power law
         with np.errstate(over="ignore", under="ignore"):
-            den = (1.0 - lm_)[:, None, None] * th_[:, None, None] * np.exp(
-                -th_[:, None, None] * x
-            ) + lm_[:, None, None] * gamma * nu**gamma * x ** (-(gamma + 1.0))
-            num = am_[:, None, None] * np.exp(-ss_[:, None, None] * x)
+            r_x = gamma * nu**gamma * x ** (-(gamma + 1.0))
+            den = _mixture_density(x, th_[:, None, None], lm_[:, None, None], r_x)
+            num = amp * np.exp(-s * x)
         bad = np.any(den <= 0.0, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             return num / den, bad
@@ -225,12 +231,12 @@ def _integral_batch(
     t_b, w_b = _gl_rule(2 * _BASE_ORDER)
     t_ab = np.concatenate((t_a, t_b))
     x = lo[:, :, None] + width[:, :, None] * t_ab[None, None, :]
-    vals, excluded = integrand(x, th, lm, ss, am)
+    vals, excluded = integrand(x, th, lm)
     coarse = np.einsum("pqn,n,pq->p", vals[:, :, : t_a.size], w_a, width)
     value = np.einsum("pqn,n,pq->p", vals[:, :, t_a.size :], w_b, width)
     # relative floor: absolute targets below float64 roundoff are unreachable
     # once the integral itself is large
-    limit = np.maximum(0.5 * tol, 1e-13 * np.abs(value))
+    limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(value))
     converged = np.abs(value - coarse) < limit
 
     for level in range(2, _MAX_LEVELS):
@@ -239,16 +245,16 @@ def _integral_batch(
             break
         t_nodes, w_nodes = _gl_rule(_BASE_ORDER * 2**level)
         x = lo[refine, :, None] + width[refine, :, None] * t_nodes[None, None, :]
-        vals, bad = integrand(x, th[refine], lm[refine], ss[refine], am[refine])
+        vals, bad = integrand(x, th[refine], lm[refine])
         excluded[refine] |= bad
         finer = np.einsum("pqn,n,pq->p", vals, w_nodes, width[refine])
-        limit = np.maximum(0.5 * tol, 1e-13 * np.abs(finer))
+        limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(finer))
         converged[refine] = np.abs(finer - value[refine]) < limit
         value[refine] = finer
     if not np.all(converged | excluded):
         raise QuadratureFailure(
             "model integral did not reach the error target "
-            f"{tol:g} within {_MAX_LEVELS} refinement levels"
+            f"{QUAD_TOLERANCE:g} within {_MAX_LEVELS} refinement levels"
         )
 
     total = i_low + value + tail - 2.0
@@ -258,8 +264,8 @@ def _integral_batch(
 
 
 def _truncation_and_tail(
-    amp: np.ndarray,
-    s: np.ndarray,
+    amp: float,
+    s: float,
     theta: np.ndarray,
     lam: np.ndarray,
     gamma: float,
@@ -286,16 +292,15 @@ def _truncation_and_tail(
         # Pareto fixed point only where the exponential bound is missing or slow
         need_par = (lam > 0.0) & ((c <= 0.0) | (x_exp > 150.0))
         if np.any(need_par):
-            sp = s[need_par]
-            a_log = np.log(amp[need_par] / (lam[need_par] * gamma * nu**gamma))
-            floor_p = np.maximum(x_floor, 2.0 * (gamma + 1.0) / sp)
-            x_iter = floor_p.copy()
+            a_log = np.log(amp / (lam[need_par] * gamma * nu**gamma))
+            floor_p = max(x_floor, 2.0 * (gamma + 1.0) / s)
+            x_iter = np.full(a_log.shape, floor_p)
             for _ in range(4):
-                denom = sp - (gamma + 1.0) / x_iter
+                denom = s - (gamma + 1.0) / x_iter
                 x_iter = np.maximum(
                     floor_p,
                     (a_log + (gamma + 1.0) * np.log(x_iter) - np.log(TAIL_TOLERANCE * denom))
-                    / sp,
+                    / s,
                 )
             x_cut[need_par] = np.minimum(x_cut[need_par], x_iter)
         tail = np.where(
@@ -303,18 +308,17 @@ def _truncation_and_tail(
         )
         if np.any(need_par):
             xc = x_cut[need_par]
-            sp = s[need_par]
             tail_par = (
-                amp[need_par]
-                * np.exp(-sp * xc)
+                amp
+                * np.exp(-s * xc)
                 * xc ** (gamma + 1.0)
-                / (lam[need_par] * gamma * nu**gamma * (sp - (gamma + 1.0) / xc))
+                / (lam[need_par] * gamma * nu**gamma * (s - (gamma + 1.0) / xc))
             )
             tail[need_par] = np.minimum(tail[need_par], tail_par)
     return x_cut, tail
 
 
-def model_integral(g: DualGFunction, tol: float = 1e-10) -> float:
+def model_integral(g: DualGFunction) -> float:
     """int g(x) f_alpha(x) dx over (0, inf).
 
     Returns +inf when the integral diverges (the candidate is outside the
@@ -322,7 +326,7 @@ def model_integral(g: DualGFunction, tol: float = 1e-10) -> float:
     density is nonpositive at a quadrature node and QuadratureFailure when
     the error target cannot be met.
     """
-    value = _integral_batch(g.alpha, np.array([g.theta]), np.array([g.lam]), g.spec, tol=tol)[0]
+    value = _integral_batch(g.alpha, np.array([g.theta]), np.array([g.lam]), g.spec)[0]
     if np.isnan(value):
         raise NonPositiveDensity(
             f"mixture density nonpositive on the integration range at "
@@ -354,15 +358,18 @@ def _require_positive_data(sample: Sample) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Knobs for the nested optimization; defaults match the documented design."""
+    """Knobs for the nested optimization; defaults match the documented design.
+
+    ``inner_grid`` points per (theta, lambda) axis; Nelder-Mead from the
+    ``nm_starts`` best, ``nm_max_evals`` calls each; ``outer_coarse`` rate
+    points, then golden section to ``alpha_tol`` of the rate interval.
+    """
 
     inner_grid: int = 8
     nm_starts: int = 3
     nm_max_evals: int = 60
-    objective_tol: float = 1e-8
     outer_coarse: int = 5
     alpha_tol: float = 2e-3
-    quad_tol: float = 1e-10
 
 
 _EXCLUDED_PENALTY = 1e30
@@ -376,38 +383,25 @@ class _InnerObjective:
     the sample plus the model quadrature.
     """
 
-    def __init__(
-        self, x: np.ndarray, alpha: float, spec: ContaminationSpec, settings: SearchSettings
-    ) -> None:
+    def __init__(self, x: np.ndarray, alpha: float, spec: ContaminationSpec) -> None:
         self.x = x
         self.alpha = alpha
         self.spec = spec
-        self.settings = settings
         self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
-        self.f_alpha_x = alpha * np.exp(-alpha * x)
+        self.f_alpha_x = exponential_pdf(x, alpha)
         self.evaluations = 0
 
     def batch(self, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Objective values; NaN marks excluded points."""
         self.evaluations += thetas.shape[0]
-        tol = self.settings.quad_tol
-        integrals = _integral_batch(self.alpha, thetas, lams, self.spec, tol=tol)
+        integrals = _integral_batch(self.alpha, thetas, lams, self.spec)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            h = (1.0 - lams)[:, None] * thetas[:, None] * np.exp(
-                -thetas[:, None] * self.x[None, :]
-            ) + lams[:, None] * self.r_x[None, :]
-            g = 2.0 * (self.f_alpha_x[None, :] / h - 1.0)
-            conjugate = np.mean(g, axis=1) + 0.25 * np.mean(g * g, axis=1)
+            h = _mixture_density(self.x, thetas[:, None], lams[:, None], self.r_x)
+            g = 2.0 * (self.f_alpha_x / h - 1.0)
+            conjugate = legendre_batch(g)
         values = integrals - conjugate
         values[~np.isfinite(values)] = np.nan
         return values
-
-    def point(self, params: np.ndarray) -> float:
-        """Negated objective for the simplex refiner (NaN -> large penalty)."""
-        value = self.batch(np.array([params[0]]), np.array([params[1]]))[0]
-        if np.isnan(value):
-            return _EXCLUDED_PENALTY
-        return -value
 
 
 @dataclass(frozen=True)
@@ -443,28 +437,41 @@ def _candidate_grid(
     return t_flat, l_flat
 
 
-def _refine(
-    negated: Callable[[np.ndarray], float],
-    start: tuple[float, float],
+def _grid_then_refine(
+    objective: Callable[[np.ndarray], float],
+    thetas: np.ndarray,
+    lams: np.ndarray,
+    values: np.ndarray,
     spec: ContaminationSpec,
     settings: SearchSettings,
-) -> scipy.optimize.OptimizeResult:
-    """Bounded Nelder-Mead on (theta, lambda) inside the open mixing interval."""
-    eps = 1e-9
-    return scipy.optimize.minimize(
-        negated,
-        np.asarray(start, dtype=float),
-        method="Nelder-Mead",
-        bounds=[
-            (spec.theta_lo, spec.theta_hi),
-            (spec.lambda_lo + eps, spec.lambda_hi - eps),
-        ],
-        options={
-            "fatol": settings.objective_tol,
-            "xatol": 1e-4,
-            "maxfev": settings.nm_max_evals,
-        },
-    )
+) -> tuple[float, tuple[float, float], np.ndarray]:
+    """Best grid value (NaN = excluded), raised by bounded Nelder-Mead on ``objective``
+    from the ``nm_starts`` best grid points: (value, (theta, lambda), start indices)."""
+
+    def negated(params: np.ndarray) -> float:
+        value = objective(params)
+        return -value if math.isfinite(value) else _EXCLUDED_PENALTY
+
+    finite = np.isfinite(values)
+    if not np.any(finite):
+        raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
+    order = np.argsort(-values[finite], kind="stable")
+    starts = np.flatnonzero(finite)[order[: settings.nm_starts]]
+    i_best = np.nanargmax(values)
+    best_value = float(values[i_best])
+    best_point = (float(thetas[i_best]), float(lams[i_best]))
+    eps = 1e-9  # lambda stays inside the open mixing interval
+    bounds = [(spec.theta_lo, spec.theta_hi), (spec.lambda_lo + eps, spec.lambda_hi - eps)]
+    options = {"fatol": OBJECTIVE_TOLERANCE, "xatol": 1e-4, "maxfev": settings.nm_max_evals}
+    for i in starts:
+        start = np.array([thetas[i], lams[i]])
+        result = scipy.optimize.minimize(
+            negated, start, method="Nelder-Mead", bounds=bounds, options=options
+        )
+        if -result.fun > best_value:
+            best_value = float(-result.fun)
+            best_point = (float(result.x[0]), float(result.x[1]))
+    return best_value, best_point, starts
 
 
 def chi2_simple(
@@ -488,27 +495,12 @@ def chi2_simple(
             f"[{spec.theta_lo}, {spec.theta_hi}]"
         )
     x = _require_positive_data(sample)
-    inner = _InnerObjective(x, alpha_fixed, spec, settings)
+    inner = _InnerObjective(x, alpha_fixed, spec)
     thetas, lams = _candidate_grid(alpha_fixed, spec, settings)
     values = inner.batch(thetas, lams)
-    finite = np.isfinite(values)
-    if not np.any(finite):
-        raise OptimizationFailure(
-            "no admissible candidate in the mixture-parameter grid"
-        )
-    order = np.argsort(-values[finite], kind="stable")
-    cand_idx = np.flatnonzero(finite)[order[: settings.nm_starts]]
-
-    best_value = float(np.nanmax(values))
-    i_best = np.nanargmax(values)
-    best_point = (float(thetas[i_best]), float(lams[i_best]))
-    starts = []
-    for i in cand_idx:
-        starts.append((float(thetas[i]), float(lams[i]), float(alpha_fixed), float(values[i])))
-        result = _refine(inner.point, (thetas[i], lams[i]), spec, settings)
-        if -result.fun > best_value:
-            best_value = float(-result.fun)
-            best_point = (float(result.x[0]), float(result.x[1]))
+    best_value, best_point, starts = _grid_then_refine(
+        lambda p: inner.batch(p[:1], p[1:])[0], thetas, lams, values, spec, settings
+    )
     if best_value < 0.0:
         # the anchor candidate is exactly feasible with value 0
         best_value = 0.0
@@ -517,7 +509,10 @@ def chi2_simple(
         value=best_value,
         theta_hat=best_point[0],
         lambda_hat=best_point[1],
-        start_points=tuple(starts),
+        start_points=tuple(
+            (float(thetas[i]), float(lams[i]), float(alpha_fixed), float(values[i]))
+            for i in starts
+        ),
         n_evaluations=inner.evaluations,
     )
 
@@ -601,7 +596,7 @@ def contamination_test(
     alpha_hat, value = _profile_minimize(
         profile, spec.theta_lo, spec.theta_hi, settings
     )
-    at_min = evaluated.get(alpha_hat) or chi2_simple(sample, alpha_hat, spec, settings)
+    at_min = evaluated[alpha_hat]
     statistic = sample.n * max(value, 0.0)
     p_value = chi2_sf(statistic, 1)
     diagnostics = {
@@ -652,7 +647,7 @@ def minimax_gap(
                 return math.nan
 
         def by_alpha(alpha: float) -> float:
-            inner = _InnerObjective(x, alpha, spec, settings)
+            inner = _InnerObjective(x, alpha, spec)
             value = inner.batch(np.array([theta]), np.array([lam]))[0]
             return math.inf if np.isnan(value) else float(value)
 
@@ -665,18 +660,7 @@ def minimax_gap(
     # drop the anchor point (specific to the forward order)
     thetas, lams = thetas[:-1], lams[:-1]
     values = np.array([min_over_alpha(float(t), float(l)) for t, l in zip(thetas, lams)])
-    finite = np.isfinite(values)
-    if not np.any(finite):
-        raise OptimizationFailure("no admissible mixture point in the reversed search")
-    order = np.argsort(-values[finite], kind="stable")
-    cand_idx = np.flatnonzero(finite)[order[: settings.nm_starts]]
-    sup_inf = float(np.nanmax(values))
-
-    def negated(params: np.ndarray) -> float:
-        value = min_over_alpha(float(params[0]), float(params[1]))
-        return _EXCLUDED_PENALTY if not math.isfinite(value) else -value
-
-    for i in cand_idx:
-        result = _refine(negated, (thetas[i], lams[i]), spec, settings)
-        sup_inf = max(sup_inf, float(-result.fun))
+    sup_inf, _, _ = _grid_then_refine(
+        lambda p: min_over_alpha(float(p[0]), float(p[1])), thetas, lams, values, spec, settings
+    )
     return abs(inf_sup - sup_inf)

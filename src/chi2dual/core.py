@@ -138,6 +138,11 @@ class DualSolution:
     condition_number: float
 
 
+def legendre_batch(f_vals: np.ndarray) -> np.ndarray:
+    """``legendre_transform`` over the last axis, without its input checks."""
+    return np.mean(f_vals, axis=-1) + 0.25 * np.mean(f_vals * f_vals, axis=-1)
+
+
 def legendre_transform(f_vals: np.ndarray) -> float:
     """Convex-conjugate value of the squared-distance functional at f.
 
@@ -150,7 +155,7 @@ def legendre_transform(f_vals: np.ndarray) -> float:
         raise InvalidInput("empty evaluation vector")
     if not np.all(np.isfinite(vals)):
         raise InvalidInput("non-finite values in legendre_transform input")
-    return float(np.mean(vals) + 0.25 * np.mean(vals * vals))
+    return float(legendre_batch(vals))
 
 
 def dual_objective(f_vals: np.ndarray, target_integral: float) -> float:

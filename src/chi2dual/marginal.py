@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
 
@@ -174,6 +174,11 @@ class MarginalSpec:
         return len(self.cdfs)
 
 
+_CDF_FAMILIES = dict(
+    uniform=UniformCDF, exp=ExponentialCDF, exponential=ExponentialCDF, normal=NormalCDF
+)
+
+
 def parse_marginal_spec(text: str, d: int | None = None) -> MarginalSpec:
     """Parse 'uniform(0,1);exp(1.0);normal(0,1)' into a MarginalSpec."""
     parts = [p.strip() for p in text.split(";") if p.strip()]
@@ -189,14 +194,12 @@ def parse_marginal_spec(text: str, d: int | None = None) -> MarginalSpec:
             args = [float(a) for a in argstr[:-1].split(",")] if argstr[:-1].strip() else []
         except ValueError as exc:
             raise InvalidSpec(f"bad numeric argument in {part!r}") from exc
-        if name == "uniform":
-            cdfs.append(UniformCDF(*args))
-        elif name in ("exp", "exponential"):
-            cdfs.append(ExponentialCDF(*args))
-        elif name == "normal":
-            cdfs.append(NormalCDF(*args))
-        else:
+        if name not in _CDF_FAMILIES:
             raise InvalidSpec(f"unknown CDF family {name!r}")
+        try:
+            cdfs.append(_CDF_FAMILIES[name](*args))
+        except TypeError:
+            raise InvalidSpec(f"wrong number of arguments in {part!r}") from None
     if d is not None and len(cdfs) != d:
         raise InvalidSpec(f"spec names {len(cdfs)} marginals for {d}-dimensional data")
     return MarginalSpec(tuple(cdfs))
@@ -560,15 +563,7 @@ def marginal_test(
     diagnostics["m"] = float(m_eff)
     diagnostics["d"] = float(sample.d)
     diagnostics["empty_marginal_cells"] = float(degenerate)
-    return TestReport(
-        statistic=report.statistic,
-        df_or_sd=report.df_or_sd,
-        reference_law=report.reference_law,
-        p_value=report.p_value,
-        alpha=report.alpha,
-        reject=report.reject,
-        diagnostics=diagnostics,
-    )
+    return replace(report, diagnostics=diagnostics)
 
 
 def _count_empty_marginal_cells(pit: Sample, grid: Grid) -> int:

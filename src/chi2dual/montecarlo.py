@@ -134,14 +134,20 @@ class ReplicationPlan:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ReplicationPlan":
-        return cls(
-            scenario=str(payload["scenario"]),
-            n=int(payload["n"]),
-            replicates=int(payload["replicates"]),
-            base_seed=int(payload["base_seed"]),
-            alpha=float(payload.get("alpha", 0.05)),
-            params=dict(payload.get("params", {})),
-        )
+        """Plan from its wire format; InvalidInput names a missing or malformed field."""
+        values = {"alpha": 0.05, "params": {}, **payload}
+        kinds = dict(scenario=str, n=int, replicates=int, base_seed=int, alpha=float, params=dict)
+        fields = {}
+        for name, kind in kinds.items():
+            if name not in values:
+                raise InvalidInput(f"missing field {name!r}")
+            try:
+                fields[name] = kind(values[name])
+            except (TypeError, ValueError):
+                raise InvalidInput(
+                    f"field {name!r} must be {kind.__name__}, got {values[name]!r}"
+                ) from None
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,39 @@ class TestCsvIngestion:
         with pytest.raises(CliError, match="columns"):
             read_csv_sample(str(path))
 
+    def test_non_utf8_file_names_file(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"\xff\xfe1.0\n")
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(b'{"scenario": "\xff"}')
+        for argv, path in (
+            (["linear-test", "--data", str(data), "--constraints", str(plan)], data),
+            (["calibrate", "--plan", str(plan)], plan),
+        ):
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == EXIT_ERROR
+            assert f"error: cannot read {path}: 'utf-8' codec" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_reports_line(self, tmp_path, capsys, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x\n0.5\n{cell}\n", encoding="utf-8")
+        constraints = str(FIXTURES / "uniform_quarter_mean.json")
+        code = main(["linear-test", "--data", str(path), "--constraints", constraints])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert f"error: {path}:3: non-finite cell" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_cell_line_counts_blank_lines(self, tmp_path):
+        from chi2dual.cli import CliError
+
+        path = tmp_path / "d.csv"
+        path.write_text("\n0.5\n\n0.25\n\ninf\n", encoding="utf-8")
+        with pytest.raises(CliError, match=":6: non-finite cell"):
+            read_csv_sample(str(path))
+
 
 class TestLinearCommand:
     def test_report_fields_and_exit_codes(self, tmp_path, capsys):
@@ -183,6 +216,18 @@ class TestMarginalCommand:
         )
         assert code == EXIT_ERROR
 
+    @pytest.mark.parametrize("term", ["uniform(0,1,2)", "exp()"])
+    def test_wrong_argument_count_names_term(self, tmp_path, capsys, term):
+        data = tmp_path / "m.csv"
+        write_csv(data, Stream(12).uniforms(100).reshape(-1, 2).tolist())
+        code = main(
+            ["marginal-test", "--data", str(data), "--marginals", f"uniform(0,1);{term}"]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert f"wrong number of arguments in {term!r}" in err
+        assert "Traceback" not in err
+
 
 class TestContamCommand:
     def test_negative_observation_rejected(self, tmp_path, capsys):
@@ -303,6 +348,39 @@ class TestCalibrateCommand:
         main(["calibrate", "--plan", str(plan), "--json", str(out_b)])
         assert out_a.read_bytes() != out_b.read_bytes()
         assert json.loads(out_a.read_text())["plan"]["base_seed"] == 12345
+
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"n": 60, "replicates": 4, "base_seed": 1}, "'scenario'"),
+            ({"scenario": "linear_null", "replicates": 4, "base_seed": 1}, "'n'"),
+            ({"scenario": "linear_null", "n": "sixty", "replicates": 4, "base_seed": 1}, "'n'"),
+            ({"scenario": "linear_null", "n": 60, "replicates": None, "base_seed": 1},
+             "'replicates'"),
+            ({"scenario": "linear_null", "n": 60, "replicates": 4, "base_seed": "x"},
+             "'base_seed'"),
+            ([{"scenario": "linear_null"}], "JSON object"),
+        ],
+    )
+    def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(payload))
+        code = main(["calibrate", "--plan", str(plan)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err.startswith(f"error: {plan}: ") and field in err
+        assert "Traceback" not in err
+
+    def test_non_integer_env_seed_names_variable(self, tmp_path, capsys, monkeypatch):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"scenario": "linear_null", "n": 60, "replicates": 4}))
+        monkeypatch.setenv("CHI2DUAL_SEED", "abc")
+        code = main(["calibrate", "--plan", str(plan)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert "error: CHI2DUAL_SEED must be an integer, got 'abc'" in err
+        assert "Traceback" not in err
 
 
 class TestReportIo:

@@ -12,9 +12,12 @@ from chi2dual import (
     Sample,
     SearchSettings,
     chi2_simple,
+    contamination_test,
+    dual_objective_contam,
     minimax_gap,
     model_integral,
     rexp,
+    rmixture,
 )
 from chi2dual.rng import Stream
 
@@ -66,6 +69,18 @@ class TestChi2Simple:
             assert start[2] == alpha
         # the refinement starts from the grid points, so it never ends lower
         assert result.value >= max(p[3] for p in result.start_points)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.15])
+def test_statistic_is_n_times_public_dual_objective(lam):
+    # the search and dual_objective_contam share h and the conjugate, so the
+    # identity holds bit for bit, not just to rounding
+    x = rmixture(Stream(1), 200, 1.0, lam, SPEC.pareto_gamma, SPEC.pareto_nu)
+    sample = Sample(x.reshape(-1, 1))
+    report = contamination_test(sample, SPEC, 0.05)
+    diag = report.diagnostics
+    g = DualGFunction(diag["alpha_hat"], diag["theta_hat"], diag["lambda_hat"], SPEC)
+    assert report.statistic == sample.n * max(dual_objective_contam(g, sample), 0.0)
 
 
 def test_minimax_gap_finite_and_nonnegative():

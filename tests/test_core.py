@@ -19,6 +19,7 @@ from chi2dual import (
     legendre_transform,
     moment_vectors,
 )
+from chi2dual.core import legendre_batch
 
 
 def polynomial_family(exponents, targets):
@@ -62,6 +63,11 @@ class TestLegendreTransform:
             legendre_transform(np.array([1.0, np.nan]))
         with pytest.raises(InvalidInput):
             legendre_transform(np.array([]))
+
+    def test_batched_rows_match_one_dimensional(self):
+        # long rows, so numpy's pairwise summation splits each of them
+        rows = 3.0 * np.random.default_rng(5).standard_normal((6, 1001))
+        assert legendre_batch(rows).tolist() == [legendre_transform(r) for r in rows]
 
 
 class TestDualObjective:
