@@ -4,7 +4,6 @@ from .contamination import (
     Chi2SimpleResult,
     ContaminationSpec,
     DualGFunction,
-    MixtureDensity,
     SearchSettings,
     chi2_simple,
     contamination_test,

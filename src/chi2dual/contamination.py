@@ -115,21 +115,6 @@ def _mixture_density(x: np.ndarray, theta, lam, r_x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class MixtureDensity:
-    """h(x) = (1 - lambda) f_theta(x) + lambda r(x), zero for x < 0."""
-
-    theta: float
-    lam: float
-    spec: ContaminationSpec
-
-    def pdf(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r_x = pareto_pdf(x, self.spec.pareto_gamma, self.spec.pareto_nu)
-        h = _mixture_density(np.maximum(x, 0.0), self.theta, self.lam, r_x)
-        return np.where(x >= 0.0, h, 0.0)
-
-
-@dataclass(frozen=True)
 class DualGFunction:
     """Dual candidate g = 2 (f_alpha / h(theta, lambda) - 1).
 
@@ -144,7 +129,9 @@ class DualGFunction:
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        h = MixtureDensity(self.theta, self.lam, self.spec).pdf(x)
+        r_x = pareto_pdf(x, self.spec.pareto_gamma, self.spec.pareto_nu)
+        h = _mixture_density(np.maximum(x, 0.0), self.theta, self.lam, r_x)
+        h = np.where(x >= 0.0, h, 0.0)  # h(theta, lambda) is zero for x < 0
         num = exponential_pdf(x, self.alpha)
         with np.errstate(divide="ignore", invalid="ignore"):
             return 2.0 * (num / h - 1.0)

@@ -120,7 +120,6 @@ class MomentVectors:
     nu_n: np.ndarray
     s_n: np.ndarray
     empirical_means: np.ndarray
-    targets: np.ndarray
     n: int
 
     @property
@@ -180,7 +179,6 @@ def moment_vectors(sample: Sample, fam: ConstraintFamily) -> MomentVectors:
         nu_n=nu_n,
         s_n=s_n,
         empirical_means=means,
-        targets=fam.targets.copy(),
         n=sample.n,
     )
 

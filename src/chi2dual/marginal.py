@@ -10,13 +10,12 @@ actually tested.  Two equivalent parametrizations are provided:
 * cell indicators 1{u_(i-1) < x_j <= u_i} with targets p_i = u_i - u_(i-1).
 
 They are related by a unit-triangular change of basis, so the quadratic
-form is identical under both; the cell form is better conditioned and is
-the one ``marginal_test`` uses.  The cumulative form is kept as the
-reference that tests check the cell form against.  For d = 2 the scaled
-statistic also equals the minimum of a Pearson-type weighted discrepancy
-over all cell tables with the hypothesized marginals
-(``pearson_min_form``), which serves as an independent cross-check of the
-quadratic form.
+form is identical under both.  ``marginal_test`` takes the cell form's
+moments from cell counts alone; both function families are the references
+that tests check the counts against.  For d = 2 the scaled statistic also
+equals the minimum of a Pearson-type weighted discrepancy over all cell
+tables with the hypothesized marginals (``pearson_min_form``), which
+serves as an independent cross-check of the quadratic form.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.special
 
-from .core import ConstraintFamily, Sample
+from .core import ConstraintFamily, MomentVectors, Sample
 from .errors import (
     DegenerateCellsWarning,
     InvalidInput,
@@ -40,11 +39,16 @@ from .errors import (
     ZeroCellWarning,
 )
 from .linear import TestReport, _check_level
-from .sieve import SievePlan, default_m, sieve_test
+# sieve_test stays importable here because the benchmark tracer wraps marginal.sieve_test
+from .sieve import SievePlan, _sieve_report, default_m, sieve_test  # noqa: F401
 
 # Widest admissible spread of cell widths: the statistic's covariance
 # eigenvalues degrade with min p_i, so cells must not shrink too unevenly.
 MAX_CELL_RATIO = 10.0
+# Stop rule and round budget of pearson_min_form; slack of eigen_bounds_check.
+TABLE_TOLERANCE = 1e-10
+TABLE_MAX_ITER = 10_000
+EIGEN_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -313,14 +317,13 @@ def eigen_bounds_check(
     d: int,
     s: np.ndarray | None = None,
     alpha_lb: float | None = None,
-    tol: float = 1e-10,
 ) -> EigenBoundsReport:
-    """Check the eigenvalue envelope of the null covariance (report-only)."""
+    """Check the null covariance spectrum within EIGEN_TOLERANCE (report-only)."""
     p = grid.cell_probs
     lower = p[-1] * p[: grid.m].min()
     upper = p[: grid.m].max()
     eigs = np.linalg.eigvalsh(s0_matrix(grid, d))
-    within = bool(eigs[0] >= lower - tol and eigs[-1] <= upper + tol)
+    within = bool(eigs[0] >= lower - EIGEN_TOLERANCE and eigs[-1] <= upper + EIGEN_TOLERANCE)
     emp_min = emp_bound = emp_ok = None
     if s is not None:
         s_arr = np.asarray(s, dtype=float)
@@ -330,7 +333,7 @@ def eigen_bounds_check(
         if alpha_lb is not None:
             emp_bound = float(alpha_lb) * lower
             # the bound is attained exactly on uniform grids
-            emp_ok = bool(emp_min >= emp_bound - tol)
+            emp_ok = bool(emp_min >= emp_bound - EIGEN_TOLERANCE)
     return EigenBoundsReport(
         null_lambda_min=float(eigs[0]),
         null_lambda_max=float(eigs[-1]),
@@ -364,11 +367,7 @@ class CellCounts:
     def from_sample(cls, sample: Sample, grid: Grid) -> "CellCounts":
         if sample.d != 2:
             raise InvalidInput(f"cell counts require d = 2 data, got d={sample.d}")
-        rows = grid.cell_index(sample.data[:, 0])
-        cols = grid.cell_index(sample.data[:, 1])
-        size = grid.m + 1
-        flat = np.bincount(rows * size + cols, minlength=size * size)
-        return cls(flat.reshape(size, size).astype(float))
+        return cls(_cell_table(sample, grid)[: grid.m + 1, grid.m + 1 :])
 
     @property
     def n(self) -> float:
@@ -401,19 +400,15 @@ class TableMinResult:
     had_zero_cells: bool
 
 
-def pearson_min_form(
-    counts: CellCounts,
-    grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> TableMinResult:
+def pearson_min_form(counts: CellCounts, grid: Grid) -> TableMinResult:
     """Minimize sum (n q_ij - N_ij)^2 / N_ij over tables with fixed margins.
 
     Margins are the grid cell widths in both directions.  Solved by
     alternating row/column multiplier updates until the sup-norm change
-    drops below ``tol``.  Cells with N_ij = 0 are skipped (their terms carry
-    an indicator weight); in that case the exact equality with the
-    quadratic-form statistic is withdrawn and a ZeroCellWarning is emitted.
+    drops below TABLE_TOLERANCE (NoConvergence after TABLE_MAX_ITER).
+    Cells with N_ij = 0 are skipped (their terms carry an indicator weight);
+    in that case the exact equality with the quadratic-form statistic is
+    withdrawn and a ZeroCellWarning is emitted.
     """
     n_mat = counts.counts
     size = grid.m + 1
@@ -440,7 +435,7 @@ def pearson_min_form(
     rows_pos = row_sums > 0.0
     cols_pos = col_sums > 0.0
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, TABLE_MAX_ITER + 1):
         a_new = np.where(
             rows_pos, (n * p - row_sums - n_mat @ b) / np.where(rows_pos, row_sums, 1.0), 0.0
         )
@@ -449,11 +444,11 @@ def pearson_min_form(
         )
         delta = max(np.max(np.abs(a_new - a)), np.max(np.abs(b_new - b)))
         a, b = a_new, b_new
-        if delta < tol:
+        if delta < TABLE_TOLERANCE:
             break
     else:
         raise NoConvergence(
-            f"margin multipliers did not converge within {max_iter} iterations"
+            f"margin multipliers did not converge within {TABLE_MAX_ITER} iterations"
         )
     value = float(np.sum(n_mat * (a[:, None] + b[None, :]) ** 2))
     q = n_mat * (1.0 + a[:, None] + b[None, :]) / n
@@ -488,18 +483,18 @@ def table_coefficients_to_dual(result: TableMinResult) -> tuple[float, np.ndarra
 # ---------------------------------------------------------------------------
 # The marginal test
 
-def marginal_sieve_plan(d: int, m_rule: Callable[[int], int] | None = None) -> SievePlan:
+def marginal_sieve_plan(d: int) -> SievePlan:
     """Sieve plan for uniform-marginal testing on [0,1]^d.
 
-    k(n) = d * m(n) cell indicators on the uniform grid.  The eigenvalue
-    rule is the closed-form null bound p_(m+1) * min p_i = (m+1)^(-2)
-    (density lower bound taken as 1); the coupling rate for indicator
-    classes is n^(-1/2) for d <= 2 and n^(-1/(2d)) above.
+    k(n) = d * default_m(n) cell indicators on the uniform grid; run by
+    ``sieve_test``, it is the reference for ``marginal_test``.  The
+    eigenvalue rule is the null bound p_(m+1) * min p_i = (m+1)^(-2) for a
+    density bounded below by 1; the coupling rate for indicator classes is
+    n^(-1/2) for d <= 2 and n^(-1/(2d)) above.
     """
-    rule = m_rule if m_rule is not None else default_m
 
     def k_of_n(n: int) -> int:
-        return d * rule(n)
+        return d * default_m(n)
 
     def family_builder(k: int) -> ConstraintFamily:
         if k % d != 0:
@@ -521,6 +516,28 @@ def marginal_sieve_plan(d: int, m_rule: Callable[[int], int] | None = None) -> S
     )
 
 
+def _cell_table(pit: Sample, grid: Grid) -> np.ndarray:
+    """Counts of all (coordinate, cell) pairs; block (j, l) is their two-way table."""
+    size = grid.m + 1
+    cells = [grid.cell_index(pit.data[:, j]) for j in range(pit.d)]
+    table = np.empty((pit.d, size, pit.d, size))
+    for j in range(pit.d):
+        for l in range(j, pit.d):  # one bincount per pair: O(n) extra memory
+            flat = np.bincount(cells[j] * size + cells[l], minlength=size * size)
+            table[j, :, l] = flat.reshape(size, size)
+            table[l, :, j] = table[j, :, l].T
+    return table.reshape(pit.d * size, pit.d * size)
+
+
+def _table_moment_vectors(table: np.ndarray, grid: Grid, n: int) -> MomentVectors:
+    """``moment_vectors`` of ``build_indicator_family(grid, d)`` read off the table."""
+    keep = np.arange(table.shape[0]) % (grid.m + 1) < grid.m  # first m cells of each coordinate
+    joint = table[np.ix_(keep, keep)] / n
+    means = np.diag(joint)
+    nu_n = np.tile(grid.cell_probs[: grid.m], table.shape[0] // (grid.m + 1)) - means
+    return MomentVectors(nu_n=nu_n, s_n=joint - np.outer(means, means), empirical_means=means, n=n)
+
+
 def marginal_test(
     sample: Sample,
     spec: MarginalSpec,
@@ -529,14 +546,15 @@ def marginal_test(
 ) -> TestReport:
     """Test all d marginals simultaneously against the hypothesized CDFs.
 
-    Transforms the data through the hypothesized CDFs, builds the indicator
-    family on the uniform grid with m cuts (default from the n^(1/4) rule),
-    and applies the standardized sieve test.  A zero count in any marginal
-    cell triggers a DegenerateCellsWarning before the attempt; note that an
-    empty marginal cell forces the indicator covariance singular (the cell
-    indicators sum to a constant on the sample), so SingularCovariance then
-    propagates.  Joint (d = 2) cells may be empty without harm: the
-    quadratic form never divides by cell counts.
+    Transforms the data through the hypothesized CDFs, counts the cells of
+    the uniform grid with m cuts (default from the n^(1/4) rule), and
+    applies the standardized sieve test to the cell family's moments read
+    off those counts.  A zero count in any marginal cell triggers a
+    DegenerateCellsWarning before the attempt; note that an empty marginal
+    cell forces the indicator covariance singular (the cell indicators sum
+    to a constant on the sample), so SingularCovariance then propagates.
+    Joint (d = 2) cells may be empty without harm: the quadratic form never
+    divides by cell counts.
     """
     alpha = _check_level(alpha)
     pit = pit_transform(sample, spec)
@@ -551,25 +569,18 @@ def marginal_test(
             SmallSampleWarning,
             stacklevel=2,
         )
-    degenerate = _count_empty_marginal_cells(pit, Grid.uniform(m_eff))
+    grid = Grid.uniform(m_eff)
+    table = _cell_table(pit, grid)
+    degenerate = int(np.count_nonzero(np.diag(table) == 0.0))
     if degenerate > 0:
         warnings.warn(
             f"{degenerate} marginal grid cells have zero observations",
             DegenerateCellsWarning,
             stacklevel=2,
         )
-    report = sieve_test(pit, marginal_sieve_plan(sample.d, lambda n: m_eff), alpha)
+    report = _sieve_report(_table_moment_vectors(table, grid, pit.n), alpha)
     diagnostics = dict(report.diagnostics)
     diagnostics["m"] = float(m_eff)
     diagnostics["d"] = float(sample.d)
     diagnostics["empty_marginal_cells"] = float(degenerate)
     return replace(report, diagnostics=diagnostics)
-
-
-def _count_empty_marginal_cells(pit: Sample, grid: Grid) -> int:
-    empty = 0
-    for j in range(pit.d):
-        idx = grid.cell_index(pit.data[:, j])
-        occupancy = np.bincount(idx, minlength=grid.m + 1)
-        empty += int(np.sum(occupancy == 0))
-    return empty

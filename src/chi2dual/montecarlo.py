@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
@@ -115,6 +115,9 @@ class ReplicationPlan:
             raise InvalidInput(
                 f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}"
             )
+        unread = [key for key in self.params if key not in _SCENARIO_TABLE[self.scenario][2]]
+        if unread:
+            raise InvalidInput(f"scenario {self.scenario!r} reads no params key {unread[0]!r}")
         if self.replicates < 1:
             raise InvalidInput(f"replicates must be >= 1, got {self.replicates}")
         if self.n < 1:
@@ -123,14 +126,7 @@ class ReplicationPlan:
             raise InvalidInput(f"alpha must be in (0, 1), got {self.alpha}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "n": self.n,
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "alpha": self.alpha,
-            "params": dict(self.params),
-        }
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ReplicationPlan":
@@ -141,11 +137,14 @@ class ReplicationPlan:
         for name, kind in kinds.items():
             if name not in values:
                 raise InvalidInput(f"missing field {name!r}")
+            value = values[name]
             try:
-                fields[name] = kind(values[name])
-            except (TypeError, ValueError):
+                if kind is int and (isinstance(value, bool) or value != int(value)):
+                    raise ValueError
+                fields[name] = kind(value)
+            except (TypeError, ValueError, OverflowError):
                 raise InvalidInput(
-                    f"field {name!r} must be {kind.__name__}, got {values[name]!r}"
+                    f"field {name!r} must be {kind.__name__}, got {value!r}"
                 ) from None
         return cls(**fields)
 
@@ -212,15 +211,14 @@ def _mean_quarter_family() -> ConstraintFamily:
     )
 
 
+_CONTAM_SPEC_KEYS = ("theta_lo", "theta_hi", "lambda_lo", "lambda_hi", "pareto_gamma", "pareto_nu")
+_CONTAM_KEYS = _CONTAM_SPEC_KEYS + ("theta0", "alpha_tol")
+
+
 def _contam_spec(params: dict) -> ContaminationSpec:
-    return ContaminationSpec(
-        theta_lo=float(params.get("theta_lo", 0.5)),
-        theta_hi=float(params.get("theta_hi", 2.0)),
-        lambda_lo=float(params.get("lambda_lo", -0.25)),
-        lambda_hi=float(params.get("lambda_hi", 0.75)),
-        pareto_gamma=float(params.get("pareto_gamma", 2.0)),
-        pareto_nu=float(params.get("pareto_nu", 1.5)),
-    )
+    """The plan's spec; keys it leaves out take ``ContaminationSpec``'s defaults."""
+    given = {key: float(params[key]) for key in _CONTAM_SPEC_KEYS if key in params}
+    return ContaminationSpec(**{"theta_lo": 0.5, "theta_hi": 2.0, **given})
 
 
 def _linear_null(plan: ReplicationPlan, stream: Stream) -> TestReport:
@@ -257,14 +255,15 @@ def _contam_replicate(plan: ReplicationPlan, stream: Stream, contaminated: bool)
     return contamination_test(Sample(data.reshape(-1, 1)), spec, plan.alpha, settings=settings)
 
 
-# scenario -> (one replicate on its stream, CDF of the statistic's reference law)
+_chi2_1 = partial(chi2_cdf, k=1)
+# scenario -> (one replicate on its stream, reference-law CDF, params keys it reads)
 _SCENARIO_TABLE = {
-    "linear_null": (_linear_null, lambda v: chi2_cdf(v, 3)),
-    "linear_alt": (_linear_alt, lambda v: chi2_cdf(v, 1)),
-    "marginal_null": (partial(_marginal_replicate, beta_first=False), normal_cdf),
-    "marginal_alt": (partial(_marginal_replicate, beta_first=True), normal_cdf),
-    "contam_null": (partial(_contam_replicate, contaminated=False), lambda v: chi2_cdf(v, 1)),
-    "contam_alt": (partial(_contam_replicate, contaminated=True), lambda v: chi2_cdf(v, 1)),
+    "linear_null": (_linear_null, lambda v: chi2_cdf(v, 3), ()),
+    "linear_alt": (_linear_alt, _chi2_1, ()),
+    "marginal_null": (partial(_marginal_replicate, beta_first=False), normal_cdf, ("d", "m")),
+    "marginal_alt": (partial(_marginal_replicate, beta_first=True), normal_cdf, ("d", "m")),
+    "contam_null": (partial(_contam_replicate, contaminated=False), _chi2_1, _CONTAM_KEYS),
+    "contam_alt": (partial(_contam_replicate, contaminated=True), _chi2_1, (*_CONTAM_KEYS, "lam")),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -276,7 +275,7 @@ def run_plan(plan: ReplicationPlan) -> CalibrationReport:
     recorded and tolerated up to 1% of the replicate count.
     """
     start = time.perf_counter()
-    replicate, reference_cdf = _SCENARIO_TABLE[plan.scenario]
+    replicate, reference_cdf, _ = _SCENARIO_TABLE[plan.scenario]
     statistics: list[float] = []
     rejections = 0
     failed: list[int] = []

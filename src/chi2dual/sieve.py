@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ConstraintFamily, Sample, chi2_quadratic, moment_vectors
+from .core import ConstraintFamily, MomentVectors, Sample, chi2_quadratic, moment_vectors
 from .errors import InvalidInput, MissingBound, RateConditionWarning
 from .linear import STD_NORMAL, TestReport, _check_level, normal_cdf
 
@@ -52,15 +52,15 @@ class SievePlan:
     bridge_rate: Callable[[int], float] | None = None
 
 
-def _chi2_and_standardized(sample: Sample, fam: ConstraintFamily) -> tuple[float, float]:
-    """chi2_n and (n * chi2_n - k) / sqrt(2k) for the given finite family."""
-    chi2 = chi2_quadratic(moment_vectors(sample, fam))
-    return chi2, (sample.n * chi2 - fam.k) / math.sqrt(2.0 * fam.k)
+def _chi2_and_standardized(mv: MomentVectors) -> tuple[float, float]:
+    """chi2_n and (n * chi2_n - k) / sqrt(2k) for one sample/family pair."""
+    chi2 = chi2_quadratic(mv)
+    return chi2, (mv.n * chi2 - mv.k) / math.sqrt(2.0 * mv.k)
 
 
 def standardized_statistic(sample: Sample, fam: ConstraintFamily) -> float:
     """(n * chi2_n - k) / sqrt(2k) for the given finite family."""
-    return _chi2_and_standardized(sample, fam)[1]
+    return _chi2_and_standardized(moment_vectors(sample, fam))[1]
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,18 @@ def sieve_test(sample: Sample, plan: SievePlan, alpha: float) -> TestReport:
     fam = plan.family_builder(k)
     if fam.k != k:
         raise InvalidInput(f"family builder returned k={fam.k}, expected {k}")
-    chi2, statistic = _chi2_and_standardized(sample, fam)
+    return _sieve_report(moment_vectors(sample, fam), alpha)
+
+
+def _sieve_report(mv: MomentVectors, alpha: float) -> TestReport:
+    """One-sided report on (n * chi2_n - k) / sqrt(2k) at a checked level ``alpha``."""
+    chi2, statistic = _chi2_and_standardized(mv)
     p_value = 1.0 - normal_cdf(statistic)
     diagnostics = {
-        "k": float(k),
-        "n": float(sample.n),
+        "k": float(mv.k),
+        "n": float(mv.n),
         "chi2_value": chi2,
-        "scaled_statistic": float(sample.n * chi2),
+        "scaled_statistic": float(mv.n * chi2),
     }
     return TestReport(
         statistic=float(statistic),

@@ -361,6 +361,11 @@ class TestCalibrateCommand:
             ({"scenario": "linear_null", "n": 60, "replicates": 4, "base_seed": "x"},
              "'base_seed'"),
             ([{"scenario": "linear_null"}], "JSON object"),
+            ({"scenario": "linear_null", "n": 60.7, "replicates": 4, "base_seed": 1}, "'n'"),
+            ({"scenario": "linear_null", "n": 60, "replicates": True, "base_seed": 1},
+             "'replicates'"),
+            ({"scenario": "marginal_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"dd": 3}}, "scenario 'marginal_null' reads no params key 'dd'"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):

@@ -1,6 +1,7 @@
 """Marginal GOF: PIT, indicator families, null covariance lemmas, table form."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,15 +22,24 @@ from chi2dual import (
     dual_coefficients,
     eigen_bounds_check,
     marginal_test,
+    marginal_sieve_plan,
     moment_vectors,
     parse_marginal_spec,
     pearson_min_form,
     pit_transform,
     s0_matrix,
+    sieve_test,
     table_coefficients_to_dual,
     u_matrix,
 )
-from chi2dual.marginal import ExponentialCDF, NormalCDF, TabulatedCDF, UniformCDF
+from chi2dual.marginal import (
+    ExponentialCDF,
+    NormalCDF,
+    TabulatedCDF,
+    UniformCDF,
+    _cell_table,
+    _table_moment_vectors,
+)
 from chi2dual.rng import Stream
 
 
@@ -38,6 +48,17 @@ def random_grid(rng, m):
     widths = 1.0 + 9.0 * rng.random(m + 1)
     cuts = np.cumsum(widths)[:-1] / widths.sum()
     return Grid(cuts)
+
+
+def exact_covariance(f_matrix):
+    """Covariance of 0/1 indicator columns in rational arithmetic, rounded once."""
+    n = f_matrix.shape[0]
+    joint = (f_matrix.T @ f_matrix).astype(int)  # counts: exact in float64
+    means = [Fraction(int(c), n) for c in np.diag(joint)]
+    return np.array(
+        [[float(Fraction(int(c), n) - ma * mb) for c, mb in zip(row, means)]
+         for row, ma in zip(joint, means)]
+    )
 
 
 class TestGrid:
@@ -126,13 +147,25 @@ class TestIndicatorFamilies:
             if trial % 3 == 0:
                 data = data**1.3  # push away from the null too
             sample = Sample(data)
-            chi_delta = chi2_quadratic(
-                moment_vectors(sample, build_indicator_family(grid, d, True))
-            )
+            dense = moment_vectors(sample, build_indicator_family(grid, d, True))
+            chi_delta = chi2_quadratic(dense)
             chi_cum = chi2_quadratic(
                 moment_vectors(sample, build_indicator_family(grid, d, False))
             )
             assert abs(chi_delta - chi_cum) <= 1e-10
+            # the cell-count path used by marginal_test
+            counted = _table_moment_vectors(_cell_table(sample, grid), grid, n)
+            assert np.array_equal(counted.nu_n, dense.nu_n)
+            assert np.array_equal(counted.empirical_means, dense.empirical_means)
+            eps = np.finfo(float).eps
+            # three roundings of values below 1 per entry of the counted S
+            exact = exact_covariance(build_indicator_family(grid, d, True).evaluate(sample))
+            assert np.abs(counted.s_n - exact).max() <= 2 * eps
+            # the dense product's a-priori bound: n-term sums of terms below 1, over n
+            assert np.abs(counted.s_n - dense.s_n).max() <= n * eps
+            chi_counted = chi2_quadratic(counted)
+            assert abs(chi_counted - chi_delta) <= 1e-10
+            assert abs(chi_counted - chi_cum) <= 1e-10
 
 
 class TestNullCovariance:
@@ -270,10 +303,32 @@ class TestMarginalTest:
         # warning fires and SingularCovariance propagates
         from chi2dual import SingularCovariance
 
-        data = np.column_stack([np.linspace(0.01, 0.45, 60)])  # upper cell empty
-        with pytest.warns(DegenerateCellsWarning):
-            with pytest.raises(SingularCovariance):
-                marginal_test(Sample(data), MarginalSpec.all_uniform(1), 0.05, m=1)
+        spread = np.linspace(0.01, 0.99, 60)
+        cases = [  # (data, m): upper cell empty; d = 2 with first / last cell of x1 empty
+            (np.column_stack([np.linspace(0.01, 0.45, 60)]), 1),
+            (np.column_stack([np.linspace(0.4, 0.99, 60), spread]), 2),
+            (np.column_stack([np.linspace(0.01, 0.6, 60), spread]), 2),
+        ]
+        for data, m in cases:
+            spec = MarginalSpec.all_uniform(data.shape[1])
+            with pytest.warns(DegenerateCellsWarning) as record:
+                with pytest.raises(SingularCovariance):
+                    marginal_test(Sample(data), spec, 0.05, m=m)
+            assert [str(w.message) for w in record] == [
+                "1 marginal grid cells have zero observations"
+            ]
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_counts_match_generic_sieve_test(self, d):
+        stream = Stream(400 + d)
+        sample = Sample(stream.uniforms(3000 * d).reshape(-1, d) ** 1.2)
+        spec = MarginalSpec.all_uniform(d)
+        counted = marginal_test(sample, spec, 0.05)
+        generic = sieve_test(pit_transform(sample, spec), marginal_sieve_plan(d), 0.05)
+        assert counted.statistic == pytest.approx(generic.statistic, rel=1e-12)
+        for key in ("chi2_value", "scaled_statistic"):
+            assert counted.diagnostics[key] == pytest.approx(generic.diagnostics[key], rel=1e-12)
+        assert counted.diagnostics["k"] == generic.diagnostics["k"] == 8.0 * d
 
     def test_small_sample_warning(self):
         stream = Stream(77)

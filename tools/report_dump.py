@@ -5,9 +5,10 @@ Usage (from the repository root):
     PYTHONPATH=src python3 tools/report_dump.py OUT
 
 Run it on two checkouts and compare the two OUT files with ``cmp``: a
-change that must keep every report byte-identical leaves them equal.  Each
-line is ``key<TAB>JSON``; floats are written by ``repr``, so a value that
-moves in its last bit shows up.  The inputs are generated from fixed seeds
+change that must keep every report byte-identical leaves them equal.  Where
+floats may move, ``tools/report_diff.py`` says by how much.  Each line is
+``key<TAB>JSON``; floats are written by ``repr``, so a value that moves in
+its last bit shows up.  The inputs are generated from fixed seeds
 and the script uses only the package's public API, so the same file runs on
 any tree that has it.  It writes no file other than OUT (the CLI inputs go
 to a temporary directory that is removed afterwards).  It takes about 12 s
@@ -21,17 +22,24 @@ import io
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
+
 from chi2dual import (
+    Chi2DualError,
     ContaminationSpec,
+    DegenerateCellsWarning,
     DualGFunction,
+    MarginalSpec,
     NonPositiveDensity,
     ReplicationPlan,
     Sample,
     Stream,
     chi2_simple,
     contamination_test,
+    marginal_test,
     model_integral,
     rmixture,
     run_plan,
@@ -124,6 +132,28 @@ def contamination_lines() -> list[str]:
     return lines
 
 
+def marginal_lines() -> list[str]:
+    """marginal_test at d = 1 and d = 3, and two d = 2 samples with an empty cell."""
+    lines = []
+    for d, power in ((1, 1.0), (3, 1.1)):
+        sample = Sample(Stream(20 + d).uniforms(3000 * d).reshape(-1, d) ** power)
+        report = marginal_test(sample, MarginalSpec.all_uniform(d), 0.05)
+        lines.append(_line(f"marginal_test.d{d}", emit_json(report.to_json_dict())))
+    spread = np.linspace(0.01, 0.99, 60)
+    # m = 2: x1 misses the first cell (0, 1/3] or the last cell (2/3, 1]
+    for name, x1 in (("first", np.linspace(0.4, 0.99, 60)), ("last", np.linspace(0.01, 0.6, 60))):
+        sample = Sample(np.column_stack([x1, spread]))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateCellsWarning)
+                marginal_test(sample, MarginalSpec.all_uniform(2), 0.05, m=2)
+            outcome = "no exception"
+        except Chi2DualError as exc:  # the message may differ between trees
+            outcome = type(exc).__name__
+        lines.append(_line(f"marginal_test.empty_{name}_cell", outcome))
+    return lines
+
+
 def model_integral_lines() -> list[str]:
     lines = []
     for alpha, theta, lam in MODEL_POINTS:
@@ -141,7 +171,7 @@ def main(argv: list[str]) -> int:
         return 2
     with tempfile.TemporaryDirectory() as tmp:
         lines = cli_lines(Path(tmp))
-    lines += plan_lines() + contamination_lines() + model_integral_lines()
+    lines += plan_lines() + marginal_lines() + contamination_lines() + model_integral_lines()
     Path(argv[0]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
