@@ -21,9 +21,20 @@ Parameter points where the mixture density is nonpositive at any quadrature
 node, or where the integral diverges (lambda = 0 with theta >= 2 alpha),
 are excluded from the search: they fall outside the admissible dual class.
 
-The search and ``dual_objective_contam`` evaluate the same mixture density
-and the same conjugate (``core.legendre_batch``): n * dual_objective_contam
-at the reported (alpha_hat, theta_hat, lambda_hat) is the statistic exactly.
+The sample side of the objective needs f_alpha / h at each observation.
+``_density_ratio`` divides alpha by h e^(alpha x), expanded term by term,
+so that an observation far enough out to underflow both densities does
+not give 0 / 0.  The search and ``dual_objective_contam`` share this ratio
+and the conjugate (``core.legendre_batch``): n * dual_objective_contam at
+the reported (alpha_hat, theta_hat, lambda_hat) is the statistic exactly.
+
+Search: for each profiled alpha, the sup over (theta, lambda) evaluates a
+grid (with the lambda = 0 line and the exact null point adjoined), then
+runs bounded Nelder-Mead from the best grid points under scipy's rules
+(``_nelder_mead`` reproduces scipy 1.17's steps bit for bit).  The
+searches run in lockstep, so each of their steps costs one batched
+objective call, not one call per start.  The inf over alpha takes a coarse
+grid and then golden-section refinement.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
@@ -36,10 +47,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator
 
 import numpy as np
-import scipy.optimize
 
 from .core import Sample, legendre_batch, legendre_transform
 from .errors import (
@@ -98,10 +108,6 @@ class ContaminationSpec:
             )
 
 
-def exponential_pdf(x: np.ndarray, rate: float) -> np.ndarray:
-    return np.where(x >= 0.0, rate * np.exp(-rate * np.maximum(x, 0.0)), 0.0)
-
-
 def pareto_pdf(x: np.ndarray, gamma: float, nu: float) -> np.ndarray:
     out = np.zeros_like(np.asarray(x, dtype=float))
     above = x > nu
@@ -109,9 +115,18 @@ def pareto_pdf(x: np.ndarray, gamma: float, nu: float) -> np.ndarray:
     return out
 
 
-def _mixture_density(x: np.ndarray, theta, lam, r_x: np.ndarray) -> np.ndarray:
-    """h(x) = (1 - lambda) theta e^(-theta x) + lambda r(x) for x >= 0, given r_x = r(x)."""
-    return (1.0 - lam) * theta * np.exp(-theta * x) + lam * r_x
+def _density_ratio(x: np.ndarray, alpha: float, theta, lam, r_x: np.ndarray) -> np.ndarray:
+    """f_alpha(x) / h(x) for x >= 0, given r_x = r(x), with h the mixture density
+    (1 - lambda) theta e^(-theta x) + lambda r(x).
+
+    Computed as alpha / ((1 - lambda) theta e^((alpha - theta) x) + lambda r(x) e^(alpha x)),
+    with the lambda term 0 where lambda = 0: far in the tail f_alpha and the
+    exponential part of h both underflow, and the quotient of the two
+    densities would be 0 / 0.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        contaminant = np.where(lam == 0.0, 0.0, lam * r_x * np.exp(alpha * x))
+        return alpha / ((1.0 - lam) * theta * np.exp((alpha - theta) * x) + contaminant)
 
 
 @dataclass(frozen=True)
@@ -130,11 +145,9 @@ class DualGFunction:
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         r_x = pareto_pdf(x, self.spec.pareto_gamma, self.spec.pareto_nu)
-        h = _mixture_density(np.maximum(x, 0.0), self.theta, self.lam, r_x)
-        h = np.where(x >= 0.0, h, 0.0)  # h(theta, lambda) is zero for x < 0
-        num = exponential_pdf(x, self.alpha)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 2.0 * (num / h - 1.0)
+        ratio = _density_ratio(x, self.alpha, self.theta, self.lam, r_x)
+        # f_alpha and h both vanish for x < 0, where g is undefined
+        return np.where(x >= 0.0, 2.0 * (ratio - 1.0), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +220,8 @@ def _integral_batch(
         # every node lies above nu, where r is the Pareto power law
         with np.errstate(over="ignore", under="ignore"):
             r_x = gamma * nu**gamma * x ** (-(gamma + 1.0))
-            den = _mixture_density(x, th_[:, None, None], lm_[:, None, None], r_x)
+            theta, lam = th_[:, None, None], lm_[:, None, None]
+            den = (1.0 - lam) * theta * np.exp(-theta * x) + lam * r_x
             num = amp * np.exp(-s * x)
         bad = np.any(den <= 0.0, axis=(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -365,9 +379,8 @@ _EXCLUDED_PENALTY = 1e30
 class _InnerObjective:
     """sup-side objective over (theta, lambda) for one fixed alpha.
 
-    Precomputes the data-dependent pieces (Pareto density at the sample,
-    f_alpha at the sample) so each parameter evaluation costs one exp over
-    the sample plus the model quadrature.
+    Precomputes the Pareto density at the sample, so each parameter
+    evaluation costs two exps over the sample plus the model quadrature.
     """
 
     def __init__(self, x: np.ndarray, alpha: float, spec: ContaminationSpec) -> None:
@@ -375,18 +388,15 @@ class _InnerObjective:
         self.alpha = alpha
         self.spec = spec
         self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
-        self.f_alpha_x = exponential_pdf(x, alpha)
         self.evaluations = 0
 
     def batch(self, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Objective values; NaN marks excluded points."""
         self.evaluations += thetas.shape[0]
         integrals = _integral_batch(self.alpha, thetas, lams, self.spec)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            h = _mixture_density(self.x, thetas[:, None], lams[:, None], self.r_x)
-            g = 2.0 * (self.f_alpha_x / h - 1.0)
-            conjugate = legendre_batch(g)
-        values = integrals - conjugate
+        ratio = _density_ratio(self.x, self.alpha, thetas[:, None], lams[:, None], self.r_x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = integrals - legendre_batch(2.0 * (ratio - 1.0))
         values[~np.isfinite(values)] = np.nan
         return values
 
@@ -424,21 +434,96 @@ def _candidate_grid(
     return t_flat, l_flat
 
 
+def _nelder_mead(
+    x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, max_evals: int
+) -> Generator[np.ndarray, np.ndarray, tuple[np.ndarray, float, int]]:
+    """Bounded Nelder-Mead minimization, step for step as scipy 1.17 runs it.
+
+    Yields each batch of points (rows) it needs evaluated and receives their
+    values through ``send``; returns (x, f(x), evaluations).  As in scipy,
+    the initial simplex steps 5 % along each axis and reflects vertices
+    above ``upper`` into the box, every trial point is clipped to the box,
+    no evaluation goes past ``max_evals`` and a step cut short by the limit
+    is abandoned, except that a shrink has already moved one vertex more
+    than it could evaluate.  The arithmetic and the ``np.argsort`` calls are
+    scipy's own, so the path matches it bit for bit, ties included.
+    """
+    n = x0.size
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(n + 1, np.inf)
+    evals = min(n + 1, max(max_evals, 0))
+    fsim[:evals] = yield sim[:evals]
+    # scipy sorts twice here; an unstable argsort may reorder ties again
+    for _ in range(2):
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    while evals < max_evals:
+        if (
+            np.max(np.abs(sim[1:] - sim[0])) <= 1e-4
+            and np.max(np.abs(fsim[0] - fsim[1:])) <= OBJECTIVE_TOLERANCE
+        ):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = np.clip(2 * xbar - sim[-1], lower, upper)
+        (fxr,) = yield xr[None]
+        evals += 1
+        shrink = False
+        if fxr < fsim[0]:
+            if evals < max_evals:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
+                (fxe,) = yield xe[None]
+                evals += 1
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif evals < max_evals:
+            if fxr < fsim[-1]:
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
+                (fxc,) = yield xc[None]
+                shrink = not fxc <= fxr
+            else:
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
+                (fxc,) = yield xc[None]
+                shrink = not fxc < fsim[-1]
+            evals += 1
+            if not shrink:
+                sim[-1], fsim[-1] = xc, fxc
+        if shrink:
+            room = min(n, max_evals - evals)
+            moved = min(n, room + 1)
+            sim[1 : 1 + moved] = np.clip(
+                sim[0] + 0.5 * (sim[1 : 1 + moved] - sim[0]), lower, upper
+            )
+            if room:
+                fsim[1 : 1 + room] = yield sim[1 : 1 + room]
+                evals += room
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], fsim[0], evals
+
+
 def _grid_then_refine(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     thetas: np.ndarray,
     lams: np.ndarray,
     values: np.ndarray,
     spec: ContaminationSpec,
     settings: SearchSettings,
 ) -> tuple[float, tuple[float, float], np.ndarray]:
-    """Best grid value (NaN = excluded), raised by bounded Nelder-Mead on ``objective``
-    from the ``nm_starts`` best grid points: (value, (theta, lambda), start indices)."""
+    """Raise the best grid point by Nelder-Mead from the ``nm_starts`` best ones.
 
-    def negated(params: np.ndarray) -> float:
-        value = objective(params)
-        return -value if math.isfinite(value) else _EXCLUDED_PENALTY
-
+    ``values`` holds ``objective`` on the grid (NaN = excluded).  The
+    searches maximize ``objective`` over the box of the rate interval and
+    the open mixing interval, with excluded points penalized.  They run in
+    lockstep: each round gathers the points every live search asks for
+    into one ``objective(thetas, lams)`` call.  Returns (value, (theta,
+    lambda), start indices); a search replaces the grid optimum only when
+    it ends strictly higher, earlier starts winning ties.
+    """
     finite = np.isfinite(values)
     if not np.any(finite):
         raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
@@ -448,16 +533,30 @@ def _grid_then_refine(
     best_value = float(values[i_best])
     best_point = (float(thetas[i_best]), float(lams[i_best]))
     eps = 1e-9  # lambda stays inside the open mixing interval
-    bounds = [(spec.theta_lo, spec.theta_hi), (spec.lambda_lo + eps, spec.lambda_hi - eps)]
-    options = {"fatol": OBJECTIVE_TOLERANCE, "xatol": 1e-4, "maxfev": settings.nm_max_evals}
-    for i in starts:
-        start = np.array([thetas[i], lams[i]])
-        result = scipy.optimize.minimize(
-            negated, start, method="Nelder-Mead", bounds=bounds, options=options
-        )
-        if -result.fun > best_value:
-            best_value = float(-result.fun)
-            best_point = (float(result.x[0]), float(result.x[1]))
+    lower = np.array([spec.theta_lo, spec.lambda_lo + eps])
+    upper = np.array([spec.theta_hi, spec.lambda_hi - eps])
+    searches = [
+        _nelder_mead(np.array([thetas[i], lams[i]]), lower, upper, settings.nm_max_evals)
+        for i in starts
+    ]
+    pending = [(j, next(search)) for j, search in enumerate(searches)]
+    results = [None] * len(searches)
+    while pending:
+        points = np.concatenate([request for _, request in pending])
+        found = objective(points[:, 0], points[:, 1])
+        costs = np.where(np.isfinite(found), -found, _EXCLUDED_PENALTY)
+        offset, waiting = 0, []
+        for j, request in pending:
+            try:
+                waiting.append((j, searches[j].send(costs[offset : offset + len(request)])))
+            except StopIteration as stop:
+                results[j] = stop.value
+            offset += len(request)
+        pending = waiting
+    for x, fun, _ in results:
+        if -fun > best_value:
+            best_value = float(-fun)
+            best_point = (float(x[0]), float(x[1]))
     return best_value, best_point, starts
 
 
@@ -486,7 +585,7 @@ def chi2_simple(
     thetas, lams = _candidate_grid(alpha_fixed, spec, settings)
     values = inner.batch(thetas, lams)
     best_value, best_point, starts = _grid_then_refine(
-        lambda p: inner.batch(p[:1], p[1:])[0], thetas, lams, values, spec, settings
+        inner.batch, thetas, lams, values, spec, settings
     )
     if best_value < 0.0:
         # the anchor candidate is exactly feasible with value 0
@@ -646,8 +745,11 @@ def minimax_gap(
     thetas, lams = _candidate_grid(0.5 * (spec.theta_lo + spec.theta_hi), spec, settings)
     # drop the anchor point (specific to the forward order)
     thetas, lams = thetas[:-1], lams[:-1]
-    values = np.array([min_over_alpha(float(t), float(l)) for t, l in zip(thetas, lams)])
+
+    def sup_side(ts: np.ndarray, ls: np.ndarray) -> np.ndarray:
+        return np.array([min_over_alpha(float(t), float(l)) for t, l in zip(ts, ls)])
+
     sup_inf, _, _ = _grid_then_refine(
-        lambda p: min_over_alpha(float(p[0]), float(p[1])), thetas, lams, values, spec, settings
+        sup_side, thetas, lams, sup_side(thetas, lams), spec, settings
     )
     return abs(inf_sup - sup_inf)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 
 from chi2dual import (
     ContaminationSpec,
@@ -18,6 +19,14 @@ from chi2dual import (
     model_integral,
     rexp,
     rmixture,
+)
+from chi2dual.contamination import (
+    OBJECTIVE_TOLERANCE,
+    _candidate_grid,
+    _grid_then_refine,
+    _InnerObjective,
+    _integral_batch,
+    _nelder_mead,
 )
 from chi2dual.rng import Stream
 
@@ -89,3 +98,106 @@ def test_minimax_gap_finite_and_nonnegative():
     )
     gap = minimax_gap(exp_sample(22, 80), SPEC, settings)
     assert np.isfinite(gap) and gap >= 0.0
+
+
+# the box of the inner search: rate interval by the open mixing interval
+NM_LOWER = np.array([SPEC.theta_lo, SPEC.lambda_lo + 1e-9])
+NM_UPPER = np.array([SPEC.theta_hi, SPEC.lambda_hi - 1e-9])
+
+
+def _smooth(p):
+    return (p[0] - 1.3) ** 2 + 3.0 * (p[1] - 0.2) ** 2 + 0.5 * p[0] * p[1]
+
+
+def _plateau(p):
+    # excluded points carry the search's penalty value
+    return 1e30 if p[1] > 1.2 - p[0] else (p[0] - 0.9) ** 2 + (p[1] + 0.1) ** 2
+
+
+def _steps(p):
+    return float(np.floor(3.0 * p[0]) + np.floor(4.0 * p[1]))
+
+
+NM_STARTS = [
+    (SPEC.theta_lo, 0.0),
+    (SPEC.theta_hi, 0.3),
+    (1.2, NM_LOWER[1]),
+    (0.8, NM_UPPER[1]),
+    (SPEC.theta_hi, NM_UPPER[1]),
+    (SPEC.theta_lo, NM_LOWER[1]),
+    (1.25, 0.1),
+    (0.6, -0.2),
+    (1.9, 0.7),
+    (1.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("max_evals", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 9, 13, 20, 60])
+@pytest.mark.parametrize("f", [_smooth, _plateau, _steps])
+def test_nelder_mead_matches_scipy(f, max_evals):
+    # the maxfev values stop the search inside the initial simplex, an
+    # expansion, a contraction and a shrink; scipy's bounded Nelder-Mead is
+    # the oracle
+    options = {"xatol": 1e-4, "fatol": OBJECTIVE_TOLERANCE, "maxfev": max_evals}
+    bounds = list(zip(NM_LOWER, NM_UPPER))
+    for start in NM_STARTS:
+        search = _nelder_mead(np.array(start), NM_LOWER, NM_UPPER, max_evals)
+        points = next(search)
+        try:
+            while True:
+                points = search.send(np.array([f(p) for p in points]))
+        except StopIteration as stop:
+            x, fun, evals = stop.value
+        expected = scipy.optimize.minimize(
+            f, np.array(start), method="Nelder-Mead", bounds=bounds, options=options
+        )
+        assert (x.tolist(), fun, evals) == (expected.x.tolist(), expected.fun, expected.nfev)
+
+
+def test_inner_objective_rows_do_not_depend_on_the_batch():
+    # the lockstep search evaluates its points in shared batches
+    inner = _InnerObjective(rexp(Stream(5), 200, 1.0), 2.0, SPEC)
+    # lambda < 0, lambda > 0, lambda = 0, a mixture density that turns
+    # negative (NaN) and a divergent integral (lambda = 0, theta >= 2 alpha)
+    thetas = np.array([0.5, 0.9, 2.0, 2.0, 4.0, 1.1])
+    lams = np.array([-0.05, 0.3, 0.0, -0.2, 0.0, 0.1])
+    assert _integral_batch(2.0, thetas[4:5], lams[4:5], SPEC)[0] == math.inf
+    together = inner.batch(thetas, lams)
+    alone = np.concatenate([inner.batch(thetas[i : i + 1], lams[i : i + 1]) for i in range(6)])
+    assert together.tobytes() == alone.tobytes()
+    assert np.array_equal(np.isnan(together), [False, False, False, True, True, False])
+
+
+def test_lockstep_starts_match_separate_searches():
+    x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+    alpha = 1.0
+    result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
+    inner = _InnerObjective(x, alpha, SPEC)
+    thetas, lams = _candidate_grid(alpha, SPEC, SearchSettings())
+    values = inner.batch(thetas, lams)
+    best = None
+    for theta, lam, _, _ in result.start_points:
+        # a grid holding this start alone makes it the only search
+        i = np.flatnonzero((thetas == theta) & (lams == lam))[0]
+        only = np.full_like(values, np.nan)
+        only[i] = values[i]
+        value, point, _ = _grid_then_refine(
+            inner.batch, thetas, lams, only, SPEC, SearchSettings(nm_starts=1)
+        )
+        if best is None or value > best[0]:
+            best = (value, *point)
+    assert len(result.start_points) == 3
+    assert (result.value, result.theta_hat, result.lambda_hat) == best
+
+
+def test_far_observation_keeps_the_zero_lambda_line():
+    # f_alpha and the lambda = 0 mixture both underflow at x = 2000; their
+    # ratio must not turn into 0 / 0 and exclude the null line
+    x = rexp(Stream(101), 200, 1.0)
+    x[0] = 2000.0
+    alpha = 1.0
+    inner = _InnerObjective(x, alpha, SPEC)
+    thetas, lams = _candidate_grid(alpha, SPEC, SearchSettings())
+    values = inner.batch(thetas, lams)
+    assert values[-1] == 0.0  # the anchor (alpha, 0)
+    assert np.all(np.isfinite(values[(lams == 0.0) & (thetas <= alpha)]))

@@ -41,6 +41,7 @@ from chi2dual import (
     contamination_test,
     marginal_test,
     model_integral,
+    rexp,
     rmixture,
     run_plan,
 )
@@ -53,6 +54,9 @@ SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
 # (seed, contamination weight) of the n = 200 contamination samples
 CONTAM_SAMPLES = ((101, 0.0), (102, 0.15), (103, 0.3))
 PROFILE_ALPHAS = (0.7, 1.0, 1.6)
+# one observation so far out that f_alpha and the exponential part of the
+# mixture density both underflow at alpha = 1
+FAR_POINT = 2000.0
 # (alpha, theta, lambda); the last point has a nonpositive mixture density
 MODEL_POINTS = ((1.0, 0.5, 0.0), (1.5, 0.9, 0.3), (2.0, 0.5, -0.05), (0.6, 2.0, -0.2))
 # (scenario, n, replicates): small plans, every scenario once
@@ -129,6 +133,19 @@ def contamination_lines() -> list[str]:
                 "n_evaluations": result.n_evaluations,
             }
             lines.append(_line(f"chi2_simple.{seed}.{alpha}", certificate))
+    x = rexp(Stream(101), 200, 1.0)
+    x[0] = FAR_POINT
+    try:
+        result = chi2_simple(Sample(x.reshape(-1, 1)), 1.0, SPEC)
+        outcome = {
+            "value": repr(result.value),
+            "theta_hat": repr(result.theta_hat),
+            "lambda_hat": repr(result.lambda_hat),
+            "n_evaluations": result.n_evaluations,
+        }
+    except Chi2DualError as exc:
+        outcome = type(exc).__name__
+    lines.append(_line("chi2_simple.far_point", outcome))
     return lines
 
 
