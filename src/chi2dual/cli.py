@@ -2,8 +2,15 @@
 
 Data files are UTF-8 CSV, one observation per row, columns = coordinates,
 blank lines skipped; the first non-blank line may be a header, and any other
-unparseable cell is a hard error with its line number.  Range options take
-``LO:HI`` and accept a negative LO as a separate token
+unparseable cell is a hard error with its line number.  A UTF-8 byte-order
+mark at the start of a data, constraints or plan file is dropped, so it
+never turns the first row into a header.  The rows go through one numpy
+parse; a file that parse refuses, or that holds a non-finite value, is read
+again line by line, and that parser words every error.  numpy reads a
+strict subset of what float() reads, and reads it the same way, so both
+paths accept the same inputs.
+
+Range options take ``LO:HI`` and accept a negative LO as a separate token
 (``--lambda-range -0.25:0.75``); option names must be spelled in full.
 Reports print as JSON (17 significant digits, locale-independent) and depend
 only on the inputs and the seed.  Exit codes: 0 = no rejection,
@@ -45,15 +52,46 @@ class CliError(Exception):
 
 def read_csv_sample(path: str) -> Sample:
     """Parse a CSV of observations; the first non-blank line may be a header."""
-    # one flat list: a list per row gives the garbage collector one object per row to scan
-    cells: list[float] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+    lines = text.splitlines()
+    data = _parse_csv_fast(lines)
+    if data is None:
+        data = _parse_csv_lines(path, lines)
+    return Sample(data, source=path)
+
+
+def _parse_csv_fast(lines: list[str]) -> np.ndarray | None:
+    """All rows in one C-level parse, or None to leave the file to
+    ``_parse_csv_lines``.  numpy converts each cell with the parser that
+    float() uses but accepts less (no ``_``, no non-ASCII digits, no
+    whitespace-only line), so whatever it accepts it reads as float() does."""
+    start = next((i for i, raw in enumerate(lines) if raw.strip()), None)
+    if start is None:
+        return None
+    try:
+        [float(cell) for cell in lines[start].strip().split(",")]
+    except ValueError:
+        start += 1  # header row
+    rows = lines[start:]
+    if not any(rows):  # loadtxt would warn and return an empty array
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return data if np.isfinite(data).all() else None
+
+
+def _parse_csv_lines(path: str, lines: list[str]) -> np.ndarray:
+    """Reference parser, one line at a time; names the line of any error."""
+    # one flat list: a list per row gives the garbage collector one object per row to scan
+    cells: list[float] = []
     width = None
     header_allowed = True
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -77,15 +115,15 @@ def read_csv_sample(path: str) -> Sample:
     # float() also reads nan, inf and overflowing literals such as 1e999
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        lines = text.splitlines()[first_row_line - 1:]
-        lineno = [n for n, raw in enumerate(lines, start=first_row_line) if raw.strip()][bad[0]]
+        rows = lines[first_row_line - 1:]
+        lineno = [n for n, raw in enumerate(rows, start=first_row_line) if raw.strip()][bad[0]]
         raise CliError(f"{path}:{lineno}: non-finite cell")
-    return Sample(data, source=path)
+    return data
 
 
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -118,7 +156,10 @@ def _write_report(payload: dict, json_path: str | None) -> None:
     text = emit_json(payload)
     print(text)
     if json_path:
-        Path(json_path).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(json_path).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise CliError(f"cannot write {json_path}: {exc}") from exc
 
 
 def _emit_report(report: TestReport, json_path: str | None) -> int:

@@ -2,21 +2,34 @@
 
 The null states that the data density is exponential with unknown rate in a
 compact interval; the alternative mixes the exponential with a Pareto-type
-outlier density in proportion lambda != 0 (lambda ranges over an open
-interval around zero since the fitted object is a signed measure).  The
-test statistic is the dual divergence estimate
+outlier density in proportion lambda != 0.  The test statistic is the dual
+divergence estimate
 
     n * inf_alpha  sup_(theta, lambda)  [ int g f_alpha dx - T(g, P_n) ],
 
 with g = 2 (f_alpha / h(theta, lambda) - 1) and h the mixture density.
-Under the null the statistic is asymptotically chi-square with one degree
-of freedom (one free parameter).  The inf and sup may be nested in either
-order; ``minimax_gap`` verifies the commutation numerically.
+The inf and sup may be nested in either order; ``minimax_gap`` verifies the
+commutation numerically.
+
+What the search covers: the lambda box ``(lambda_lo, lambda_hi)`` straddles
+0, but a point with lambda < 0 is admitted only while h > 0 at every
+quadrature node of the model integral.  For lambda < 0 the Pareto term
+outlasts the exponential, so h turns negative far out; whether a node lands
+past the sign change depends on where the integral is truncated, so the
+admissibility of lambda < 0 rests on ``TAIL_TOLERANCE``, not on an analytic
+rule (at alpha = 2, theta = 0.5, lambda = -0.05 the point is admitted
+although h changes sign near x = 19.5).
+
+The p-value is taken from chi-square with one degree of freedom (one free
+parameter).  That reference law is not calibrated: under the null the
+statistic sits at the lambda = 0 edge of what the search admits, and the
+``contam_null`` scenario (n = 200, 40 replicates, seed 7) puts it at KS
+distance 0.521 from chi-square(1), with 21 of the 40 statistics below 1e-3.
 
 Numerical layout: the model integral reduces to int f_alpha^2 / h, which is
 exponential below the Pareto support onset (closed form) and is integrated
-by adaptive Gauss-Legendre panels above it, truncated where the integrand
-falls below 1e-14 with an analytic exponential tail estimate added.
+by adaptive Gauss-Legendre panels above it, truncated where the integrand's
+tail falls below ``TAIL_TOLERANCE`` with an analytic tail estimate added.
 Parameter points where the mixture density is nonpositive at any quadrature
 node, or where the integral diverges (lambda = 0 with theta >= 2 alpha),
 are excluded from the search: they fall outside the admissible dual class.

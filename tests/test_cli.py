@@ -2,16 +2,65 @@
 
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chi2dual.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, main, read_csv_sample
+from chi2dual import cli
+from chi2dual.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, CliError, main, read_csv_sample
 from chi2dual.reportio import emit_json, format_float
 from chi2dual.rng import Stream
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+# cells that float() and numpy's row parser may read differently, or not at all
+ODD_CELLS = (
+    "", "x", "nan", "-inf", "inf", "1e999", "1_0", "1e-320", "-0.0", "+2",
+    "\u0661", "\x00", "\xa03", "\u30004",
+)
+PADDING = st.sampled_from(["", " ", "\t", "\xa0"])
+CELL = st.tuples(
+    PADDING,
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-1000, 1000).map(str),
+        st.sampled_from(ODD_CELLS),
+    ),
+    PADDING,
+).map("".join)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV texts mixing the shapes the reader must accept or reject alike."""
+    width = draw(st.integers(1, 3))
+    row = st.lists(CELL, min_size=width, max_size=width).map(",".join)
+    line = st.one_of(
+        row,
+        row,
+        row.map(lambda r: r + ","),  # trailing comma
+        st.lists(CELL, min_size=1, max_size=4).map(",".join),  # maybe ragged
+        st.sampled_from(["", " ", "\t\xa0 "]),  # blank and whitespace-only
+    )
+    lines = draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, min(2, len(lines)))), "x1,x2")
+    ends = st.sampled_from(["\n", "\r\n", "\r", "\x0c"])
+    text = "".join(part + draw(ends) for part in lines)
+    return text + draw(st.sampled_from(["", "0.5"]))
+
+
+def _outcome(read):
+    try:
+        data = read()
+    except CliError as exc:
+        return "error", str(exc)
+    return data.shape, data.dtype, data.tobytes()
 
 
 def write_csv(path, rows, header=None):
@@ -94,6 +143,53 @@ class TestCsvIngestion:
         path.write_text("\n0.5\n\n0.25\n\ninf\n", encoding="utf-8")
         with pytest.raises(CliError, match=":6: non-finite cell"):
             read_csv_sample(str(path))
+
+    @given(csv_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_fast_path_matches_line_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            path.write_bytes(text.encode("utf-8"))
+            fast = _outcome(lambda: read_csv_sample(str(path)).data)
+            reference = _outcome(lambda: cli._parse_csv_lines(str(path), text.splitlines()))
+        assert fast == reference
+
+    def test_plain_file_takes_fast_path(self, tmp_path, monkeypatch):
+        def refuse(path, lines):
+            raise AssertionError("per-line parser called on a plain file")
+
+        monkeypatch.setattr(cli, "_parse_csv_lines", refuse)
+        rows = Stream(13).uniforms(2000).reshape(-1, 2)
+        path = tmp_path / "d.csv"
+        write_csv(path, rows, header="x1,x2")
+        data = read_csv_sample(str(path)).data
+        assert data.shape == rows.shape and data.tobytes() == rows.tobytes()
+
+    def test_utf8_bom_is_not_a_header(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        assert read_csv_sample(str(path)).n == 3
+        path.write_bytes(b"\xef\xbb\xbfa,b\n3.0,4.0\n")
+        assert read_csv_sample(str(path)).n == 1
+
+    @pytest.mark.parametrize("kind", ["constraints", "plan"])
+    def test_utf8_bom_json(self, tmp_path, kind):
+        data = tmp_path / "d.csv"
+        write_csv(data, Stream(14).uniforms(200).reshape(-1, 1))
+        source = FIXTURES / ("uniform_quarter_mean.json" if kind == "constraints"
+                             else "linear_null_plan.json")
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + source.read_bytes())
+        reports = []
+        for path in (source, bom):
+            out = tmp_path / f"{path.stem}.out"
+            if kind == "constraints":
+                argv = ["linear-test", "--data", str(data), "--constraints", str(path)]
+            else:
+                argv = ["calibrate", "--plan", str(path)]
+            assert main(argv + ["--json", str(out)]) in (EXIT_OK, EXIT_REJECT)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 class TestLinearCommand:
@@ -226,6 +322,19 @@ class TestMarginalCommand:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert f"wrong number of arguments in {term!r}" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_json_path_names_path(self, tmp_path, capsys):
+        data = tmp_path / "m.csv"
+        write_csv(data, Stream(12).uniforms(2400).reshape(-1, 2).tolist())
+        out = tmp_path / "missing" / "out.json"
+        code = main(
+            ["marginal-test", "--data", str(data), "--marginals", "uniform(0,1);uniform(0,1)",
+             "--json", str(out)]
+        )
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert f"error: cannot write {out}: " in err
         assert "Traceback" not in err
 
 

@@ -45,6 +45,7 @@ from chi2dual import (
     rmixture,
     run_plan,
 )
+from chi2dual.cli import CliError, read_csv_sample
 from chi2dual.cli import main as cli_main
 from chi2dual.montecarlo import SCENARIOS
 from chi2dual.reportio import emit_json
@@ -59,6 +60,16 @@ PROFILE_ALPHAS = (0.7, 1.0, 1.6)
 FAR_POINT = 2000.0
 # (alpha, theta, lambda); the last point has a nonpositive mixture density
 MODEL_POINTS = ((1.0, 0.5, 0.0), (1.5, 0.9, 0.3), (2.0, 0.5, -0.05), (0.6, 2.0, -0.2))
+# small CSV files for the reader, written as these exact bytes
+CSV_FILES = {
+    "header": b"x1,x2\n0.25,1.5\n0.75,2.5\n",
+    "no_header": b"0.25,1.5\n0.75,2.5\n",
+    "blank_lines": b"\n0.25\n\n  \n0.75\n\n",
+    "crlf": b"x\r\n0.25\r\n0.75\r\n",
+    "single_column": b"0.125\n0.25\n0.5\n",
+    "non_finite": b"x\n0.5\n\ninf\n",
+    "bom": b"\xef\xbb\xbf0.25,1.5\n0.75,2.5\n0.5,3.5\n",
+}
 # (scenario, n, replicates): small plans, every scenario once
 PLANS = {
     "linear_null": (200, 20),
@@ -103,6 +114,21 @@ def cli_lines(tmp: Path) -> list[str]:
         "calibrate": ["calibrate", "--plan", str(FIXTURES / "linear_null_plan.json")],
     }
     return [_line(f"cli.{name}", _cli(argv)) for name, argv in commands.items()]
+
+
+def csv_lines(tmp: Path) -> list[str]:
+    """The parsed array, or the error with the file's directory left out."""
+    lines = []
+    for name, content in CSV_FILES.items():
+        path = tmp / f"{name}.csv"
+        path.write_bytes(content)
+        try:
+            data = read_csv_sample(str(path)).data
+            outcome = {"shape": list(data.shape), "data": [repr(v) for v in data.ravel().tolist()]}
+        except CliError as exc:
+            outcome = {"error": str(exc).replace(str(path), path.name)}
+        lines.append(_line(f"cli.csv.{name}", outcome))
+    return lines
 
 
 def plan_lines() -> list[str]:
@@ -187,7 +213,7 @@ def main(argv: list[str]) -> int:
         print("usage: report_dump.py OUT", file=sys.stderr)
         return 2
     with tempfile.TemporaryDirectory() as tmp:
-        lines = cli_lines(Path(tmp))
+        lines = cli_lines(Path(tmp)) + csv_lines(Path(tmp))
     lines += plan_lines() + marginal_lines() + contamination_lines() + model_integral_lines()
     Path(argv[0]).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
