@@ -28,26 +28,32 @@ distance 0.521 from chi-square(1), with 21 of the 40 statistics below 1e-3.
 
 Numerical layout: the model integral reduces to int f_alpha^2 / h, which is
 exponential below the Pareto support onset (closed form) and is integrated
-by adaptive Gauss-Legendre panels above it, truncated where the integrand's
-tail falls below ``TAIL_TOLERANCE`` with an analytic tail estimate added.
-Parameter points where the mixture density is nonpositive at any quadrature
-node, or where the integral diverges (lambda = 0 with theta >= 2 alpha),
-are excluded from the search: they fall outside the admissible dual class.
+above it on 16 uniform panels, truncated where the integrand's tail falls
+below ``TAIL_TOLERANCE`` with an analytic tail estimate added.  The panels
+take Gauss-Legendre rules of doubling order, 8 to 256 nodes, until two
+levels agree; one integrand call evaluates levels 0 and 1 for a whole
+batch of points, and each later level only the points that reach it.
+Parameter points where the mixture density is nonpositive at a node of a
+level the point reaches, or where the integral diverges (lambda = 0 with
+theta >= 2 alpha), are excluded from the search: they fall outside the
+admissible dual class.
 
 The sample side of the objective needs f_alpha / h at each observation.
 ``_density_ratio`` divides alpha by h e^(alpha x), expanded term by term,
 so that an observation far enough out to underflow both densities does
-not give 0 / 0.  The search and ``dual_objective_contam`` share this ratio
-and the conjugate (``core.legendre_batch``): n * dual_objective_contam at
-the reported (alpha_hat, theta_hat, lambda_hat) is the statistic exactly.
+not give 0 / 0; the search computes e^(alpha x) once per profiled rate.
+The search and ``dual_objective_contam`` share this ratio and the
+conjugate (``core.legendre_batch``): n * dual_objective_contam at the
+reported (alpha_hat, theta_hat, lambda_hat) is the statistic exactly.
 
 Search: for each profiled alpha, the sup over (theta, lambda) evaluates a
 grid (with the lambda = 0 line and the exact null point adjoined), then
 runs bounded Nelder-Mead from the best grid points under scipy's rules
-(``_nelder_mead`` reproduces scipy 1.17's steps bit for bit).  The
-searches run in lockstep, so each of their steps costs one batched
-objective call, not one call per start.  The inf over alpha takes a coarse
-grid and then golden-section refinement.
+(``_nelder_mead`` reproduces scipy 1.17's steps bit for bit on Python
+floats).  The searches run in lockstep, so each of their steps costs one
+batched objective call, not one call per start; the few points of a step
+cost little arithmetic, so the fixed cost of each call sets the time.  The
+inf over alpha takes a coarse grid and then golden-section refinement.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
@@ -59,8 +65,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Generator
+from typing import Callable, Generator, Iterable
 
 import numpy as np
 
@@ -128,18 +135,19 @@ def pareto_pdf(x: np.ndarray, gamma: float, nu: float) -> np.ndarray:
     return out
 
 
-def _density_ratio(x: np.ndarray, alpha: float, theta, lam, r_x: np.ndarray) -> np.ndarray:
-    """f_alpha(x) / h(x) for x >= 0, given r_x = r(x), with h the mixture density
-    (1 - lambda) theta e^(-theta x) + lambda r(x).
+def _density_ratio(
+    x: np.ndarray, alpha: float, theta, lam, r_x: np.ndarray, e_x: np.ndarray
+) -> np.ndarray:
+    """f_alpha(x) / h(x) for x >= 0, given r_x = r(x) and e_x = e^(alpha x),
+    with h the mixture density (1 - lambda) theta e^(-theta x) + lambda r(x).
 
     Computed as alpha / ((1 - lambda) theta e^((alpha - theta) x) + lambda r(x) e^(alpha x)),
     with the lambda term 0 where lambda = 0: far in the tail f_alpha and the
     exponential part of h both underflow, and the quotient of the two
-    densities would be 0 / 0.
+    densities would be 0 / 0.  The caller holds the floating-point errstate.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        contaminant = np.where(lam == 0.0, 0.0, lam * r_x * np.exp(alpha * x))
-        return alpha / ((1.0 - lam) * theta * np.exp((alpha - theta) * x) + contaminant)
+    contaminant = np.where(lam == 0.0, 0.0, lam * r_x * e_x)
+    return alpha / ((1.0 - lam) * theta * np.exp((alpha - theta) * x) + contaminant)
 
 
 @dataclass(frozen=True)
@@ -158,7 +166,9 @@ class DualGFunction:
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         r_x = pareto_pdf(x, self.spec.pareto_gamma, self.spec.pareto_nu)
-        ratio = _density_ratio(x, self.alpha, self.theta, self.lam, r_x)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            e_x = np.exp(self.alpha * x)
+            ratio = _density_ratio(x, self.alpha, self.theta, self.lam, r_x, e_x)
         # f_alpha and h both vanish for x < 0, where g is undefined
         return np.where(x >= 0.0, 2.0 * (ratio - 1.0), np.nan)
 
@@ -174,6 +184,35 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
+# Panel fractions and the Gauss-Legendre rules of levels 0 and 1 (orders 8
+# and 16), whose nodes lie side by side so that one integrand call covers
+# both levels.
+_PANEL_FRACTIONS = np.arange(_N_PANELS + 1) / _N_PANELS
+(_T0, _W0), (_T1, _W1) = _gl_rule(_BASE_ORDER), _gl_rule(2 * _BASE_ORDER)
+_T01 = np.concatenate((_T0, _T1))
+
+
+def _integrand(x, th, lm, amp, s, pareto_scale, power):
+    """amp e^(-s x) / h at the nodes x (axis 0 runs over the points th, lm),
+    and whether h <= 0 at any node of each point.  Every node lies above nu,
+    where r is the Pareto power law pareto_scale * x^power.  Works in place
+    on three arrays (a product or a sum is the same float in either order);
+    the caller holds the floating-point errstate."""
+    theta, lam = th[:, None, None], lm[:, None, None]
+    den = np.multiply(-theta, x)
+    np.exp(den, out=den)
+    den *= (1.0 - lam) * theta
+    pareto = np.power(x, power)
+    pareto *= pareto_scale
+    pareto *= lam
+    den += pareto
+    vals = np.multiply(-s, x, out=pareto)
+    np.exp(vals, out=vals)
+    vals *= amp
+    vals /= den
+    return vals, (den <= 0.0).any(axis=(1, 2))
+
+
 def _integral_batch(
     alpha: float,
     thetas: np.ndarray,
@@ -186,6 +225,13 @@ def _integral_batch(
     NaN where the point is excluded (mixture density nonpositive at a node,
     or lambda outside [., 1)).  Raises QuadratureFailure if refinement does
     not reach QUAD_TOLERANCE on an admissible point.
+
+    Refinement doubles the Gauss-Legendre order per level, from 8 nodes per
+    panel at level 0 to 256 at level 5, and stops a point once two levels
+    agree.  Levels 0 and 1 share one integrand call over every point; each
+    later level evaluates only the points that have neither converged nor
+    been excluded, so a node excludes only points whose refinement reaches
+    its level.
     """
     thetas = np.asarray(thetas, dtype=float)
     lams = np.asarray(lams, dtype=float)
@@ -195,81 +241,65 @@ def _integral_batch(
     out = np.full(thetas.shape[0], np.nan)
 
     invalid = (lams >= 1.0) | (thetas <= 0.0)
-    zero_lam = (lams == 0.0) & ~invalid
-    if np.any(zero_lam):
+    zero = lams == 0.0
+    zero_lam = zero & ~invalid
+    if zero_lam.any():
         div = zero_lam & (thetas >= s)
         ok = zero_lam & ~div
         out[div] = np.inf
         out[ok] = amp / (thetas[ok] * (s - thetas[ok])) - 2.0
 
-    active = ~zero_lam & ~invalid
     # lambda < 0 with theta >= s: exponentially growing integrand against a
     # negative far tail; always inadmissible.
-    active &= ~((lams < 0.0) & (thetas >= s))
-    idx = np.flatnonzero(active)
+    idx = (~(invalid | zero | ((lams < 0.0) & (thetas >= s)))).nonzero()[0]
     if idx.size == 0:
         return out
 
     th = thetas[idx]
     lm = lams[idx]
 
-    x_cut, tail = _truncation_and_tail(amp, s, th, lm, gamma, nu)
+    integrand_args = (amp, s, gamma * nu**gamma, -(gamma + 1.0))
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        c = s - th
+        scale = amp / ((1.0 - lm) * th)
+        x_cut, tail = _truncation_and_tail(amp, s, c, scale, lm, gamma, nu)
+        # closed-form segment below the Pareto onset: h is purely exponential
+        flat = c == 0.0
+        seg0 = -np.expm1(-c * nu) / np.where(flat, 1.0, c)
+        seg0[flat] = nu
+        i_low = scale * seg0
 
-    # closed-form segment below the Pareto onset: h is purely exponential
-    c = s - th
-    scale = amp / ((1.0 - lm) * th)
-    with np.errstate(over="ignore"):
-        seg0 = np.where(c == 0.0, nu, -np.expm1(-c * nu) / np.where(c == 0.0, 1.0, c))
-    i_low = scale * seg0
+        # uniform panels on [nu, X]
+        breaks = nu + (x_cut - nu)[:, None] * _PANEL_FRACTIONS
+        lo = breaks[:, :-1]
+        width = breaks[:, 1:] - lo
 
-    # uniform panels on [nu, X]
-    fractions = np.arange(_N_PANELS + 1) / _N_PANELS
-    breaks = nu + (x_cut - nu)[:, None] * fractions[None, :]
-    lo = breaks[:, :-1]
-    hi = breaks[:, 1:]
-    width = hi - lo
+        x = lo[:, :, None] + width[:, :, None] * _T01
+        vals, excluded = _integrand(x, th, lm, *integrand_args)
+        coarse = np.einsum("pqn,n,pq->p", vals[:, :, : _T0.size], _W0, width)
+        value = np.einsum("pqn,n,pq->p", vals[:, :, _T0.size :], _W1, width)
+        # relative floor: absolute targets below float64 roundoff are unreachable
+        # once the integral itself is large
+        limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(value))
+        converged = np.abs(value - coarse) < limit
 
-    def integrand(x, th_, lm_):
-        # every node lies above nu, where r is the Pareto power law
-        with np.errstate(over="ignore", under="ignore"):
-            r_x = gamma * nu**gamma * x ** (-(gamma + 1.0))
-            theta, lam = th_[:, None, None], lm_[:, None, None]
-            den = (1.0 - lam) * theta * np.exp(-theta * x) + lam * r_x
-            num = amp * np.exp(-s * x)
-        bad = np.any(den <= 0.0, axis=(1, 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / den, bad
-
-    # first two refinement levels share one integrand evaluation
-    t_a, w_a = _gl_rule(_BASE_ORDER)
-    t_b, w_b = _gl_rule(2 * _BASE_ORDER)
-    t_ab = np.concatenate((t_a, t_b))
-    x = lo[:, :, None] + width[:, :, None] * t_ab[None, None, :]
-    vals, excluded = integrand(x, th, lm)
-    coarse = np.einsum("pqn,n,pq->p", vals[:, :, : t_a.size], w_a, width)
-    value = np.einsum("pqn,n,pq->p", vals[:, :, t_a.size :], w_b, width)
-    # relative floor: absolute targets below float64 roundoff are unreachable
-    # once the integral itself is large
-    limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(value))
-    converged = np.abs(value - coarse) < limit
-
-    for level in range(2, _MAX_LEVELS):
-        refine = np.flatnonzero(~(converged | excluded))
-        if refine.size == 0:
-            break
-        t_nodes, w_nodes = _gl_rule(_BASE_ORDER * 2**level)
-        x = lo[refine, :, None] + width[refine, :, None] * t_nodes[None, None, :]
-        vals, bad = integrand(x, th[refine], lm[refine])
-        excluded[refine] |= bad
-        finer = np.einsum("pqn,n,pq->p", vals, w_nodes, width[refine])
-        limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(finer))
-        converged[refine] = np.abs(finer - value[refine]) < limit
-        value[refine] = finer
-    if not np.all(converged | excluded):
-        raise QuadratureFailure(
-            "model integral did not reach the error target "
-            f"{QUAD_TOLERANCE:g} within {_MAX_LEVELS} refinement levels"
-        )
+        for level in range(2, _MAX_LEVELS + 1):
+            refine = (~(converged | excluded)).nonzero()[0]
+            if refine.size == 0:
+                break
+            if level == _MAX_LEVELS:
+                raise QuadratureFailure(
+                    "model integral did not reach the error target "
+                    f"{QUAD_TOLERANCE:g} within {_MAX_LEVELS} refinement levels"
+                )
+            t_nodes, w_nodes = _gl_rule(_BASE_ORDER * 2**level)
+            x = lo[refine, :, None] + width[refine, :, None] * t_nodes
+            vals, bad = _integrand(x, th[refine], lm[refine], *integrand_args)
+            excluded[refine] |= bad
+            finer = np.einsum("pqn,n,pq->p", vals, w_nodes, width[refine])
+            limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(finer))
+            converged[refine] = np.abs(finer - value[refine]) < limit
+            value[refine] = finer
 
     total = i_low + value + tail - 2.0
     total[excluded] = np.nan
@@ -280,55 +310,52 @@ def _integral_batch(
 def _truncation_and_tail(
     amp: float,
     s: float,
-    theta: np.ndarray,
+    c: np.ndarray,
+    exp_scale: np.ndarray,
     lam: np.ndarray,
     gamma: float,
     nu: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Truncation point with tail < TAIL_TOLERANCE, plus the tail estimate.
+    """Truncation point with tail < TAIL_TOLERANCE, plus the tail estimate,
+    given c = s - theta and exp_scale = amp / ((1 - lambda) theta).
 
     The exponential comparison density bounds the tail whenever theta < s
     (exact at lambda = 0, an upper bound for lambda > 0, the documented
     estimate for lambda < 0).  When it is unusable or too slow the Pareto
-    floor h >= lam * r takes over (lambda > 0 only).
+    floor h >= lam * r takes over (lambda > 0 only).  The caller holds the
+    floating-point errstate.
     """
     x_floor = nu + 1.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        c = s - theta
-        c_safe = np.where(c > 0.0, c, 1.0)
-        exp_scale = amp / ((1.0 - lam) * theta)
-        x_exp = np.where(
-            c > 0.0,
-            (np.log(exp_scale) - np.log(TAIL_TOLERANCE * c_safe)) / c_safe,
-            np.inf,
-        )
-        x_cut = np.maximum(x_floor, x_exp)
-        # Pareto fixed point only where the exponential bound is missing or slow
-        need_par = (lam > 0.0) & ((c <= 0.0) | (x_exp > 150.0))
-        if np.any(need_par):
-            a_log = np.log(amp / (lam[need_par] * gamma * nu**gamma))
-            floor_p = max(x_floor, 2.0 * (gamma + 1.0) / s)
-            x_iter = np.full(a_log.shape, floor_p)
-            for _ in range(4):
-                denom = s - (gamma + 1.0) / x_iter
-                x_iter = np.maximum(
-                    floor_p,
-                    (a_log + (gamma + 1.0) * np.log(x_iter) - np.log(TAIL_TOLERANCE * denom))
-                    / s,
-                )
-            x_cut[need_par] = np.minimum(x_cut[need_par], x_iter)
-        tail = np.where(
-            c > 0.0, exp_scale * np.exp(-c_safe * x_cut) / c_safe, np.inf
-        )
-        if np.any(need_par):
-            xc = x_cut[need_par]
-            tail_par = (
-                amp
-                * np.exp(-s * xc)
-                * xc ** (gamma + 1.0)
-                / (lam[need_par] * gamma * nu**gamma * (s - (gamma + 1.0) / xc))
+    bounded = c > 0.0
+    c_safe = np.where(bounded, c, 1.0)
+    x_exp = np.where(
+        bounded, (np.log(exp_scale) - np.log(TAIL_TOLERANCE * c_safe)) / c_safe, np.inf
+    )
+    x_cut = np.maximum(x_floor, x_exp)
+    # Pareto fixed point only where the exponential bound is missing or slow
+    need_par = (lam > 0.0) & ((c <= 0.0) | (x_exp > 150.0))
+    pareto = need_par.any()
+    if pareto:
+        a_log = np.log(amp / (lam[need_par] * gamma * nu**gamma))
+        floor_p = max(x_floor, 2.0 * (gamma + 1.0) / s)
+        x_iter = np.full(a_log.shape, floor_p)
+        for _ in range(4):
+            denom = s - (gamma + 1.0) / x_iter
+            x_iter = np.maximum(
+                floor_p,
+                (a_log + (gamma + 1.0) * np.log(x_iter) - np.log(TAIL_TOLERANCE * denom)) / s,
             )
-            tail[need_par] = np.minimum(tail[need_par], tail_par)
+        x_cut[need_par] = np.minimum(x_cut[need_par], x_iter)
+    tail = np.where(bounded, exp_scale * np.exp(-c_safe * x_cut) / c_safe, np.inf)
+    if pareto:
+        xc = x_cut[need_par]
+        tail_par = (
+            amp
+            * np.exp(-s * xc)
+            * xc ** (gamma + 1.0)
+            / (lam[need_par] * gamma * nu**gamma * (s - (gamma + 1.0) / xc))
+        )
+        tail[need_par] = np.minimum(tail[need_par], tail_par)
     return x_cut, tail
 
 
@@ -392,8 +419,9 @@ _EXCLUDED_PENALTY = 1e30
 class _InnerObjective:
     """sup-side objective over (theta, lambda) for one fixed alpha.
 
-    Precomputes the Pareto density at the sample, so each parameter
-    evaluation costs two exps over the sample plus the model quadrature.
+    Precomputes the Pareto density and e^(alpha x) at the sample, so each
+    parameter evaluation costs one exp over the sample plus the model
+    quadrature.
     """
 
     def __init__(self, x: np.ndarray, alpha: float, spec: ContaminationSpec) -> None:
@@ -401,14 +429,18 @@ class _InnerObjective:
         self.alpha = alpha
         self.spec = spec
         self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
+        with np.errstate(over="ignore"):
+            self.e_x = np.exp(alpha * x)
         self.evaluations = 0
 
     def batch(self, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Objective values; NaN marks excluded points."""
         self.evaluations += thetas.shape[0]
         integrals = _integral_batch(self.alpha, thetas, lams, self.spec)
-        ratio = _density_ratio(self.x, self.alpha, thetas[:, None], lams[:, None], self.r_x)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = _density_ratio(
+                self.x, self.alpha, thetas[:, None], lams[:, None], self.r_x, self.e_x
+            )
             values = integrals - legendre_batch(2.0 * (ratio - 1.0))
         values[~np.isfinite(values)] = np.nan
         return values
@@ -448,75 +480,97 @@ def _candidate_grid(
 
 
 def _nelder_mead(
-    x0: np.ndarray, lower: np.ndarray, upper: np.ndarray, max_evals: int
-) -> Generator[np.ndarray, np.ndarray, tuple[np.ndarray, float, int]]:
+    x0: Iterable[float], lower: Iterable[float], upper: Iterable[float], max_evals: int
+) -> Generator[list[list[float]], list[float], tuple[np.ndarray, float, int]]:
     """Bounded Nelder-Mead minimization, step for step as scipy 1.17 runs it.
 
-    Yields each batch of points (rows) it needs evaluated and receives their
-    values through ``send``; returns (x, f(x), evaluations).  As in scipy,
-    the initial simplex steps 5 % along each axis and reflects vertices
-    above ``upper`` into the box, every trial point is clipped to the box,
-    no evaluation goes past ``max_evals`` and a step cut short by the limit
-    is abandoned, except that a shrink has already moved one vertex more
-    than it could evaluate.  The arithmetic and the ``np.argsort`` calls are
-    scipy's own, so the path matches it bit for bit, ties included.
+    Yields each batch of points it needs evaluated, as a list of points
+    (lists of floats), and receives their values through ``send``; returns
+    (x, f(x), evaluations).  As in scipy, the initial simplex steps 5 % along
+    each axis and reflects vertices above ``upper`` into the box, every trial
+    point is clipped to the box, no evaluation goes past ``max_evals``, a
+    step cut short by the limit is abandoned and a shrink cut short keeps
+    the vertices it could evaluate.  (scipy also moves the next vertex
+    before it finds the budget spent; that vertex never comes first in the
+    sort, so the result cannot show it.)
+
+    The vertices are Python floats, and every coordinate goes through the
+    same IEEE operations in the same order as scipy's arrays (the centroid
+    sums rows first to last, the clip makes ``np.clip``'s comparisons), so
+    the path matches scipy bit for bit.  The vertices are ordered by a
+    stable sort, which keeps tied values in their current order as scipy's
+    ``np.argsort`` does on arrays this small; a stable sort gives the same
+    order when repeated, so scipy's second sort after the initial simplex
+    is left out.  The values sent in must not be NaN, which has no place in
+    a sort order.
     """
-    n = x0.size
-    sim = np.tile(x0, (n + 1, 1))
+    lower = [float(v) for v in lower]
+    upper = [float(v) for v in upper]
+
+    def clip(point):
+        out = []
+        for v, lo, hi in zip(point, lower, upper):
+            v = lo if lo >= v else v
+            out.append(hi if hi <= v else v)
+        return out
+
+    def ordered(sim, fsim):
+        order = sorted(range(len(fsim)), key=fsim.__getitem__)
+        return [sim[i] for i in order], [fsim[i] for i in order]
+
+    x0 = [float(v) for v in x0]
+    n = len(x0)
+    sim = [x0]
     for k in range(n):
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.full(n + 1, np.inf)
+        vertex = list(x0)
+        vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+        sim.append(vertex)
+    sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(p, upper)]) for p in sim]
+    fsim = [math.inf] * (n + 1)
     evals = min(n + 1, max(max_evals, 0))
     fsim[:evals] = yield sim[:evals]
-    # scipy sorts twice here; an unstable argsort may reorder ties again
-    for _ in range(2):
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    sim, fsim = ordered(sim, fsim)
 
     while evals < max_evals:
-        if (
-            np.max(np.abs(sim[1:] - sim[0])) <= 1e-4
-            and np.max(np.abs(fsim[0] - fsim[1:])) <= OBJECTIVE_TOLERANCE
+        best, worst = sim[0], sim[-1]
+        if all(abs(v - b) <= 1e-4 for p in sim[1:] for v, b in zip(p, best)) and all(
+            abs(fsim[0] - f) <= OBJECTIVE_TOLERANCE for f in fsim[1:]
         ):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = np.clip(2 * xbar - sim[-1], lower, upper)
-        (fxr,) = yield xr[None]
+        xbar = [functools.reduce(operator.add, column) / n for column in zip(*sim[:-1])]
+        xr = clip([2 * c - w for c, w in zip(xbar, worst)])
+        (fxr,) = yield [xr]
         evals += 1
         shrink = False
         if fxr < fsim[0]:
             if evals < max_evals:
-                xe = np.clip(3 * xbar - 2 * sim[-1], lower, upper)
-                (fxe,) = yield xe[None]
+                xe = clip([3 * c - 2 * w for c, w in zip(xbar, worst)])
+                (fxe,) = yield [xe]
                 evals += 1
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         elif evals < max_evals:
             if fxr < fsim[-1]:
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lower, upper)
-                (fxc,) = yield xc[None]
+                xc = clip([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)])
+                (fxc,) = yield [xc]
                 shrink = not fxc <= fxr
             else:
-                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lower, upper)
-                (fxc,) = yield xc[None]
+                xc = clip([0.5 * c + 0.5 * w for c, w in zip(xbar, worst)])
+                (fxc,) = yield [xc]
                 shrink = not fxc < fsim[-1]
             evals += 1
             if not shrink:
                 sim[-1], fsim[-1] = xc, fxc
         if shrink:
             room = min(n, max_evals - evals)
-            moved = min(n, room + 1)
-            sim[1 : 1 + moved] = np.clip(
-                sim[0] + 0.5 * (sim[1 : 1 + moved] - sim[0]), lower, upper
-            )
+            for j in range(1, 1 + room):
+                sim[j] = clip([b + 0.5 * (v - b) for v, b in zip(sim[j], best)])
             if room:
                 fsim[1 : 1 + room] = yield sim[1 : 1 + room]
                 evals += room
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-    return sim[0], fsim[0], evals
+        sim, fsim = ordered(sim, fsim)
+    return np.array(sim[0]), fsim[0], evals
 
 
 def _grid_then_refine(
@@ -538,7 +592,7 @@ def _grid_then_refine(
     it ends strictly higher, earlier starts winning ties.
     """
     finite = np.isfinite(values)
-    if not np.any(finite):
+    if not finite.any():
         raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
     order = np.argsort(-values[finite], kind="stable")
     starts = np.flatnonzero(finite)[order[: settings.nm_starts]]
@@ -546,18 +600,19 @@ def _grid_then_refine(
     best_value = float(values[i_best])
     best_point = (float(thetas[i_best]), float(lams[i_best]))
     eps = 1e-9  # lambda stays inside the open mixing interval
-    lower = np.array([spec.theta_lo, spec.lambda_lo + eps])
-    upper = np.array([spec.theta_hi, spec.lambda_hi - eps])
+    lower = (spec.theta_lo, spec.lambda_lo + eps)
+    upper = (spec.theta_hi, spec.lambda_hi - eps)
     searches = [
-        _nelder_mead(np.array([thetas[i], lams[i]]), lower, upper, settings.nm_max_evals)
-        for i in starts
+        _nelder_mead((thetas[i], lams[i]), lower, upper, settings.nm_max_evals) for i in starts
     ]
     pending = [(j, next(search)) for j, search in enumerate(searches)]
     results = [None] * len(searches)
     while pending:
-        points = np.concatenate([request for _, request in pending])
-        found = objective(points[:, 0], points[:, 1])
-        costs = np.where(np.isfinite(found), -found, _EXCLUDED_PENALTY)
+        points = np.array([p for _, request in pending for p in request]).reshape(-1, 2)
+        costs = [
+            -v if math.isfinite(v) else _EXCLUDED_PENALTY
+            for v in objective(points[:, 0], points[:, 1]).tolist()
+        ]
         offset, waiting = 0, []
         for j, request in pending:
             try:

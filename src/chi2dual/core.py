@@ -138,8 +138,13 @@ class DualSolution:
 
 
 def legendre_batch(f_vals: np.ndarray) -> np.ndarray:
-    """``legendre_transform`` over the last axis, without its input checks."""
-    return np.mean(f_vals, axis=-1) + 0.25 * np.mean(f_vals * f_vals, axis=-1)
+    """``legendre_transform`` over the last axis, without its input checks.
+
+    ``sum / n`` is what ``np.mean`` computes, bit for bit, without its
+    Python-level wrapper.
+    """
+    n = f_vals.shape[-1]
+    return f_vals.sum(axis=-1) / n + 0.25 * ((f_vals * f_vals).sum(axis=-1) / n)
 
 
 def legendre_transform(f_vals: np.ndarray) -> float:

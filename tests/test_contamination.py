@@ -22,12 +22,19 @@ from chi2dual import (
 )
 from chi2dual.contamination import (
     OBJECTIVE_TOLERANCE,
+    QUAD_TOLERANCE,
+    TAIL_TOLERANCE,
+    _BASE_ORDER,
+    _MAX_LEVELS,
+    _N_PANELS,
     _candidate_grid,
+    _gl_rule,
     _grid_then_refine,
     _InnerObjective,
     _integral_batch,
     _nelder_mead,
 )
+from chi2dual.errors import QuadratureFailure
 from chi2dual.rng import Stream
 
 SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
@@ -201,3 +208,193 @@ def test_far_observation_keeps_the_zero_lambda_line():
     values = inner.batch(thetas, lams)
     assert values[-1] == 0.0  # the anchor (alpha, 0)
     assert np.all(np.isfinite(values[(lams == 0.0) & (thetas <= alpha)]))
+
+
+def _level_by_level_integral(alpha, thetas, lams, spec):
+    """Reference for ``_integral_batch`` in plain form: the integrand on
+    fresh arrays, the truncation from theta and lambda, and one integrand
+    call per refinement level (levels 0 and 1 share one), made only for the
+    points that reach it; a nonpositive density at any evaluated node
+    excludes."""
+    thetas = np.asarray(thetas, dtype=float)
+    lams = np.asarray(lams, dtype=float)
+    s = 2.0 * alpha
+    amp = 2.0 * alpha * alpha
+    gamma, nu = spec.pareto_gamma, spec.pareto_nu
+    out = np.full(thetas.shape[0], np.nan)
+
+    invalid = (lams >= 1.0) | (thetas <= 0.0)
+    zero_lam = (lams == 0.0) & ~invalid
+    if np.any(zero_lam):
+        div = zero_lam & (thetas >= s)
+        ok = zero_lam & ~div
+        out[div] = np.inf
+        out[ok] = amp / (thetas[ok] * (s - thetas[ok])) - 2.0
+
+    active = ~zero_lam & ~invalid
+    active &= ~((lams < 0.0) & (thetas >= s))
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
+        return out
+
+    th = thetas[idx]
+    lm = lams[idx]
+    x_cut, tail = _reference_truncation_and_tail(amp, s, th, lm, gamma, nu)
+    c = s - th
+    scale = amp / ((1.0 - lm) * th)
+    with np.errstate(over="ignore"):
+        seg0 = np.where(c == 0.0, nu, -np.expm1(-c * nu) / np.where(c == 0.0, 1.0, c))
+    i_low = scale * seg0
+
+    fractions = np.arange(_N_PANELS + 1) / _N_PANELS
+    breaks = nu + (x_cut - nu)[:, None] * fractions[None, :]
+    lo = breaks[:, :-1]
+    width = breaks[:, 1:] - lo
+
+    def integrand(x, th_, lm_):
+        with np.errstate(over="ignore", under="ignore"):
+            r_x = gamma * nu**gamma * x ** (-(gamma + 1.0))
+            theta, lam = th_[:, None, None], lm_[:, None, None]
+            den = (1.0 - lam) * theta * np.exp(-theta * x) + lam * r_x
+            num = amp * np.exp(-s * x)
+        bad = np.any(den <= 0.0, axis=(1, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return num / den, bad
+
+    t_a, w_a = _gl_rule(_BASE_ORDER)
+    t_b, w_b = _gl_rule(2 * _BASE_ORDER)
+    x = lo[:, :, None] + width[:, :, None] * np.concatenate((t_a, t_b))[None, None, :]
+    vals, excluded = integrand(x, th, lm)
+    coarse = np.einsum("pqn,n,pq->p", vals[:, :, : t_a.size], w_a, width)
+    value = np.einsum("pqn,n,pq->p", vals[:, :, t_a.size :], w_b, width)
+    limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(value))
+    converged = np.abs(value - coarse) < limit
+    for level in range(2, _MAX_LEVELS):
+        refine = np.flatnonzero(~(converged | excluded))
+        if refine.size == 0:
+            break
+        t_nodes, w_nodes = _gl_rule(_BASE_ORDER * 2**level)
+        x = lo[refine, :, None] + width[refine, :, None] * t_nodes[None, None, :]
+        vals, bad = integrand(x, th[refine], lm[refine])
+        excluded[refine] |= bad
+        finer = np.einsum("pqn,n,pq->p", vals, w_nodes, width[refine])
+        limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(finer))
+        converged[refine] = np.abs(finer - value[refine]) < limit
+        value[refine] = finer
+    if not np.all(converged | excluded):
+        raise QuadratureFailure("reference refinement did not converge")
+    total = i_low + value + tail - 2.0
+    total[excluded] = np.nan
+    out[idx] = total
+    return out
+
+
+def _reference_truncation_and_tail(amp, s, theta, lam, gamma, nu):
+    """Reference for ``_truncation_and_tail``, from theta and lambda alone."""
+    x_floor = nu + 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        c = s - theta
+        c_safe = np.where(c > 0.0, c, 1.0)
+        exp_scale = amp / ((1.0 - lam) * theta)
+        x_exp = np.where(
+            c > 0.0,
+            (np.log(exp_scale) - np.log(TAIL_TOLERANCE * c_safe)) / c_safe,
+            np.inf,
+        )
+        x_cut = np.maximum(x_floor, x_exp)
+        need_par = (lam > 0.0) & ((c <= 0.0) | (x_exp > 150.0))
+        if np.any(need_par):
+            a_log = np.log(amp / (lam[need_par] * gamma * nu**gamma))
+            floor_p = max(x_floor, 2.0 * (gamma + 1.0) / s)
+            x_iter = np.full(a_log.shape, floor_p)
+            for _ in range(4):
+                denom = s - (gamma + 1.0) / x_iter
+                x_iter = np.maximum(
+                    floor_p,
+                    (a_log + (gamma + 1.0) * np.log(x_iter) - np.log(TAIL_TOLERANCE * denom))
+                    / s,
+                )
+            x_cut[need_par] = np.minimum(x_cut[need_par], x_iter)
+        tail = np.where(c > 0.0, exp_scale * np.exp(-c_safe * x_cut) / c_safe, np.inf)
+        if np.any(need_par):
+            xc = x_cut[need_par]
+            tail_par = (
+                amp
+                * np.exp(-s * xc)
+                * xc ** (gamma + 1.0)
+                / (lam[need_par] * gamma * nu**gamma * (s - (gamma + 1.0) / xc))
+            )
+            tail[need_par] = np.minimum(tail[need_par], tail_par)
+    return x_cut, tail
+
+
+def _sign_change_row(rng, alpha, theta):
+    """lambda < 0 such that h(theta, lambda) changes sign in the last panel,
+    between the largest level-1 node and the largest level-2 node, so that
+    only level 2 can see h <= 0; None where no lambda < 0 puts it there."""
+    gamma, nu = SPEC.pareto_gamma, SPEC.pareto_nu
+    t1, t2 = _gl_rule(2 * _BASE_ORDER)[0].max(), _gl_rule(4 * _BASE_ORDER)[0].max()
+    u = rng.uniform(0.05, 0.95)
+    lam = -0.01
+    for _ in range(3):  # the truncation point moves a little with lambda
+        x_cut = _reference_truncation_and_tail(
+            2.0 * alpha * alpha, 2.0 * alpha, np.array([theta]), np.array([lam]), gamma, nu
+        )[0][0]
+        panel = (x_cut - nu) / _N_PANELS
+        x0 = x_cut - panel + panel * (t1 + u * (t2 - t1))
+        exponential = theta * math.exp(-theta * x0)
+        pareto = gamma * nu**gamma * x0 ** (-gamma - 1.0)
+        if pareto <= exponential:
+            return None
+        lam = -exponential / (pareto - exponential)
+    return lam
+
+
+def test_quadrature_matches_level_by_level_reference():
+    # every point gets the reference's value and exclusion, bit for bit, and
+    # a batch the reference cannot refine raises
+    rng = np.random.default_rng(8)
+    # (alpha, theta, lambda) that the reference cannot refine to the target
+    failing = (0.1, 0.008193433481164192, -0.005904672011243888)
+    outcomes = {"raised": 0, "level2_excluded": 0, "level2_ignored": 0}
+    for _ in range(300):
+        alpha = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
+        s = 2.0 * alpha
+        rows = []
+        for _ in range(int(rng.integers(1, 13))):
+            kind = rng.integers(6)
+            if kind == 0:  # lambda < 0 near the sign change of h
+                theta = float(rng.uniform(0.05, 0.99 * s))
+                lam = _sign_change_row(rng, alpha, theta)
+                rows.append((theta, lam, True) if lam is not None else (theta, -0.01, False))
+            elif kind == 1:  # the lambda = 0 line, divergent past theta = 2 alpha
+                rows.append((float(rng.uniform(0.1, 2.0 * s)), 0.0, False))
+            elif kind == 2:  # theta >= 2 alpha with lambda on either side of 0
+                rows.append((float(rng.uniform(s, 3.0 * s)), float(rng.uniform(-0.3, 0.9)), False))
+            elif kind == 3:  # outside the search box
+                theta = float(rng.choice([-1.0, 0.0, 1e-3, 0.2, 5.0, 40.0]))
+                lam = float(rng.choice([-0.9, -0.3, 0.8, 0.999, 1.0, 1.5]))
+                rows.append((theta, lam, False))
+            else:  # inside the box
+                rows.append(
+                    (float(rng.uniform(SPEC.theta_lo, SPEC.theta_hi)),
+                     float(rng.uniform(SPEC.lambda_lo, SPEC.lambda_hi)), False)
+                )
+        if alpha == failing[0] and rng.random() < 0.25:
+            rows.insert(int(rng.integers(len(rows) + 1)), (failing[1], failing[2], False))
+        thetas = np.array([r[0] for r in rows])
+        lams = np.array([r[1] for r in rows])
+        try:
+            expected = _level_by_level_integral(alpha, thetas, lams, SPEC)
+        except QuadratureFailure:
+            with pytest.raises(QuadratureFailure):
+                _integral_batch(alpha, thetas, lams, SPEC)
+            outcomes["raised"] += 1
+            continue
+        assert _integral_batch(alpha, thetas, lams, SPEC).tobytes() == expected.tobytes()
+        for (_, _, targeted), value in zip(rows, expected):
+            if targeted:
+                outcomes["level2_excluded" if np.isnan(value) else "level2_ignored"] += 1
+    # the batches reach both fates of a point whose h <= 0 shows only at
+    # level 2, and the quadrature failure
+    assert min(outcomes.values()) > 0, outcomes

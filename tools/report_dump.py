@@ -11,7 +11,7 @@ floats may move, ``tools/report_diff.py`` says by how much.  Each line is
 its last bit shows up.  The inputs are generated from fixed seeds
 and the script uses only the package's public API, so the same file runs on
 any tree that has it.  It writes no file other than OUT (the CLI inputs go
-to a temporary directory that is removed afterwards).  It takes about 12 s
+to a temporary directory that is removed afterwards).  It takes about 7 s
 on a 2-vCPU host.
 """
 
@@ -36,10 +36,12 @@ from chi2dual import (
     NonPositiveDensity,
     ReplicationPlan,
     Sample,
+    SearchSettings,
     Stream,
     chi2_simple,
     contamination_test,
     marginal_test,
+    minimax_gap,
     model_integral,
     rexp,
     rmixture,
@@ -55,6 +57,10 @@ SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
 # (seed, contamination weight) of the n = 200 contamination samples
 CONTAM_SAMPLES = ((101, 0.0), (102, 0.15), (103, 0.3))
 PROFILE_ALPHAS = (0.7, 1.0, 1.6)
+# (seed, contamination weight) of the n = 100 minimax_gap samples, searched
+# with a reduced SearchSettings (two lockstep starts) to keep the dump quick
+GAP_SAMPLES = ((104, 0.0), (105, 0.2))
+GAP_SETTINGS = SearchSettings(inner_grid=4, nm_starts=2, nm_max_evals=20, outer_coarse=3, alpha_tol=0.05)
 # one observation so far out that f_alpha and the exponential part of the
 # mixture density both underflow at alpha = 1
 FAR_POINT = 2000.0
@@ -172,6 +178,10 @@ def contamination_lines() -> list[str]:
     except Chi2DualError as exc:
         outcome = type(exc).__name__
     lines.append(_line("chi2_simple.far_point", outcome))
+    for seed, lam in GAP_SAMPLES:
+        x = rmixture(Stream(seed), 100, 1.0, lam, SPEC.pareto_gamma, SPEC.pareto_nu)
+        gap = minimax_gap(Sample(x.reshape(-1, 1)), SPEC, GAP_SETTINGS)
+        lines.append(_line(f"minimax_gap.{seed}", repr(gap)))
     return lines
 
 
