@@ -19,8 +19,6 @@ from .core import (
     chi2_quadratic,
     dual_coefficients,
     dual_function_values,
-    dual_objective,
-    dual_target_integral,
     h1_variance,
     legendre_transform,
     moment_vectors,
@@ -32,34 +30,22 @@ from .errors import (
     InvalidLevel,
     InvalidParameter,
     InvalidSpec,
-    MissingBound,
-    NoConvergence,
     NonPositiveDensity,
     OptimizationFailure,
     PlanFailure,
     QuadratureFailure,
-    RateConditionWarning,
     SingularCovariance,
     SmallSampleWarning,
-    ZeroCellWarning,
 )
 from .linear import TestReport, chi2_cdf, chi2_sf, normal_cdf, test_linear
 from .marginal import (
-    CellCounts,
-    EigenBoundsReport,
     Grid,
     MarginalSpec,
-    TableMinResult,
     build_indicator_family,
-    eigen_bounds_check,
     marginal_sieve_plan,
     marginal_test,
     parse_marginal_spec,
-    pearson_min_form,
     pit_transform,
-    s0_matrix,
-    table_coefficients_to_dual,
-    u_matrix,
 )
 from .montecarlo import (
     CalibrationReport,
@@ -74,13 +60,6 @@ from .montecarlo import (
     runif_d,
 )
 from .rng import Stream, replicate_seed
-from .sieve import (
-    RateConditionReport,
-    SievePlan,
-    check_rate_conditions,
-    default_m,
-    sieve_test,
-    standardized_statistic,
-)
+from .sieve import SievePlan, default_m, sieve_test
 
 __version__ = "0.1.0"

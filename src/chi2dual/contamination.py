@@ -163,6 +163,13 @@ class DualGFunction:
     lam: float
     spec: ContaminationSpec
 
+    def __post_init__(self) -> None:
+        # a NaN or infinite parameter would pass every admissibility check
+        # and only fail after the last quadrature refinement
+        for name in ("alpha", "theta", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInput(f"{name} must be finite, got {getattr(self, name)}")
+
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         r_x = pareto_pdf(x, self.spec.pareto_gamma, self.spec.pareto_nu)
@@ -638,9 +645,9 @@ def chi2_simple(
 
     Supremum of the dual objective over the admissible mixture parameters:
     a coarse grid (with the lambda = 0 line and the exact null anchor
-    adjoined) followed by simplex refinement from the best three grid
-    points.  The anchor value is exactly 0, so the result is never
-    negative.
+    adjoined) followed by simplex refinement from the best
+    ``settings.nm_starts`` grid points.  The anchor value is exactly 0, so
+    the result is never negative.
     """
     settings = settings or SearchSettings()
     if not (spec.theta_lo <= alpha_fixed <= spec.theta_hi):

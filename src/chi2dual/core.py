@@ -162,16 +162,6 @@ def legendre_transform(f_vals: np.ndarray) -> float:
     return float(legendre_batch(vals))
 
 
-def dual_objective(f_vals: np.ndarray, target_integral: float) -> float:
-    """Dual objective: the target integral of f minus its conjugate value.
-
-    At the optimal dual function this equals the chi-square estimate.
-    """
-    if not np.isfinite(target_integral):
-        raise InvalidInput("target integral must be finite")
-    return float(target_integral) - legendre_transform(f_vals)
-
-
 def moment_vectors(sample: Sample, fam: ConstraintFamily) -> MomentVectors:
     """Compute nu_n = targets - mean(f) and the centered covariance S_n."""
     f_matrix = fam.evaluate(sample)
@@ -229,12 +219,6 @@ def dual_function_values(sample: Sample, dual: DualSolution, fam: ConstraintFami
     """Evaluate the optimal dual function a0 + sum a_i f_i on the sample."""
     f_matrix = fam.evaluate(sample)
     return dual.a0 + f_matrix @ dual.a
-
-
-def dual_target_integral(dual: DualSolution, fam: ConstraintFamily) -> float:
-    """Integral of the optimal dual function against any constraint-feasible
-    measure: a0 + sum a_i * target_i."""
-    return dual.a0 + float(dual.a @ fam.targets)
 
 
 def h1_variance(sample: Sample, dual: DualSolution, fam: ConstraintFamily) -> float:

@@ -29,14 +29,6 @@ class SingularCovariance(Chi2DualError):
     """
 
 
-class MissingBound(Chi2DualError):
-    """A rate-condition check was requested without the required bound rule."""
-
-
-class NoConvergence(Chi2DualError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
-
-
 class NonPositiveDensity(Chi2DualError):
     """Mixture density is not strictly positive on the evaluation nodes."""
 
@@ -57,14 +49,5 @@ class DegenerateCellsWarning(UserWarning):
     """One or more marginal grid cells received zero observations."""
 
 
-class ZeroCellWarning(UserWarning):
-    """A joint cell count is zero; the table-minimization value is only a
-    quadratic-form surrogate, not an exact equality."""
-
-
 class SmallSampleWarning(UserWarning):
     """Sample size is below the recommended minimum for the chosen grid."""
-
-
-class RateConditionWarning(UserWarning):
-    """An asymptotic rate-condition sequence is not decreasing on the grid."""

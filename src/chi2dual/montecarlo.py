@@ -115,9 +115,12 @@ class ReplicationPlan:
             raise InvalidInput(
                 f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}"
             )
-        unread = [key for key in self.params if key not in _SCENARIO_TABLE[self.scenario][2]]
+        kinds = _SCENARIO_TABLE[self.scenario][2]
+        unread = [key for key in self.params if key not in kinds]
         if unread:
             raise InvalidInput(f"scenario {self.scenario!r} reads no params key {unread[0]!r}")
+        for key, value in self.params.items():
+            _as_kind(f"params key {key!r}", value, kinds[key])
         if self.replicates < 1:
             raise InvalidInput(f"replicates must be >= 1, got {self.replicates}")
         if self.n < 1:
@@ -137,16 +140,26 @@ class ReplicationPlan:
         for name, kind in kinds.items():
             if name not in values:
                 raise InvalidInput(f"missing field {name!r}")
-            value = values[name]
-            try:
-                if kind is int and (isinstance(value, bool) or value != int(value)):
-                    raise ValueError
-                fields[name] = kind(value)
-            except (TypeError, ValueError, OverflowError):
-                raise InvalidInput(
-                    f"field {name!r} must be {kind.__name__}, got {value!r}"
-                ) from None
+            fields[name] = _as_kind(f"field {name!r}", values[name], kind)
         return cls(**fields)
+
+
+def _as_kind(label: str, value, kind: type):
+    """``kind(value)``; InvalidInput names ``label`` when ``value`` is not a ``kind``.
+
+    Neither an int nor a float may be a bool; an int must equal its integer
+    value, and a float must be a finite number.
+    """
+    try:
+        if kind in (int, float) and isinstance(value, bool):
+            raise ValueError
+        if kind is int and value != int(value):
+            raise ValueError
+        if kind is float and (isinstance(value, str) or not math.isfinite(value)):
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{label} must be {kind.__name__}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -212,7 +225,8 @@ def _mean_quarter_family() -> ConstraintFamily:
 
 
 _CONTAM_SPEC_KEYS = ("theta_lo", "theta_hi", "lambda_lo", "lambda_hi", "pareto_gamma", "pareto_nu")
-_CONTAM_KEYS = _CONTAM_SPEC_KEYS + ("theta0", "alpha_tol")
+_CONTAM_KEYS = dict.fromkeys(_CONTAM_SPEC_KEYS + ("theta0", "alpha_tol"), float)
+_MARGINAL_KEYS = {"d": int, "m": int}
 
 
 def _contam_spec(params: dict) -> ContaminationSpec:
@@ -256,14 +270,16 @@ def _contam_replicate(plan: ReplicationPlan, stream: Stream, contaminated: bool)
 
 
 _chi2_1 = partial(chi2_cdf, k=1)
-# scenario -> (one replicate on its stream, reference-law CDF, params keys it reads)
+# scenario -> (one replicate on its stream, reference-law CDF, params keys it reads -> kind)
 _SCENARIO_TABLE = {
-    "linear_null": (_linear_null, lambda v: chi2_cdf(v, 3), ()),
-    "linear_alt": (_linear_alt, _chi2_1, ()),
-    "marginal_null": (partial(_marginal_replicate, beta_first=False), normal_cdf, ("d", "m")),
-    "marginal_alt": (partial(_marginal_replicate, beta_first=True), normal_cdf, ("d", "m")),
+    "linear_null": (_linear_null, lambda v: chi2_cdf(v, 3), {}),
+    "linear_alt": (_linear_alt, _chi2_1, {}),
+    "marginal_null": (partial(_marginal_replicate, beta_first=False), normal_cdf, _MARGINAL_KEYS),
+    "marginal_alt": (partial(_marginal_replicate, beta_first=True), normal_cdf, _MARGINAL_KEYS),
     "contam_null": (partial(_contam_replicate, contaminated=False), _chi2_1, _CONTAM_KEYS),
-    "contam_alt": (partial(_contam_replicate, contaminated=True), _chi2_1, (*_CONTAM_KEYS, "lam")),
+    "contam_alt": (
+        partial(_contam_replicate, contaminated=True), _chi2_1, {**_CONTAM_KEYS, "lam": float}
+    ),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 

@@ -475,6 +475,12 @@ class TestCalibrateCommand:
              "'replicates'"),
             ({"scenario": "marginal_null", "n": 60, "replicates": 4, "base_seed": 1,
               "params": {"dd": 3}}, "scenario 'marginal_null' reads no params key 'dd'"),
+            ({"scenario": "marginal_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"d": "two"}}, "params key 'd' must be int, got 'two'"),
+            ({"scenario": "contam_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"theta_lo": "x"}}, "params key 'theta_lo' must be float, got 'x'"),
+            ({"scenario": "marginal_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"d": 2.7}}, "params key 'd' must be int, got 2.7"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):

@@ -34,7 +34,7 @@ from chi2dual.contamination import (
     _integral_batch,
     _nelder_mead,
 )
-from chi2dual.errors import QuadratureFailure
+from chi2dual.errors import InvalidInput, QuadratureFailure
 from chi2dual.rng import Stream
 
 SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
@@ -72,6 +72,14 @@ class TestModelIntegral:
 
     def test_zero_lambda_diverges_past_twice_alpha(self):
         assert model_integral(DualGFunction(0.6, 1.5, 0.0, SPEC)) == math.inf
+
+    @pytest.mark.parametrize(
+        "alpha, theta, lam, field",
+        [(1.0, math.nan, 0.1, "theta"), (1.0, 1.0, math.nan, "lam"), (1.0, math.inf, 0.1, "theta")],
+    )
+    def test_non_finite_parameter_names_the_field(self, alpha, theta, lam, field):
+        with pytest.raises(InvalidInput, match=f"^{field} must be finite"):
+            DualGFunction(alpha, theta, lam, SPEC)
 
 
 class TestChi2Simple:

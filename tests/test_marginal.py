@@ -1,4 +1,6 @@
-"""Marginal GOF: PIT, indicator families, null covariance lemmas, table form."""
+"""Marginal GOF: PIT, indicator families, null covariance lemmas, table form.
+
+The lemmas and the table form are checked against ``reference``."""
 
 import warnings
 from fractions import Fraction
@@ -7,8 +9,6 @@ import numpy as np
 import pytest
 
 from chi2dual import (
-    CellCounts,
-    ConstraintFamily,
     DegenerateCellsWarning,
     Grid,
     InvalidInput,
@@ -16,31 +16,33 @@ from chi2dual import (
     MarginalSpec,
     Sample,
     SmallSampleWarning,
-    ZeroCellWarning,
     build_indicator_family,
     chi2_quadratic,
     dual_coefficients,
-    eigen_bounds_check,
     marginal_test,
     marginal_sieve_plan,
     moment_vectors,
     parse_marginal_spec,
-    pearson_min_form,
     pit_transform,
-    s0_matrix,
     sieve_test,
-    table_coefficients_to_dual,
-    u_matrix,
 )
 from chi2dual.marginal import (
     ExponentialCDF,
     NormalCDF,
-    TabulatedCDF,
     UniformCDF,
     _cell_table,
     _table_moment_vectors,
 )
 from chi2dual.rng import Stream
+from reference import (
+    cell_counts_2d,
+    cumulative_indicator_family,
+    null_eigen_envelope,
+    pearson_min_form,
+    s0_matrix,
+    table_coefficients_to_dual,
+    u_matrix,
+)
 
 
 def random_grid(rng, m):
@@ -115,24 +117,17 @@ class TestPitTransform:
         with pytest.raises(InvalidSpec):
             parse_marginal_spec("uniform(0,1)", d=2)
 
-    def test_tabulated_cdf_monotone(self):
-        cdf = TabulatedCDF([0.0, 1.0, 2.0], [0.0, 0.7, 1.0])
-        vals = cdf(np.array([-1.0, 0.5, 1.5, 3.0]))
-        assert vals == pytest.approx([0.0, 0.35, 0.85, 1.0])
-        with pytest.raises(InvalidSpec):
-            TabulatedCDF([0.0, 1.0], [0.5, 0.2])
-
 
 class TestIndicatorFamilies:
     def test_minimal_family(self):
-        fam = build_indicator_family(Grid(np.array([0.5])), 1, delta_form=False)
+        fam = cumulative_indicator_family(np.array([0.5]), 1)
         assert fam.k == 1
         assert fam.targets == pytest.approx([0.5])
         vals = fam.evaluate(Sample(np.array([[0.2], [0.5], [0.7]])))
         assert list(vals[:, 0]) == [1.0, 1.0, 0.0]
 
     def test_uniform_delta_targets(self):
-        fam = build_indicator_family(Grid.uniform(3), 1, delta_form=True)
+        fam = build_indicator_family(Grid.uniform(3), 1)
         assert fam.targets == pytest.approx([0.25, 0.25, 0.25])
 
     def test_delta_and_cumulative_statistics_agree(self):
@@ -147,11 +142,10 @@ class TestIndicatorFamilies:
             if trial % 3 == 0:
                 data = data**1.3  # push away from the null too
             sample = Sample(data)
-            dense = moment_vectors(sample, build_indicator_family(grid, d, True))
+            dense = moment_vectors(sample, build_indicator_family(grid, d))
             chi_delta = chi2_quadratic(dense)
-            chi_cum = chi2_quadratic(
-                moment_vectors(sample, build_indicator_family(grid, d, False))
-            )
+            cumulative = cumulative_indicator_family(grid.cuts, d)
+            chi_cum = chi2_quadratic(moment_vectors(sample, cumulative))
             assert abs(chi_delta - chi_cum) <= 1e-10
             # the cell-count path used by marginal_test
             counted = _table_moment_vectors(_cell_table(sample, grid), grid, n)
@@ -159,7 +153,7 @@ class TestIndicatorFamilies:
             assert np.array_equal(counted.empirical_means, dense.empirical_means)
             eps = np.finfo(float).eps
             # three roundings of values below 1 per entry of the counted S
-            exact = exact_covariance(build_indicator_family(grid, d, True).evaluate(sample))
+            exact = exact_covariance(build_indicator_family(grid, d).evaluate(sample))
             assert np.abs(counted.s_n - exact).max() <= 2 * eps
             # the dense product's a-priori bound: n-term sums of terms below 1, over n
             assert np.abs(counted.s_n - dense.s_n).max() <= n * eps
@@ -171,18 +165,18 @@ class TestIndicatorFamilies:
 class TestNullCovariance:
     def test_scalar_case(self):
         g = Grid(np.array([0.5]))
-        assert np.allclose(s0_matrix(g, 1), [[0.25]], atol=1e-15)
-        report = eigen_bounds_check(g, 1)
-        assert report.null_within_bounds
-        assert report.lower_bound == pytest.approx(0.25)
-        assert report.upper_bound == pytest.approx(0.5)
+        assert np.allclose(s0_matrix(g.cell_probs[:1], 1), [[0.25]], atol=1e-15)
+        eigs, lower, upper = null_eigen_envelope(g.cell_probs, 1)
+        assert lower - 1e-10 <= eigs[0] and eigs[-1] <= upper + 1e-10
+        assert lower == pytest.approx(0.25)
+        assert upper == pytest.approx(0.5)
 
     def test_u_matrix_spectrum(self):
         rng = np.random.default_rng(5)
         for m in (1, 2, 5, 17, 50):
             g = random_grid(rng, m)
-            u = u_matrix(g)
             p = g.cell_probs
+            u = u_matrix(p[:m])
             eigs = np.sort(np.linalg.eigvalsh(u))
             assert eigs[-1] == pytest.approx(1.0 - p[-1], abs=1e-10)
             assert np.allclose(eigs[:-1], 0.0, atol=1e-10)
@@ -192,7 +186,7 @@ class TestNullCovariance:
         rng = np.random.default_rng(6)
         for m in (1, 3, 12, 50):
             g = random_grid(rng, m)
-            u = u_matrix(g)
+            u = u_matrix(g.cell_probs[:m])
             p_last = g.cell_probs[-1]
             eye = np.eye(m)
             assert np.abs(u @ u - (1.0 - p_last) * u).max() <= 1e-12
@@ -205,26 +199,15 @@ class TestNullCovariance:
             m = int(rng.integers(1, 51))
             d = int(rng.integers(1, 4))
             g = random_grid(rng, m)
-            report = eigen_bounds_check(g, d)
-            assert report.null_within_bounds
-
-    def test_empirical_bound_report_only(self):
-        g = Grid.uniform(2)
-        # deliberately deflated covariance: lower-bound check fails, no raise
-        s = 1e-6 * np.eye(2 * g.m)
-        report = eigen_bounds_check(g, 2, s=s, alpha_lb=1.0)
-        assert report.empirical_ok is False
-        healthy = eigen_bounds_check(g, 2, s=s0_matrix(g, 2), alpha_lb=1.0)
-        assert healthy.empirical_ok is True
+            eigs, lower, upper = null_eigen_envelope(g.cell_probs, d)
+            assert lower - 1e-10 <= eigs[0] and eigs[-1] <= upper + 1e-10
 
 
 class TestPearsonMinForm:
     def test_counts_proportional_to_targets(self):
-        g = Grid.uniform(2)
-        p = g.cell_probs
-        counts = CellCounts(900.0 * np.outer(p, p))
-        result = pearson_min_form(counts, g)
-        assert result.value == pytest.approx(0.0, abs=1e-12)
+        p = Grid.uniform(2).cell_probs
+        value, _, _ = pearson_min_form(900.0 * np.outer(p, p), p)
+        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_quadratic_form_on_random_tables(self):
         rng = np.random.default_rng(31)
@@ -235,36 +218,34 @@ class TestPearsonMinForm:
             n = int(rng.integers(250, 600))
             data = stream.uniforms(2 * n).reshape(n, 2)
             sample = Sample(data)
-            counts = CellCounts.from_sample(sample, grid)
-            if np.any(counts.counts == 0.0):
+            counts = cell_counts_2d(data, grid.cuts)
+            if np.any(counts == 0.0):
                 continue
-            fam = build_indicator_family(grid, 2, delta_form=True)
-            n_chi2 = sample.n * chi2_quadratic(moment_vectors(sample, fam))
-            result = pearson_min_form(counts, grid)
-            assert result.value == pytest.approx(n_chi2, abs=1e-8)
-            assert result.max_marginal_violation <= 1e-8
+            p = grid.cell_probs
+            value, a, b = pearson_min_form(counts, p)
+            fam = build_indicator_family(grid, 2)
+            assert value == pytest.approx(n * chi2_quadratic(moment_vectors(sample, fam)), abs=1e-8)
+            # the cell-count path of marginal_test
+            counted = _table_moment_vectors(_cell_table(sample, grid), grid, n)
+            assert value == pytest.approx(n * chi2_quadratic(counted), abs=1e-8)
+            q = counts * (1.0 + a[:, None] + b[None, :]) / n
+            assert np.abs(q.sum(axis=1) - p).max() <= 1e-8
+            assert np.abs(q.sum(axis=0) - p).max() <= 1e-8
 
     def test_multiplier_map_reproduces_dual_coefficients(self):
         stream = Stream(2718)
         grid = Grid.uniform(2)
         data = stream.uniforms(2 * 500).reshape(500, 2)
         sample = Sample(data)
-        counts = CellCounts.from_sample(sample, grid)
-        assert np.all(counts.counts > 0)
-        result = pearson_min_form(counts, grid)
-        intercept, coeffs = table_coefficients_to_dual(result)
-        fam = build_indicator_family(grid, 2, delta_form=True)
-        dual = dual_coefficients(moment_vectors(sample, fam))
+        counts = cell_counts_2d(data, grid.cuts)
+        assert np.all(counts > 0)
+        value, a, b = pearson_min_form(counts, grid.cell_probs)
+        intercept, coeffs = table_coefficients_to_dual(a, b)
+        dual = dual_coefficients(moment_vectors(sample, build_indicator_family(grid, 2)))
         assert coeffs == pytest.approx(dual.a, abs=1e-8)
         assert intercept == pytest.approx(dual.a0, abs=1e-8)
-
-    def test_zero_cell_warning_path(self):
-        g = Grid.uniform(1)
-        counts = np.array([[5.0, 0.0], [3.0, 4.0]])
-        with pytest.warns(ZeroCellWarning):
-            result = pearson_min_form(CellCounts(counts), g)
-        assert result.had_zero_cells
-        assert np.isfinite(result.value)
+        report = marginal_test(sample, MarginalSpec.all_uniform(2), 0.05, m=2)
+        assert value == pytest.approx(report.diagnostics["scaled_statistic"], abs=1e-8)
 
 
 class TestMarginalTest:

@@ -1,23 +1,14 @@
-"""Sieve: standardization, nesting, rate-condition bookkeeping."""
+"""Sieve: standardization, nesting, rate-condition sequences (from ``reference``)."""
 
 import math
 
 import numpy as np
 import pytest
 
-from chi2dual import (
-    ConstraintFamily,
-    MissingBound,
-    RateConditionWarning,
-    Sample,
-    SievePlan,
-    check_rate_conditions,
-    default_m,
-    sieve_test,
-    standardized_statistic,
-)
+from chi2dual import ConstraintFamily, Sample, default_m, sieve_test
 from chi2dual.marginal import build_indicator_family, Grid, marginal_sieve_plan
 from chi2dual.rng import Stream
+from reference import decreasing, marginal_plan_sequences, rate_sequences, standardized_statistic
 
 
 def indicator_plan(d=1):
@@ -41,7 +32,7 @@ class TestStandardizedStatistic:
     def test_exactly_satisfied_k2(self):
         # both cell constraints hold exactly: statistic forced to -1
         data = np.array([[0.1], [0.4], [0.6], [0.9]])
-        fam = build_indicator_family(Grid(np.array([0.25, 0.5])), 1, delta_form=True)
+        fam = build_indicator_family(Grid(np.array([0.25, 0.5])), 1)
         value = standardized_statistic(Sample(data), fam)
         assert value == pytest.approx(-1.0, abs=1e-12)
 
@@ -83,47 +74,35 @@ class TestNesting:
 
 
 class TestRateConditions:
-    def test_requires_bound_rules(self):
-        plan = SievePlan(k_of_n=lambda n: 3, family_builder=lambda k: None)
-        with pytest.raises(MissingBound):
-            check_rate_conditions(plan, [100, 1000])
-
     def test_quarter_power_plan_sequences(self):
         # k = n^(1/4), lambda1 >= c / k^2, bridge rate n^(-1/2): the
         # normal-approximation sequence decreases on the decade grid, the
-        # covariance-error sequence grows like n^(3/8) and is flagged
-        plan = SievePlan(
-            k_of_n=lambda n: max(2, math.ceil(n**0.25 - 1e-9)),
-            family_builder=lambda k: None,
-            lambda1_lower_bound=lambda k: 1.0 / k**2,
-            bridge_rate=lambda n: n**-0.5,
+        # covariance-error sequence grows like n^(3/8)
+        eigen_seq, cov_seq = rate_sequences(
+            lambda n: max(2, math.ceil(n**0.25 - 1e-9)),
+            lambda k: 1.0 / k**2,
+            lambda n: n**-0.5,
+            [10**e for e in range(3, 8)],
         )
-        with pytest.warns(RateConditionWarning):
-            report = check_rate_conditions(plan, [10**e for e in range(3, 8)])
-        assert report.eigen_decreasing
-        assert not report.covariance_decreasing
-        assert not report.ok
+        assert decreasing(eigen_seq)
+        assert not decreasing(cov_seq)
 
     def test_linear_growth_flagged(self):
-        plan = SievePlan(
-            k_of_n=lambda n: n,
-            family_builder=lambda k: None,
-            lambda1_lower_bound=lambda k: 1.0,
-            bridge_rate=lambda n: n**-0.5,
+        _, cov_seq = rate_sequences(
+            lambda n: n, lambda k: 1.0, lambda n: n**-0.5, [100, 1000, 10_000]
         )
-        with pytest.warns(RateConditionWarning):
-            report = check_rate_conditions(plan, [100, 1000, 10_000])
-        assert not report.covariance_decreasing
+        assert not decreasing(cov_seq)
 
     def test_marginal_default_plan_normal_sequence(self):
-        report = None
-        plan = indicator_plan(d=2)
-        import warnings
+        eigen_seq, _ = marginal_plan_sequences(2, [10**e for e in range(3, 8)])
+        assert decreasing(eigen_seq)
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RateConditionWarning)
-            report = check_rate_conditions(plan, [10**e for e in range(3, 8)])
-        assert report.eigen_decreasing
+    def test_marginal_default_plan_covariance_sequence_grows(self):
+        # the default m(n) = ceil(n^(1/4)) violates this sufficient condition
+        for d in (1, 2, 3):
+            _, cov_seq = marginal_plan_sequences(d, [10**e for e in range(2, 7)])
+            assert not decreasing(cov_seq)
+            assert cov_seq[-1] > cov_seq[0]
 
 
 class TestSieveTest:
