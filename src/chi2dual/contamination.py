@@ -18,7 +18,10 @@ outlasts the exponential, so h turns negative far out; whether a node lands
 past the sign change depends on where the integral is truncated, so the
 admissibility of lambda < 0 rests on ``TAIL_TOLERANCE``, not on an analytic
 rule (at alpha = 2, theta = 0.5, lambda = -0.05 the point is admitted
-although h changes sign near x = 19.5).
+although h changes sign near x = 19.5).  On the lambda = 0 line the
+objective is unbounded above as theta -> 2 alpha from below, which the box
+reaches when alpha <= theta_hi / 2: the value reported is the supremum that
+the grid and Nelder-Mead reach, not the supremum over the box.
 
 The p-value is taken from chi-square with one degree of freedom (one free
 parameter).  That reference law is not calibrated: under the null the
@@ -50,10 +53,12 @@ Search: for each profiled alpha, the sup over (theta, lambda) evaluates a
 grid (with the lambda = 0 line and the exact null point adjoined), then
 runs bounded Nelder-Mead from the best grid points under scipy's rules
 (``_nelder_mead`` reproduces scipy 1.17's steps bit for bit on Python
-floats).  The searches run in lockstep, so each of their steps costs one
-batched objective call, not one call per start; the few points of a step
-cost little arithmetic, so the fixed cost of each call sets the time.  The
-inf over alpha takes a coarse grid and then golden-section refinement.
+floats).  The inf over alpha takes a coarse grid of rates, then a golden
+section that evaluates each point it needs together with both points that
+could follow it.  The rates evaluated together are searched in lockstep:
+each rate's grid is one objective call, and each round of the Nelder-Mead
+searches of all of them shares one call.  The few points of a round cost
+little arithmetic, so the fixed cost of each call sets the time.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
@@ -136,7 +141,7 @@ def pareto_pdf(x: np.ndarray, gamma: float, nu: float) -> np.ndarray:
 
 
 def _density_ratio(
-    x: np.ndarray, alpha: float, theta, lam, r_x: np.ndarray, e_x: np.ndarray
+    x: np.ndarray, alpha, theta, lam, r_x: np.ndarray, e_x: np.ndarray
 ) -> np.ndarray:
     """f_alpha(x) / h(x) for x >= 0, given r_x = r(x) and e_x = e^(alpha x),
     with h the mixture density (1 - lambda) theta e^(-theta x) + lambda r(x).
@@ -182,7 +187,7 @@ class DualGFunction:
 
 # ---------------------------------------------------------------------------
 # Model integral int g f_alpha dx = amp * int e^(-s x) / h dx - 2,
-# with s = 2 alpha and amp = 2 alpha^2.
+# with s = 2 alpha and amp = 2 alpha^2 taken per point.
 
 @functools.lru_cache(maxsize=None)
 def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,12 +205,12 @@ _T01 = np.concatenate((_T0, _T1))
 
 
 def _integrand(x, th, lm, amp, s, pareto_scale, power):
-    """amp e^(-s x) / h at the nodes x (axis 0 runs over the points th, lm),
-    and whether h <= 0 at any node of each point.  Every node lies above nu,
-    where r is the Pareto power law pareto_scale * x^power.  Works in place
-    on three arrays (a product or a sum is the same float in either order);
-    the caller holds the floating-point errstate."""
-    theta, lam = th[:, None, None], lm[:, None, None]
+    """amp e^(-s x) / h at the nodes x (axis 0 runs over the points th, lm,
+    amp, s), and whether h <= 0 at any node of each point.  Every node lies
+    above nu, where r is the Pareto power law pareto_scale * x^power.  Works
+    in place on three arrays (a product or a sum is the same float in either
+    order); the caller holds the floating-point errstate."""
+    theta, lam, amp, s = (v[:, None, None] for v in (th, lm, amp, s))
     den = np.multiply(-theta, x)
     np.exp(den, out=den)
     den *= (1.0 - lam) * theta
@@ -221,12 +226,12 @@ def _integrand(x, th, lm, amp, s, pareto_scale, power):
 
 
 def _integral_batch(
-    alpha: float,
+    alpha: float | np.ndarray,
     thetas: np.ndarray,
     lams: np.ndarray,
     spec: ContaminationSpec,
 ) -> np.ndarray:
-    """Model integral for a batch of (theta, lambda) at fixed alpha.
+    """Model integral for a batch of (alpha, theta, lambda), alpha per point or shared.
 
     Returns +inf where the integral diverges (lambda = 0, theta >= s) and
     NaN where the point is excluded (mixture density nonpositive at a node,
@@ -242,8 +247,8 @@ def _integral_batch(
     """
     thetas = np.asarray(thetas, dtype=float)
     lams = np.asarray(lams, dtype=float)
-    s = 2.0 * alpha
-    amp = 2.0 * alpha * alpha
+    s = np.full(thetas.shape, 2.0) * alpha  # one rate per point
+    amp = s * alpha
     gamma, nu = spec.pareto_gamma, spec.pareto_nu
     out = np.full(thetas.shape[0], np.nan)
 
@@ -254,7 +259,7 @@ def _integral_batch(
         div = zero_lam & (thetas >= s)
         ok = zero_lam & ~div
         out[div] = np.inf
-        out[ok] = amp / (thetas[ok] * (s - thetas[ok])) - 2.0
+        out[ok] = amp[ok] / (thetas[ok] * (s[ok] - thetas[ok])) - 2.0
 
     # lambda < 0 with theta >= s: exponentially growing integrand against a
     # negative far tail; always inadmissible.
@@ -262,10 +267,8 @@ def _integral_batch(
     if idx.size == 0:
         return out
 
-    th = thetas[idx]
-    lm = lams[idx]
-
-    integrand_args = (amp, s, gamma * nu**gamma, -(gamma + 1.0))
+    th, lm, amp, s = thetas[idx], lams[idx], amp[idx], s[idx]
+    pareto_args = (gamma * nu**gamma, -(gamma + 1.0))
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         c = s - th
         scale = amp / ((1.0 - lm) * th)
@@ -282,7 +285,7 @@ def _integral_batch(
         width = breaks[:, 1:] - lo
 
         x = lo[:, :, None] + width[:, :, None] * _T01
-        vals, excluded = _integrand(x, th, lm, *integrand_args)
+        vals, excluded = _integrand(x, th, lm, amp, s, *pareto_args)
         coarse = np.einsum("pqn,n,pq->p", vals[:, :, : _T0.size], _W0, width)
         value = np.einsum("pqn,n,pq->p", vals[:, :, _T0.size :], _W1, width)
         # relative floor: absolute targets below float64 roundoff are unreachable
@@ -301,7 +304,7 @@ def _integral_batch(
                 )
             t_nodes, w_nodes = _gl_rule(_BASE_ORDER * 2**level)
             x = lo[refine, :, None] + width[refine, :, None] * t_nodes
-            vals, bad = _integrand(x, th[refine], lm[refine], *integrand_args)
+            vals, bad = _integrand(x, *(v[refine] for v in (th, lm, amp, s)), *pareto_args)
             excluded[refine] |= bad
             finer = np.einsum("pqn,n,pq->p", vals, w_nodes, width[refine])
             limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(finer))
@@ -315,8 +318,8 @@ def _integral_batch(
 
 
 def _truncation_and_tail(
-    amp: float,
-    s: float,
+    amp: np.ndarray,
+    s: np.ndarray,
     c: np.ndarray,
     exp_scale: np.ndarray,
     lam: np.ndarray,
@@ -324,7 +327,8 @@ def _truncation_and_tail(
     nu: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncation point with tail < TAIL_TOLERANCE, plus the tail estimate,
-    given c = s - theta and exp_scale = amp / ((1 - lambda) theta).
+    given amp, s, c = s - theta and exp_scale = amp / ((1 - lambda) theta)
+    per point.
 
     The exponential comparison density bounds the tail whenever theta < s
     (exact at lambda = 0, an upper bound for lambda > 0, the documented
@@ -343,9 +347,10 @@ def _truncation_and_tail(
     need_par = (lam > 0.0) & ((c <= 0.0) | (x_exp > 150.0))
     pareto = need_par.any()
     if pareto:
+        amp, s = amp[need_par], s[need_par]
         a_log = np.log(amp / (lam[need_par] * gamma * nu**gamma))
-        floor_p = max(x_floor, 2.0 * (gamma + 1.0) / s)
-        x_iter = np.full(a_log.shape, floor_p)
+        floor_p = np.maximum(x_floor, 2.0 * (gamma + 1.0) / s)
+        x_iter = floor_p
         for _ in range(4):
             denom = s - (gamma + 1.0) / x_iter
             x_iter = np.maximum(
@@ -424,29 +429,30 @@ _EXCLUDED_PENALTY = 1e30
 
 
 class _InnerObjective:
-    """sup-side objective over (theta, lambda) for one fixed alpha.
+    """sup-side objective over (theta, lambda) at each rate of ``alphas``.
 
     Precomputes the Pareto density and e^(alpha x) at the sample, so each
     parameter evaluation costs one exp over the sample plus the model
     quadrature.
     """
 
-    def __init__(self, x: np.ndarray, alpha: float, spec: ContaminationSpec) -> None:
+    def __init__(self, x: np.ndarray, alphas: Iterable[float], spec: ContaminationSpec) -> None:
         self.x = x
-        self.alpha = alpha
+        self.alphas = np.array(alphas, dtype=float)
         self.spec = spec
         self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
         with np.errstate(over="ignore"):
-            self.e_x = np.exp(alpha * x)
-        self.evaluations = 0
+            self.e_x = np.exp(self.alphas[:, None] * x)
+        self.evaluations = np.zeros(self.alphas.size, dtype=int)
 
-    def batch(self, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """Objective values; NaN marks excluded points."""
-        self.evaluations += thetas.shape[0]
-        integrals = _integral_batch(self.alpha, thetas, lams, self.spec)
+    def batch(self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """Values at (alphas[rates], thetas, lams); NaN marks excluded points."""
+        self.evaluations += np.bincount(rates, minlength=self.alphas.size)
+        alpha = self.alphas[rates]
+        integrals = _integral_batch(alpha, thetas, lams, self.spec)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ratio = _density_ratio(
-                self.x, self.alpha, thetas[:, None], lams[:, None], self.r_x, self.e_x
+                self.x, alpha[:, None], thetas[:, None], lams[:, None], self.r_x, self.e_x[rates]
             )
             values = integrals - legendre_batch(2.0 * (ratio - 1.0))
         values[~np.isfinite(values)] = np.nan
@@ -581,58 +587,81 @@ def _nelder_mead(
 
 
 def _grid_then_refine(
-    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    thetas: np.ndarray,
-    lams: np.ndarray,
-    values: np.ndarray,
+    objective: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    grids: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
     spec: ContaminationSpec,
     settings: SearchSettings,
-) -> tuple[float, tuple[float, float], np.ndarray]:
-    """Raise the best grid point by Nelder-Mead from the ``nm_starts`` best ones.
+) -> list[list]:
+    """Raise the best point of each grid by Nelder-Mead from its ``nm_starts`` best.
 
-    ``values`` holds ``objective`` on the grid (NaN = excluded).  The
-    searches maximize ``objective`` over the box of the rate interval and
-    the open mixing interval, with excluded points penalized.  They run in
-    lockstep: each round gathers the points every live search asks for
-    into one ``objective(thetas, lams)`` call.  Returns (value, (theta,
-    lambda), start indices); a search replaces the grid optimum only when
-    it ends strictly higher, earlier starts winning ties.
+    A grid is (thetas, lams, values), ``values`` holding the objective on it
+    (NaN = excluded).  The searches maximize the objective over the box of
+    the rate interval and the open mixing interval, with excluded points
+    penalized, and all run in lockstep: each round gathers the points every
+    live search asks for into one ``objective(grid indices, thetas, lams)``
+    call.  Returns [value, (theta, lambda), start indices] per grid; a search
+    replaces its grid's optimum only when it ends strictly higher, earlier
+    starts winning ties.
     """
-    finite = np.isfinite(values)
-    if not finite.any():
-        raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
-    order = np.argsort(-values[finite], kind="stable")
-    starts = np.flatnonzero(finite)[order[: settings.nm_starts]]
-    i_best = np.nanargmax(values)
-    best_value = float(values[i_best])
-    best_point = (float(thetas[i_best]), float(lams[i_best]))
     eps = 1e-9  # lambda stays inside the open mixing interval
     lower = (spec.theta_lo, spec.lambda_lo + eps)
     upper = (spec.theta_hi, spec.lambda_hi - eps)
-    searches = [
-        _nelder_mead((thetas[i], lams[i]), lower, upper, settings.nm_max_evals) for i in starts
-    ]
-    pending = [(j, next(search)) for j, search in enumerate(searches)]
+    budget, outcomes, searches = settings.nm_max_evals, [], []
+    for g, (thetas, lams, values) in enumerate(grids):
+        finite = np.isfinite(values)
+        if not finite.any():
+            raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
+        order = np.argsort(-values[finite], kind="stable")
+        starts = np.flatnonzero(finite)[order[: settings.nm_starts]]
+        top = np.nanargmax(values)
+        outcomes.append([float(values[top]), (float(thetas[top]), float(lams[top])), starts])
+        searches += [(g, _nelder_mead((thetas[i], lams[i]), lower, upper, budget)) for i in starts]
+    pending = [(j, next(search)) for j, (_, search) in enumerate(searches)]
     results = [None] * len(searches)
     while pending:
         points = np.array([p for _, request in pending for p in request]).reshape(-1, 2)
+        rows = np.array([searches[j][0] for j, request in pending for _ in request], dtype=int)
         costs = [
             -v if math.isfinite(v) else _EXCLUDED_PENALTY
-            for v in objective(points[:, 0], points[:, 1]).tolist()
+            for v in objective(rows, points[:, 0], points[:, 1]).tolist()
         ]
         offset, waiting = 0, []
         for j, request in pending:
             try:
-                waiting.append((j, searches[j].send(costs[offset : offset + len(request)])))
+                waiting.append((j, searches[j][1].send(costs[offset : offset + len(request)])))
             except StopIteration as stop:
                 results[j] = stop.value
             offset += len(request)
         pending = waiting
-    for x, fun, _ in results:
-        if -fun > best_value:
-            best_value = float(-fun)
-            best_point = (float(x[0]), float(x[1]))
-    return best_value, best_point, starts
+    for (g, _), (x, fun, _) in zip(searches, results):
+        if -fun > outcomes[g][0]:
+            outcomes[g][:2] = float(-fun), (float(x[0]), float(x[1]))
+    return outcomes
+
+
+def _chi2_lockstep(
+    x: np.ndarray, alphas: list[float], spec: ContaminationSpec, settings: SearchSettings
+) -> list[Chi2SimpleResult]:
+    """``chi2_simple`` at each rate of ``alphas``, searched in lockstep; no
+    objective call holds more than one rate's grid."""
+    inner = _InnerObjective(x, alphas, spec)
+    grids = [_candidate_grid(alpha, spec, settings) for alpha in alphas]
+    grids = [
+        (ts, ls, inner.batch(np.full(ts.size, i), ts, ls)) for i, (ts, ls) in enumerate(grids)
+    ]
+    refined = _grid_then_refine(inner.batch, grids, spec, settings)
+    results = []
+    for alpha, (thetas, lams, values), (value, point, starts), evaluations in zip(
+        alphas, grids, refined, inner.evaluations.tolist()
+    ):
+        if value < 0.0:
+            # the anchor candidate is exactly feasible with value 0
+            value, point = 0.0, (alpha, 0.0)
+        start_points = tuple(
+            (float(thetas[i]), float(lams[i]), float(alpha), float(values[i])) for i in starts
+        )
+        results.append(Chi2SimpleResult(value, point[0], point[1], start_points, evaluations))
+    return results
 
 
 def chi2_simple(
@@ -655,70 +684,70 @@ def chi2_simple(
             f"alpha={alpha_fixed} outside the rate interval "
             f"[{spec.theta_lo}, {spec.theta_hi}]"
         )
-    x = _require_positive_data(sample)
-    inner = _InnerObjective(x, alpha_fixed, spec)
-    thetas, lams = _candidate_grid(alpha_fixed, spec, settings)
-    values = inner.batch(thetas, lams)
-    best_value, best_point, starts = _grid_then_refine(
-        inner.batch, thetas, lams, values, spec, settings
-    )
-    if best_value < 0.0:
-        # the anchor candidate is exactly feasible with value 0
-        best_value = 0.0
-        best_point = (alpha_fixed, 0.0)
-    return Chi2SimpleResult(
-        value=best_value,
-        theta_hat=best_point[0],
-        lambda_hat=best_point[1],
-        start_points=tuple(
-            (float(thetas[i]), float(lams[i]), float(alpha_fixed), float(values[i]))
-            for i in starts
-        ),
-        n_evaluations=inner.evaluations,
-    )
+    return _chi2_lockstep(_require_positive_data(sample), [alpha_fixed], spec, settings)[0]
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 200
 
 
 def _golden_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
+    f: Callable[[list[float]], list], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi], robust to +inf values."""
+    """Golden-section minimization on [lo, hi], robust to +inf values.
+
+    ``f`` maps a list of points to their values.  The points, their order
+    and the result are those of a section run a point at a time, but each
+    call also takes both points that could follow the one it needs, one per
+    outcome of the next comparison: a call covers two steps, and one point
+    in three goes unused.  A call that raises QuadratureFailure is repeated
+    without the points ahead, so only a point the section uses can fail it.
+    """
     if hi <= lo:
-        return lo, f(lo)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    for _ in range(200):
+        return lo, f([lo])[0]
+    values: dict[float, float] = {}
+
+    def branches(a, b, x1, x2):
+        # (bracket, new point): f(x1) <= f(x2) keeps [a, x2], else [x1, b]
+        new1, new2 = x2 - _INV_PHI * (x2 - a), x1 + _INV_PHI * (b - x1)
+        return ((a, x2, new1, x1), new1), ((x1, b, x2, new2), new2)
+
+    def fetch(points, bracket, steps):
+        live = steps < _GOLDEN_STEPS and bracket[1] - bracket[0] > tol
+        ahead = [new for _, new in branches(*bracket)] if live else []
+        try:
+            values.update(zip(points + ahead, f(points + ahead)))
+        except QuadratureFailure:  # again without the points ahead
+            values.update(zip(points, f(points)))
+
+    bracket = (lo, hi, hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo))
+    x1, x2 = bracket[2:]
+    fetch([x1, x2], bracket, 0)
+    best_x, best_f = (x1, values[x1]) if values[x1] <= values[x2] else (x2, values[x2])
+    for step in range(1, _GOLDEN_STEPS + 1):
+        a, b, x1, x2 = bracket
         if b - a <= tol:
             break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-            if f1 < best_f:
-                best_x, best_f = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-            if f2 < best_f:
-                best_x, best_f = x2, f2
+        bracket, new = branches(*bracket)[0 if values[x1] <= values[x2] else 1]
+        if new not in values:
+            fetch([new], bracket, step)
+        if values[new] < best_f:
+            best_x, best_f = new, values[new]
     return best_x, best_f
 
 
 def _profile_minimize(
-    profile: Callable[[float], float],
+    profile: Callable[[list[float]], list],
     lo: float,
     hi: float,
     settings: SearchSettings,
 ) -> tuple[float, float]:
-    """Coarse grid to bracket the minimum, then golden-section refinement."""
+    """Coarse grid to bracket the minimum, then golden-section refinement;
+    ``profile`` maps a list of rates to their values, the grid in one call."""
     if hi <= lo:
-        return lo, profile(lo)
+        return lo, profile([lo])[0]
     xs = np.linspace(lo, hi, settings.outer_coarse)
-    vals = [profile(float(x)) for x in xs]
+    vals = profile([float(x) for x in xs])
     i_best = int(np.argmin(vals))
     bracket_lo = xs[max(0, i_best - 1)]
     bracket_hi = xs[min(len(xs) - 1, i_best + 1)]
@@ -745,14 +774,14 @@ def contamination_test(
     """
     settings = settings or SearchSettings()
     alpha_level = _check_level(alpha_level)
-    _require_positive_data(sample)
+    x = _require_positive_data(sample)
 
     evaluated: dict[float, Chi2SimpleResult] = {}
 
-    def profile(alpha: float) -> float:
-        result = chi2_simple(sample, alpha, spec, settings)
-        evaluated[alpha] = result
-        return result.value
+    def profile(alphas: list[float]) -> list[float]:
+        results = _chi2_lockstep(x, alphas, spec, settings)
+        evaluated.update(zip(alphas, results))
+        return [result.value for result in results]
 
     alpha_hat, value = _profile_minimize(
         profile, spec.theta_lo, spec.theta_hi, settings
@@ -792,8 +821,8 @@ def minimax_gap(
     settings = settings or SearchSettings()
     x = _require_positive_data(sample)
 
-    def profile(alpha: float) -> float:
-        return chi2_simple(sample, alpha, spec, settings).value
+    def profile(alphas: list[float]) -> list[float]:
+        return [result.value for result in _chi2_lockstep(x, alphas, spec, settings)]
 
     _, inf_sup = _profile_minimize(profile, spec.theta_lo, spec.theta_hi, settings)
 
@@ -807,10 +836,11 @@ def minimax_gap(
             if lo > spec.theta_hi:
                 return math.nan
 
-        def by_alpha(alpha: float) -> float:
-            inner = _InnerObjective(x, alpha, spec)
-            value = inner.batch(np.array([theta]), np.array([lam]))[0]
-            return math.inf if np.isnan(value) else float(value)
+        def by_alpha(alphas: list[float]) -> list[float]:
+            k = len(alphas)
+            inner = _InnerObjective(x, alphas, spec)
+            vals = inner.batch(np.arange(k), np.full(k, theta), np.full(k, lam)).tolist()
+            return [math.inf if math.isnan(v) else v for v in vals]
 
         _, value = _golden_min(
             by_alpha, lo, spec.theta_hi, settings.alpha_tol * (spec.theta_hi - lo)
@@ -821,10 +851,10 @@ def minimax_gap(
     # drop the anchor point (specific to the forward order)
     thetas, lams = thetas[:-1], lams[:-1]
 
-    def sup_side(ts: np.ndarray, ls: np.ndarray) -> np.ndarray:
+    def sup_side(rows: np.ndarray, ts: np.ndarray, ls: np.ndarray) -> np.ndarray:
         return np.array([min_over_alpha(float(t), float(l)) for t, l in zip(ts, ls)])
 
-    sup_inf, _, _ = _grid_then_refine(
-        sup_side, thetas, lams, sup_side(thetas, lams), spec, settings
+    ((sup_inf, _, _),) = _grid_then_refine(
+        sup_side, [(thetas, lams, sup_side(None, thetas, lams))], spec, settings
     )
     return abs(inf_sup - sup_inf)

@@ -115,12 +115,15 @@ class ReplicationPlan:
             raise InvalidInput(
                 f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}"
             )
-        kinds = _SCENARIO_TABLE[self.scenario][2]
-        unread = [key for key in self.params if key not in kinds]
+        keys = _SCENARIO_TABLE[self.scenario][2]
+        unread = [key for key in self.params if key not in keys]
         if unread:
             raise InvalidInput(f"scenario {self.scenario!r} reads no params key {unread[0]!r}")
         for key, value in self.params.items():
-            _as_kind(f"params key {key!r}", value, kinds[key])
+            kind, op, bound = keys[key]
+            value = _as_kind(f"params key {key!r}", value, kind)
+            if not (value >= bound if op == ">=" else value > bound):
+                raise InvalidInput(f"params key {key!r} must be {op} {bound}, got {value!r}")
         if self.replicates < 1:
             raise InvalidInput(f"replicates must be >= 1, got {self.replicates}")
         if self.n < 1:
@@ -225,8 +228,15 @@ def _mean_quarter_family() -> ConstraintFamily:
 
 
 _CONTAM_SPEC_KEYS = ("theta_lo", "theta_hi", "lambda_lo", "lambda_hi", "pareto_gamma", "pareto_nu")
-_CONTAM_KEYS = dict.fromkeys(_CONTAM_SPEC_KEYS + ("theta0", "alpha_tol"), float)
-_MARGINAL_KEYS = {"d": int, "m": int}
+# params key -> (kind, comparison, lower bound)
+_POSITIVE = (float, ">", 0.0)
+_CONTAM_KEYS = dict(
+    theta_lo=_POSITIVE, theta_hi=_POSITIVE, lambda_lo=(float, ">", -math.inf),
+    lambda_hi=_POSITIVE, pareto_gamma=(float, ">", 1.0), pareto_nu=(float, ">", 1.0),
+    theta0=_POSITIVE, alpha_tol=_POSITIVE,
+)
+_CONTAM_ALT_KEYS = {**_CONTAM_KEYS, "lam": (float, ">=", 0.0)}
+_MARGINAL_KEYS = {"d": (int, ">=", 1), "m": (int, ">=", 1)}
 
 
 def _contam_spec(params: dict) -> ContaminationSpec:
@@ -270,16 +280,14 @@ def _contam_replicate(plan: ReplicationPlan, stream: Stream, contaminated: bool)
 
 
 _chi2_1 = partial(chi2_cdf, k=1)
-# scenario -> (one replicate on its stream, reference-law CDF, params keys it reads -> kind)
+# scenario -> (one replicate on its stream, reference-law CDF, params keys it reads)
 _SCENARIO_TABLE = {
     "linear_null": (_linear_null, lambda v: chi2_cdf(v, 3), {}),
     "linear_alt": (_linear_alt, _chi2_1, {}),
     "marginal_null": (partial(_marginal_replicate, beta_first=False), normal_cdf, _MARGINAL_KEYS),
     "marginal_alt": (partial(_marginal_replicate, beta_first=True), normal_cdf, _MARGINAL_KEYS),
     "contam_null": (partial(_contam_replicate, contaminated=False), _chi2_1, _CONTAM_KEYS),
-    "contam_alt": (
-        partial(_contam_replicate, contaminated=True), _chi2_1, {**_CONTAM_KEYS, "lam": float}
-    ),
+    "contam_alt": (partial(_contam_replicate, contaminated=True), _chi2_1, _CONTAM_ALT_KEYS),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 

@@ -14,7 +14,9 @@ dual chi-square estimate in a second, independent form:
   empty (the paper's contingency-table link), with the map from its
   multipliers to the dual coefficients;
 * the standardized sieve statistic and the two growth-rate sequences of a
-  sieve plan.
+  sieve plan;
+* golden-section minimization one point at a time, the section that the
+  contamination profile runs with a one-step look-ahead.
 """
 
 from __future__ import annotations
@@ -161,3 +163,32 @@ def marginal_plan_sequences(d: int, n_grid) -> tuple[list[float], list[float]]:
         lambda n: n**-0.5 if d <= 2 else n ** (-1.0 / (2.0 * d)),
         n_grid,
     )
+
+
+def golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section minimization on [lo, hi], robust to +inf values; ``f``
+    takes one point."""
+    if hi <= lo:
+        return lo, f(lo)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = f(x1)
+            if f1 < best_f:
+                best_x, best_f = x1, f1
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = f(x2)
+            if f2 < best_f:
+                best_x, best_f = x2, f2
+    return best_x, best_f

@@ -481,6 +481,14 @@ class TestCalibrateCommand:
               "params": {"theta_lo": "x"}}, "params key 'theta_lo' must be float, got 'x'"),
             ({"scenario": "marginal_null", "n": 60, "replicates": 4, "base_seed": 1,
               "params": {"d": 2.7}}, "params key 'd' must be int, got 2.7"),
+            ({"scenario": "marginal_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"d": 0}}, "params key 'd' must be >= 1, got 0"),
+            ({"scenario": "marginal_alt", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"m": -1}}, "params key 'm' must be >= 1, got -1"),
+            ({"scenario": "contam_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"pareto_gamma": 1.0}}, "params key 'pareto_gamma' must be > 1.0, got 1.0"),
+            ({"scenario": "contam_alt", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"lam": -0.1}}, "params key 'lam' must be >= 0.0, got -0.1"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):

@@ -28,7 +28,9 @@ from chi2dual.contamination import (
     _MAX_LEVELS,
     _N_PANELS,
     _candidate_grid,
+    _chi2_lockstep,
     _gl_rule,
+    _golden_min,
     _grid_then_refine,
     _InnerObjective,
     _integral_batch,
@@ -36,6 +38,7 @@ from chi2dual.contamination import (
 )
 from chi2dual.errors import InvalidInput, QuadratureFailure
 from chi2dual.rng import Stream
+from reference import golden_min
 
 SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
 
@@ -170,34 +173,67 @@ def test_nelder_mead_matches_scipy(f, max_evals):
 
 
 def test_inner_objective_rows_do_not_depend_on_the_batch():
-    # the lockstep search evaluates its points in shared batches
-    inner = _InnerObjective(rexp(Stream(5), 200, 1.0), 2.0, SPEC)
+    # the lockstep search evaluates the points of every rate in shared batches
+    x = rexp(Stream(5), 200, 1.0)
+    alphas = [2.0, 0.7, 1.3]
+    inner = _InnerObjective(x, alphas, SPEC)
     # lambda < 0, lambda > 0, lambda = 0, a mixture density that turns
-    # negative (NaN) and a divergent integral (lambda = 0, theta >= 2 alpha)
-    thetas = np.array([0.5, 0.9, 2.0, 2.0, 4.0, 1.1])
-    lams = np.array([-0.05, 0.3, 0.0, -0.2, 0.0, 0.1])
+    # negative (NaN), a divergent integral (lambda = 0, theta >= 2 alpha) and
+    # lambda > 0 with theta >= 2 alpha at two of the rates (the Pareto bound
+    # of the tail)
+    thetas = np.tile([0.5, 0.9, 2.0, 2.0, 4.0, 1.1, 2.0, 4.0], 3)
+    lams = np.tile([-0.05, 0.3, 0.0, -0.2, 0.0, 0.1, 0.3, 0.2], 3)
+    rates = np.random.default_rng(0).permutation(np.repeat([0, 1, 2], 8))
     assert _integral_batch(2.0, thetas[4:5], lams[4:5], SPEC)[0] == math.inf
-    together = inner.batch(thetas, lams)
-    alone = np.concatenate([inner.batch(thetas[i : i + 1], lams[i : i + 1]) for i in range(6)])
-    assert together.tobytes() == alone.tobytes()
-    assert np.array_equal(np.isnan(together), [False, False, False, True, True, False])
+    together = inner.batch(rates, thetas, lams)
+    alone = np.concatenate(
+        [inner.batch(rates[i : i + 1], thetas[i : i + 1], lams[i : i + 1]) for i in range(24)]
+    )
+    # the objective of each rate on its own gives the same rows
+    single = np.concatenate(
+        [_InnerObjective(x, [alphas[r]], SPEC).batch(np.zeros(1, dtype=int), thetas[i : i + 1],
+                                                     lams[i : i + 1])
+         for i, r in enumerate(rates)]
+    )
+    assert together.tobytes() == alone.tobytes() == single.tobytes()
+    # and so does the model integral at one rate for all points
+    per_rate = np.concatenate(
+        [_integral_batch(alphas[r], thetas[i : i + 1], lams[i : i + 1], SPEC)
+         for i, r in enumerate(rates)]
+    )
+    assert _integral_batch(np.take(alphas, rates), thetas, lams, SPEC).tobytes() == per_rate.tobytes()
+    assert inner.evaluations.tolist() == [16, 16, 16]  # 8 rows per rate, twice
+    at_two = _InnerObjective(x, [2.0], SPEC).batch(np.zeros(6, dtype=int), thetas[:6], lams[:6])
+    assert np.array_equal(np.isnan(at_two), [False, False, False, True, True, False])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.15])
+def test_rates_searched_together_match_separate_searches(lam):
+    x = rmixture(Stream(11), 200, 1.0, lam, SPEC.pareto_gamma, SPEC.pareto_nu)
+    sample = Sample(x.reshape(-1, 1))
+    # the coarse profile grid, the bracket ends and a rate at an interval end
+    alphas = [0.5, 0.875, 1.25, 1.625, 2.0, 0.93, 1.41]
+    together = _chi2_lockstep(x, alphas, SPEC, SearchSettings())
+    assert together == [chi2_simple(sample, alpha, SPEC) for alpha in alphas]
+    # the n = 200 starts and evaluation counts differ between rates
+    assert len({result.n_evaluations for result in together}) > 1
 
 
 def test_lockstep_starts_match_separate_searches():
     x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
     alpha = 1.0
     result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
-    inner = _InnerObjective(x, alpha, SPEC)
+    inner = _InnerObjective(x, [alpha], SPEC)
     thetas, lams = _candidate_grid(alpha, SPEC, SearchSettings())
-    values = inner.batch(thetas, lams)
+    values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)
     best = None
     for theta, lam, _, _ in result.start_points:
         # a grid holding this start alone makes it the only search
         i = np.flatnonzero((thetas == theta) & (lams == lam))[0]
         only = np.full_like(values, np.nan)
         only[i] = values[i]
-        value, point, _ = _grid_then_refine(
-            inner.batch, thetas, lams, only, SPEC, SearchSettings(nm_starts=1)
+        ((value, point, _),) = _grid_then_refine(
+            inner.batch, [(thetas, lams, only)], SPEC, SearchSettings(nm_starts=1)
         )
         if best is None or value > best[0]:
             best = (value, *point)
@@ -211,9 +247,9 @@ def test_far_observation_keeps_the_zero_lambda_line():
     x = rexp(Stream(101), 200, 1.0)
     x[0] = 2000.0
     alpha = 1.0
-    inner = _InnerObjective(x, alpha, SPEC)
+    inner = _InnerObjective(x, [alpha], SPEC)
     thetas, lams = _candidate_grid(alpha, SPEC, SearchSettings())
-    values = inner.batch(thetas, lams)
+    values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)
     assert values[-1] == 0.0  # the anchor (alpha, 0)
     assert np.all(np.isfinite(values[(lams == 0.0) & (thetas <= alpha)]))
 
@@ -406,3 +442,71 @@ def test_quadrature_matches_level_by_level_reference():
     # the batches reach both fates of a point whose h <= 0 shows only at
     # level 2, and the quadrature failure
     assert min(outcomes.values()) > 0, outcomes
+
+
+def test_zero_lambda_line_is_unbounded_as_theta_nears_twice_the_rate():
+    # on lambda = 0 the model integral 2 alpha^2 / (theta (2 alpha - theta)) - 2
+    # has no upper bound as theta -> 2 alpha from below, so at alpha <= theta_hi / 2
+    # the statistic is the supremum the grid and Nelder-Mead reach
+    x = rexp(Stream(7).derive(1), 200, 1.0)
+    alpha = 0.7
+    inner = _InnerObjective(x, [alpha], SPEC)
+    near, edge = inner.batch(np.zeros(2, dtype=int), np.array([1.399, 2 * alpha - 1e-6]), np.zeros(2))
+    assert near == pytest.approx(601.933, rel=1e-5)
+    assert edge > 1e5
+    reported = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC).value
+    assert reported == pytest.approx(0.228418, rel=1e-5)
+
+
+def _unimodal(a):
+    return (a - 1.13) ** 2
+
+
+GOLDEN_CASES = {
+    "unimodal": (_unimodal, 0.5, 2.0, 3e-3),
+    "infinite": (lambda a: math.inf if not 0.9 < a < 1.7 else abs(a - 1.2), 0.5, 2.0, 1e-4),
+    "constant": (lambda a: 0.25, 0.5, 2.0, 1e-3),
+    "two_minima": (lambda a: math.cos(9.0 * a), 0.5, 2.0, 2e-5),
+    "empty": (_unimodal, 1.0, 1.0, 1e-3),
+    "reversed": (_unimodal, 1.5, 1.0, 1e-3),
+    "wide_tol": (_unimodal, 0.5, 2.0, 5.0),
+}
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_golden_section_looks_ahead_on_the_sequential_path(case):
+    f, lo, hi, tol = GOLDEN_CASES[case]
+    path = []
+    expected = golden_min(lambda a: path.append(a) or f(a), lo, hi, tol)
+    calls = []
+    got = _golden_min(lambda points: calls.append(points) or [f(p) for p in points], lo, hi, tol)
+    assert got == expected
+    evaluated = [p for points in calls for p in points]
+    remaining = iter(evaluated)
+    assert all(p in remaining for p in path)  # the same points in the same order
+    assert len(set(evaluated)) == len(evaluated)
+    # one call per two steps, each wasting at most one look-ahead point
+    assert len(calls) <= len(path) // 2 + 1
+    assert len(evaluated) - len(path) <= len(calls)
+
+
+def test_golden_section_fails_only_on_a_point_it_uses():
+    lo, hi, tol = 0.5, 2.0, 3e-3
+    path = []
+    expected = golden_min(lambda a: path.append(a) or _unimodal(a), lo, hi, tol)
+    evaluated = []
+    _golden_min(lambda points: evaluated.extend(points) or [_unimodal(p) for p in points],
+                lo, hi, tol)
+    unused = [p for p in evaluated if p not in path]
+    for planted in (unused[0], unused[-1], path[5]):
+
+        def failing(points):
+            if planted in points:
+                raise QuadratureFailure("planted")
+            return [_unimodal(p) for p in points]
+
+        if planted in path:
+            with pytest.raises(QuadratureFailure, match="planted"):
+                _golden_min(failing, lo, hi, tol)
+        else:
+            assert _golden_min(failing, lo, hi, tol) == expected

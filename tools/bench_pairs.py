@@ -15,9 +15,12 @@ pairs the change won (ties count for neither side).
 
 With ``--out`` it writes ``{"W_seedS": {"runs": [...], "summary": {...}}}``,
 the layout of the ``pairs`` entries of ``BENCH_*.json``; an existing FILE
-keeps its other keys.  The script writes nothing into either tree.  A run
-whose last line is not the runner's JSON result stops the script with exit
-status 1.  Standard library only.
+keeps its other keys.  The script writes nothing into either tree.  A bad
+run stops the script with exit status 1: one that exits non-zero, whose last
+line is not the runner's JSON result, or that reports ``correct: false`` or
+a failed test.  The message names the pair and the side and repeats the
+run's ``# failure:`` and ``# ORACLE MISMATCH`` lines.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """``correct``, ``attempted``, ``failed`` and the metric values of one run."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float, where: str) -> dict:
+    """``correct``, ``attempted``, ``failed`` and the metric values of one run.
+
+    Exits with status 1 on a bad run; ``where`` names the run in the message.
+    """
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -42,8 +48,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         result = json.loads(lines[-1])
         metrics = result["metrics"]
     except (IndexError, ValueError, KeyError, TypeError):
-        sys.stderr.write(proc.stdout + proc.stderr)
-        raise SystemExit(f"error: no result line from {' '.join(cmd)} in {tree}") from None
+        result = None
+    bad = [f"exit status {proc.returncode}"] if proc.returncode else []
+    if result is None:
+        bad.append("no result line")
+    elif result["correct"] is not True or result["failed"]:
+        bad.append(f"correct: {result['correct']}, failed: {result['failed']}")
+    if bad:
+        reported = [line for line in lines if line.startswith(("# failure:", "# ORACLE MISMATCH"))]
+        sys.stderr.write("".join(f"{line}\n" for line in reported) + proc.stderr)
+        raise SystemExit(f"error: {where} in {tree}: {'; '.join(bad)} ({' '.join(cmd)})")
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
@@ -100,7 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         order = SIDES if pair % 2 else SIDES[::-1]
         run = {"pair": pair, "first": order[0]}
         for side in order:
-            run[side] = run_once(trees[side], args.workload, args.seed, args.seconds)
+            run[side] = run_once(trees[side], args.workload, args.seed, args.seconds,
+                                 f"pair {pair}, {side} side")
         runs.append({key: run[key] for key in ("pair", "first", *SIDES)})
         print(f"pair {pair} ({order[0]} first): "
               + ", ".join(f"{side} {json.dumps(run[side])}" for side in SIDES), flush=True)
