@@ -10,8 +10,9 @@ again line by line, and that parser words every error.  numpy reads a
 strict subset of what float() reads, and reads it the same way, so both
 paths accept the same inputs.
 
-Range options take ``LO:HI`` and accept a negative LO as a separate token
-(``--lambda-range -0.25:0.75``); option names must be spelled in full.
+``--theta-range`` takes the rate interval as ``LO:HI``; ``--lambda-max``
+takes the open upper end HI of the mixing interval [0, HI), whose lower end
+is 0 by rule.  Option names must be spelled in full.
 Reports print as JSON (17 significant digits, locale-independent) and depend
 only on the inputs and the seed.  Exit codes: 0 = no rejection,
 3 = rejection, 1 = error, 2 = usage error (argparse: a missing, unknown or
@@ -43,7 +44,6 @@ EXIT_ERROR = 1
 EXIT_REJECT = 3
 
 SEED_ENV_VAR = "CHI2DUAL_SEED"
-RANGE_OPTIONS = ("--theta-range", "--lambda-range")
 
 
 class CliError(Exception):
@@ -210,13 +210,11 @@ def cmd_marginal_test(args: argparse.Namespace) -> int:
 def cmd_contam_test(args: argparse.Namespace) -> int:
     sample = read_csv_sample(args.data)
     theta_lo, theta_hi = _parse_range(args.theta_range, "--theta-range")
-    lambda_lo, lambda_hi = _parse_range(args.lambda_range, "--lambda-range")
     gamma, nu = _parse_pair(args.pareto, "--pareto")
     spec = ContaminationSpec(
         theta_lo=theta_lo,
         theta_hi=theta_hi,
-        lambda_lo=lambda_lo,
-        lambda_hi=lambda_hi,
+        lambda_hi=args.lambda_max,
         pareto_gamma=gamma,
         pareto_nu=nu,
     )
@@ -253,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, func: Callable, help_text: str) -> argparse.ArgumentParser:
-        # allow_abbrev=False: every option spelling that parses is one that
-        # _join_range_values recognizes
+        # allow_abbrev=False: a prefix such as --lambda is refused, so an
+        # option added later cannot change what a spelling means
         cmd = sub.add_parser(name, help=help_text, allow_abbrev=False)
         cmd.set_defaults(func=func)
         return cmd
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     contam.add_argument("--data", required=True)
     contam.add_argument("--theta-range", required=True, help="rate interval LO:HI, 0 < LO <= HI")
     contam.add_argument(
-        "--lambda-range", default="-0.25:0.75", help="mixing interval LO:HI, LO < 0 < HI < 1"
+        "--lambda-max", type=float, default=0.75, help="mixing interval [0, HI), 0 < HI < 1"
     )
     contam.add_argument("--pareto", default="2.0,1.5", help="contaminant parameters G,NU")
     contam.add_argument("--alpha", type=float, default=0.05)
@@ -293,21 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_range_values(argv: list[str]) -> list[str]:
-    """Fold ``OPT VALUE`` into ``OPT=VALUE`` for the range options, since
-    argparse takes a separate value such as ``-0.25:0.75`` for an option."""
-    out: list[str] = []
-    for token in argv:
-        if out and out[-1] in RANGE_OPTIONS and not token.startswith("--"):
-            out[-1] = f"{out[-1]}={token}"
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_join_range_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (CliError, Chi2DualError) as exc:

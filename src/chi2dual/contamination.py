@@ -2,7 +2,7 @@
 
 The null states that the data density is exponential with unknown rate in a
 compact interval; the alternative mixes the exponential with a Pareto-type
-outlier density in proportion lambda != 0.  The test statistic is the dual
+outlier density in proportion lambda > 0.  The test statistic is the dual
 divergence estimate
 
     n * inf_alpha  sup_(theta, lambda)  [ int g f_alpha dx - T(g, P_n) ],
@@ -11,17 +11,16 @@ with g = 2 (f_alpha / h(theta, lambda) - 1) and h the mixture density.
 The inf and sup may be nested in either order; ``minimax_gap`` verifies the
 commutation numerically.
 
-What the search covers: the lambda box ``(lambda_lo, lambda_hi)`` straddles
-0, but a point with lambda < 0 is admitted only while h > 0 at every
-quadrature node of the model integral.  For lambda < 0 the Pareto term
-outlasts the exponential, so h turns negative far out; whether a node lands
-past the sign change depends on where the integral is truncated, so the
-admissibility of lambda < 0 rests on ``TAIL_TOLERANCE``, not on an analytic
-rule (at alpha = 2, theta = 0.5, lambda = -0.05 the point is admitted
-although h changes sign near x = 19.5).  On the lambda = 0 line the
-objective is unbounded above as theta -> 2 alpha from below, which the box
-reaches when alpha <= theta_hi / 2: the value reported is the supremum that
-the grid and Nelder-Mead reach, not the supremum over the box.
+What the search covers: the mixing box is ``[0, lambda_hi)``, the null
+lambda = 0 on its edge (the boundary setting of Chernoff 1954 and Self &
+Liang 1987).  Admissibility is analytic: for every lambda in [0, 1) the
+mixture density h is positive on (0, inf), while for every lambda < 0 the
+Pareto term outlasts the exponential and h turns negative far out, so such
+a point is outside the dual class whatever the quadrature sees.  On the
+lambda = 0 line the objective is unbounded above as theta -> 2 alpha from
+below, which the box reaches when alpha <= theta_hi / 2: the value reported
+is the supremum that the grid and Nelder-Mead reach, not the supremum over
+the box.
 
 The p-value is taken from chi-square with one degree of freedom (one free
 parameter).  That reference law is not calibrated: under the null the
@@ -35,11 +34,11 @@ above it on 16 uniform panels, truncated where the integrand's tail falls
 below ``TAIL_TOLERANCE`` with an analytic tail estimate added.  The panels
 take Gauss-Legendre rules of doubling order, 8 to 256 nodes, until two
 levels agree; one integrand call evaluates levels 0 and 1 for a whole
-batch of points, and each later level only the points that reach it.
-Parameter points where the mixture density is nonpositive at a node of a
-level the point reaches, or where the integral diverges (lambda = 0 with
-theta >= 2 alpha), are excluded from the search: they fall outside the
-admissible dual class.
+batch of points, and each later level only the points that reach it.  The
+lambda = 0 line is closed form.  A point with lambda outside [0, 1) or
+theta <= 0 is refused by rule, and one whose integral diverges (lambda = 0
+with theta >= 2 alpha) is outside the dual class too; the search excludes
+both.
 
 The sample side of the objective needs f_alpha / h at each observation.
 ``_density_ratio`` divides alpha by h e^(alpha x), expanded term by term,
@@ -72,7 +71,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Generator, Iterable
+from typing import Callable, ClassVar, Generator, Iterable
 
 import numpy as np
 
@@ -103,13 +102,15 @@ _MAX_LEVELS = 6
 class ContaminationSpec:
     """Exponential base family on [theta_lo, theta_hi] with a Pareto contaminant.
 
-    ``lambda_lo < 0 < lambda_hi`` bounds the (open) mixing-weight interval;
-    gamma > 1 and nu > 1 make the exponential/Pareto pair identifiable.
+    The mixing weight lies in [lambda_lo, lambda_hi), lambda_lo the constant
+    0 and 0 < lambda_hi < 1; gamma > 1 and nu > 1 make the
+    exponential/Pareto pair identifiable.
     """
+
+    lambda_lo: ClassVar[float] = 0.0
 
     theta_lo: float
     theta_hi: float
-    lambda_lo: float = -0.25
     lambda_hi: float = 0.75
     pareto_gamma: float = 2.0
     pareto_nu: float = 1.5
@@ -119,12 +120,13 @@ class ContaminationSpec:
         # which collapses the profile step (useful for cross-checks)
         if not (0.0 < self.theta_lo <= self.theta_hi < math.inf):
             raise InvalidSpec(
-                f"rate interval must satisfy 0 < lo <= hi, got [{self.theta_lo}, {self.theta_hi}]"
+                "rate interval must satisfy 0 < theta_lo <= theta_hi, got "
+                f"theta_lo={self.theta_lo}, theta_hi={self.theta_hi}"
             )
-        if not (self.lambda_lo < 0.0 < self.lambda_hi < 1.0):
+        if not (0.0 < self.lambda_hi < 1.0):
             raise InvalidSpec(
-                f"mixing interval must contain 0 and stay below 1, got "
-                f"({self.lambda_lo}, {self.lambda_hi})"
+                "mixing interval [0, lambda_hi) must satisfy 0 < lambda_hi < 1, "
+                f"got lambda_hi={self.lambda_hi}"
             )
         if not (self.pareto_gamma > 1.0 and self.pareto_nu > 1.0):
             raise InvalidSpec(
@@ -206,10 +208,10 @@ _T01 = np.concatenate((_T0, _T1))
 
 def _integrand(x, th, lm, amp, s, pareto_scale, power):
     """amp e^(-s x) / h at the nodes x (axis 0 runs over the points th, lm,
-    amp, s), and whether h <= 0 at any node of each point.  Every node lies
-    above nu, where r is the Pareto power law pareto_scale * x^power.  Works
-    in place on three arrays (a product or a sum is the same float in either
-    order); the caller holds the floating-point errstate."""
+    amp, s).  Every node lies above nu, where r is the Pareto power law
+    pareto_scale * x^power.  Works in place on three arrays (a product or a
+    sum is the same float in either order); the caller holds the
+    floating-point errstate."""
     theta, lam, amp, s = (v[:, None, None] for v in (th, lm, amp, s))
     den = np.multiply(-theta, x)
     np.exp(den, out=den)
@@ -222,7 +224,7 @@ def _integrand(x, th, lm, amp, s, pareto_scale, power):
     np.exp(vals, out=vals)
     vals *= amp
     vals /= den
-    return vals, (den <= 0.0).any(axis=(1, 2))
+    return vals
 
 
 def _integral_batch(
@@ -234,16 +236,15 @@ def _integral_batch(
     """Model integral for a batch of (alpha, theta, lambda), alpha per point or shared.
 
     Returns +inf where the integral diverges (lambda = 0, theta >= s) and
-    NaN where the point is excluded (mixture density nonpositive at a node,
-    or lambda outside [., 1)).  Raises QuadratureFailure if refinement does
-    not reach QUAD_TOLERANCE on an admissible point.
+    NaN where the point is refused: lambda outside [0, 1) or theta <= 0, so
+    that the mixture density is not positive on all of (0, inf).  Raises
+    QuadratureFailure if refinement does not reach QUAD_TOLERANCE on an
+    admissible point.
 
     Refinement doubles the Gauss-Legendre order per level, from 8 nodes per
     panel at level 0 to 256 at level 5, and stops a point once two levels
     agree.  Levels 0 and 1 share one integrand call over every point; each
-    later level evaluates only the points that have neither converged nor
-    been excluded, so a node excludes only points whose refinement reaches
-    its level.
+    later level evaluates only the points that have not converged.
     """
     thetas = np.asarray(thetas, dtype=float)
     lams = np.asarray(lams, dtype=float)
@@ -252,7 +253,7 @@ def _integral_batch(
     gamma, nu = spec.pareto_gamma, spec.pareto_nu
     out = np.full(thetas.shape[0], np.nan)
 
-    invalid = (lams >= 1.0) | (thetas <= 0.0)
+    invalid = (lams < 0.0) | (lams >= 1.0) | (thetas <= 0.0)
     zero = lams == 0.0
     zero_lam = zero & ~invalid
     if zero_lam.any():
@@ -261,9 +262,7 @@ def _integral_batch(
         out[div] = np.inf
         out[ok] = amp[ok] / (thetas[ok] * (s[ok] - thetas[ok])) - 2.0
 
-    # lambda < 0 with theta >= s: exponentially growing integrand against a
-    # negative far tail; always inadmissible.
-    idx = (~(invalid | zero | ((lams < 0.0) & (thetas >= s)))).nonzero()[0]
+    idx = (~(invalid | zero)).nonzero()[0]
     if idx.size == 0:
         return out
 
@@ -285,7 +284,7 @@ def _integral_batch(
         width = breaks[:, 1:] - lo
 
         x = lo[:, :, None] + width[:, :, None] * _T01
-        vals, excluded = _integrand(x, th, lm, amp, s, *pareto_args)
+        vals = _integrand(x, th, lm, amp, s, *pareto_args)
         coarse = np.einsum("pqn,n,pq->p", vals[:, :, : _T0.size], _W0, width)
         value = np.einsum("pqn,n,pq->p", vals[:, :, _T0.size :], _W1, width)
         # relative floor: absolute targets below float64 roundoff are unreachable
@@ -294,7 +293,7 @@ def _integral_batch(
         converged = np.abs(value - coarse) < limit
 
         for level in range(2, _MAX_LEVELS + 1):
-            refine = (~(converged | excluded)).nonzero()[0]
+            refine = (~converged).nonzero()[0]
             if refine.size == 0:
                 break
             if level == _MAX_LEVELS:
@@ -304,16 +303,13 @@ def _integral_batch(
                 )
             t_nodes, w_nodes = _gl_rule(_BASE_ORDER * 2**level)
             x = lo[refine, :, None] + width[refine, :, None] * t_nodes
-            vals, bad = _integrand(x, *(v[refine] for v in (th, lm, amp, s)), *pareto_args)
-            excluded[refine] |= bad
+            vals = _integrand(x, *(v[refine] for v in (th, lm, amp, s)), *pareto_args)
             finer = np.einsum("pqn,n,pq->p", vals, w_nodes, width[refine])
             limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(finer))
             converged[refine] = np.abs(finer - value[refine]) < limit
             value[refine] = finer
 
-    total = i_low + value + tail - 2.0
-    total[excluded] = np.nan
-    out[idx] = total
+    out[idx] = i_low + value + tail - 2.0
     return out
 
 
@@ -328,13 +324,11 @@ def _truncation_and_tail(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncation point with tail < TAIL_TOLERANCE, plus the tail estimate,
     given amp, s, c = s - theta and exp_scale = amp / ((1 - lambda) theta)
-    per point.
+    per point, 0 < lambda < 1.
 
-    The exponential comparison density bounds the tail whenever theta < s
-    (exact at lambda = 0, an upper bound for lambda > 0, the documented
-    estimate for lambda < 0).  When it is unusable or too slow the Pareto
-    floor h >= lam * r takes over (lambda > 0 only).  The caller holds the
-    floating-point errstate.
+    The floor h >= (1 - lambda) theta e^(-theta x) bounds the tail whenever
+    theta < s.  When that bound is unusable or too slow the Pareto floor
+    h >= lambda r takes over.  The caller holds the floating-point errstate.
     """
     x_floor = nu + 1.0
     bounded = c > 0.0
@@ -344,7 +338,7 @@ def _truncation_and_tail(
     )
     x_cut = np.maximum(x_floor, x_exp)
     # Pareto fixed point only where the exponential bound is missing or slow
-    need_par = (lam > 0.0) & ((c <= 0.0) | (x_exp > 150.0))
+    need_par = (c <= 0.0) | (x_exp > 150.0)
     pareto = need_par.any()
     if pareto:
         amp, s = amp[need_par], s[need_par]
@@ -375,15 +369,15 @@ def model_integral(g: DualGFunction) -> float:
     """int g(x) f_alpha(x) dx over (0, inf).
 
     Returns +inf when the integral diverges (the candidate is outside the
-    admissible dual class).  Raises NonPositiveDensity when the mixture
-    density is nonpositive at a quadrature node and QuadratureFailure when
-    the error target cannot be met.
+    admissible dual class).  Raises NonPositiveDensity when lambda lies
+    outside [0, 1) or theta <= 0, where the mixture density is not positive
+    on all of (0, inf), and QuadratureFailure when the error target cannot
+    be met.
     """
     value = _integral_batch(g.alpha, np.array([g.theta]), np.array([g.lam]), g.spec)[0]
     if np.isnan(value):
         raise NonPositiveDensity(
-            f"mixture density nonpositive on the integration range at "
-            f"theta={g.theta}, lambda={g.lam}"
+            f"mixture density not positive on (0, inf) at theta={g.theta}, lambda={g.lam}"
         )
     return float(value)
 
@@ -446,7 +440,8 @@ class _InnerObjective:
         self.evaluations = np.zeros(self.alphas.size, dtype=int)
 
     def batch(self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """Values at (alphas[rates], thetas, lams); NaN marks excluded points."""
+        """Values at (alphas[rates], thetas, lams); NaN marks points outside
+        the dual class."""
         self.evaluations += np.bincount(rates, minlength=self.alphas.size)
         alpha = self.alphas[rates]
         integrals = _integral_batch(alpha, thetas, lams, self.spec)
@@ -480,11 +475,9 @@ def _candidate_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     g = settings.inner_grid
     thetas = np.linspace(spec.theta_lo, spec.theta_hi, g)
-    # interior lambda points (the interval is open) plus the lambda = 0 line,
+    # the midpoints of g cells of [0, lambda_hi) plus the lambda = 0 line,
     # where the closed form is exact and the null optimum lives
-    step = (spec.lambda_hi - spec.lambda_lo) / g
-    lams = spec.lambda_lo + step * (np.arange(g) + 0.5)
-    lams = np.concatenate((lams, [0.0]))
+    lams = np.append(spec.lambda_hi / g * (np.arange(g) + 0.5), 0.0)
     t_grid, l_grid = np.meshgrid(thetas, lams, indexing="ij")
     # anchor: the exactly-null candidate (theta = alpha, lambda = 0)
     t_flat = np.concatenate((t_grid.ravel(), [alpha]))
@@ -596,16 +589,18 @@ def _grid_then_refine(
 
     A grid is (thetas, lams, values), ``values`` holding the objective on it
     (NaN = excluded).  The searches maximize the objective over the box of
-    the rate interval and the open mixing interval, with excluded points
-    penalized, and all run in lockstep: each round gathers the points every
-    live search asks for into one ``objective(grid indices, thetas, lams)``
-    call.  Returns [value, (theta, lambda), start indices] per grid; a search
-    replaces its grid's optimum only when it ends strictly higher, earlier
-    starts winning ties.
+    the rate interval and the mixing interval [0, lambda_hi), with excluded
+    points penalized, and all run in lockstep: each round gathers the points
+    every live search asks for into one ``objective(grid indices, thetas,
+    lams)`` call.  Returns [value, (theta, lambda), start indices] per grid;
+    a search replaces its grid's optimum only when it ends strictly higher,
+    earlier starts winning ties.
     """
-    eps = 1e-9  # lambda stays inside the open mixing interval
-    lower = (spec.theta_lo, spec.lambda_lo + eps)
-    upper = (spec.theta_hi, spec.lambda_hi - eps)
+    # lambda = 0 is in the box, so a start on that line is a vertex of the
+    # simplex as it stands (scipy clips a start into the box, _nelder_mead
+    # does not); lambda stays below the open upper end
+    lower = (spec.theta_lo, spec.lambda_lo)
+    upper = (spec.theta_hi, spec.lambda_hi - 1e-9)
     budget, outcomes, searches = settings.nm_max_evals, [], []
     for g, (thetas, lams, values) in enumerate(grids):
         finite = np.isfinite(values)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .contamination import ContaminationSpec, SearchSettings, contamination_test
 from .core import ConstraintFamily, Sample
-from .errors import Chi2DualError, InvalidInput, InvalidParameter, PlanFailure
+from .errors import Chi2DualError, InvalidInput, InvalidParameter, InvalidSpec, PlanFailure
 from .linear import TestReport, chi2_cdf, normal_cdf, test_linear
 from .marginal import MarginalSpec, marginal_test
 from .rng import Stream, replicate_seed
@@ -124,6 +124,15 @@ class ReplicationPlan:
             value = _as_kind(f"params key {key!r}", value, kind)
             if not (value >= bound if op == ">=" else value > bound):
                 raise InvalidInput(f"params key {key!r} must be {op} {bound}, got {value!r}")
+        if self.scenario.startswith("contam_"):
+            # bounds across keys, and the upper end of the weight rmixture draws with
+            try:
+                _contam_spec(self.params)
+            except InvalidSpec as exc:
+                raise InvalidInput(f"params: {exc}") from None
+            lam = float(self.params.get("lam", 0.0))
+            if not lam < 1.0:
+                raise InvalidInput(f"params key 'lam' must be < 1.0, got {lam!r}")
         if self.replicates < 1:
             raise InvalidInput(f"replicates must be >= 1, got {self.replicates}")
         if self.n < 1:
@@ -227,12 +236,12 @@ def _mean_quarter_family() -> ConstraintFamily:
     )
 
 
-_CONTAM_SPEC_KEYS = ("theta_lo", "theta_hi", "lambda_lo", "lambda_hi", "pareto_gamma", "pareto_nu")
+_CONTAM_SPEC_KEYS = ("theta_lo", "theta_hi", "lambda_hi", "pareto_gamma", "pareto_nu")
 # params key -> (kind, comparison, lower bound)
 _POSITIVE = (float, ">", 0.0)
 _CONTAM_KEYS = dict(
-    theta_lo=_POSITIVE, theta_hi=_POSITIVE, lambda_lo=(float, ">", -math.inf),
-    lambda_hi=_POSITIVE, pareto_gamma=(float, ">", 1.0), pareto_nu=(float, ">", 1.0),
+    theta_lo=_POSITIVE, theta_hi=_POSITIVE, lambda_hi=_POSITIVE,
+    pareto_gamma=(float, ">", 1.0), pareto_nu=(float, ">", 1.0),
     theta0=_POSITIVE, alpha_tol=_POSITIVE,
 )
 _CONTAM_ALT_KEYS = {**_CONTAM_KEYS, "lam": (float, ">=", 0.0)}

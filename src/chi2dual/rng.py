@@ -59,7 +59,12 @@ class Stream:
         return (bits.astype(np.float64) + 0.5) / _TWO53
 
     def derive(self, salt: int) -> "Stream":
-        """Independent substream keyed by (seed, salt)."""
+        """Substream seeded with mix64(seed ^ salt).
+
+        The key is seed XOR salt, not the pair (seed, salt): two parents
+        whose seeds differ by the XOR of two salts share a child, as
+        ``Stream(13).derive(1)`` and ``Stream(7).derive(11)`` do.
+        """
         salted = mix64(np.array([self.seed ^ np.uint64(salt & MASK64)], dtype=np.uint64))
         return Stream(int(salted[0]))
 

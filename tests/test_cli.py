@@ -365,8 +365,8 @@ class TestContamCommand:
                 str(data),
                 "--theta-range",
                 "0.5:2",
-                "--lambda-range",
-                "-0.25:0.75",
+                "--lambda-max",
+                "0.75",
                 "--pareto",
                 "2.0,1.5",
             ]
@@ -382,10 +382,11 @@ class TestContamCommand:
         assert code == EXIT_ERROR
 
     @pytest.mark.parametrize(
-        "option",
-        [["--lambda-range=-0.25:0.75"], ["--lambda-range", "-0.25:0.75"]],
+        "option, lambda_hi",
+        [([], 0.75), (["--lambda-max=0.5"], 0.5), (["--lambda-max", "0.5"], 0.5)],
+        ids=["default", "joined", "separate"],
     )
-    def test_negative_range_low_parses(self, tmp_path, monkeypatch, option):
+    def test_lambda_max_sets_the_mixing_interval(self, tmp_path, monkeypatch, option, lambda_hi):
         import chi2dual.cli as cli
         from chi2dual.linear import TestReport
 
@@ -400,33 +401,44 @@ class TestContamCommand:
         write_csv(data, [[1.0], [2.0]])
         args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
         assert main(args + option) == EXIT_OK
-        assert (seen[0].lambda_lo, seen[0].lambda_hi) == (-0.25, 0.75)
+        assert (seen[0].lambda_lo, seen[0].lambda_hi) == (0.0, lambda_hi)
 
     def test_abbreviated_option_is_unrecognized(self, tmp_path, capsys):
         data = tmp_path / "c.csv"
         write_csv(data, [[1.0], [2.0]])
         args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
         with pytest.raises(SystemExit) as exc:
-            main(args + ["--lambda", "-0.25:0.75"])
+            main(args + ["--lambda", "0.5"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --lambda -0.25:0.75" in capsys.readouterr().err
+        assert "unrecognized arguments: --lambda 0.5" in capsys.readouterr().err
 
-    def test_malformed_negative_range(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            (["--lambda-max", "x"], "argument --lambda-max: invalid float value: 'x'"),
+            # the mixing interval's lower end is 0 by rule, not an option
+            (["--lambda-range", "0:0.75"], "unrecognized arguments: --lambda-range 0:0.75"),
+        ],
+        ids=["non_numeric", "lambda_range"],
+    )
+    def test_malformed_lambda_option_is_a_usage_error(self, tmp_path, capsys, option, message):
         data = tmp_path / "c.csv"
-        write_csv(data, [[1.0]])
-        code = main(
-            [
-                "contam-test",
-                "--data",
-                str(data),
-                "--theta-range",
-                "0.5:2",
-                "--lambda-range",
-                "-x:1",
-            ]
-        )
-        assert code == EXIT_ERROR
-        assert "--lambda-range must be numeric LO:HI" in capsys.readouterr().err
+        write_csv(data, [[1.0], [2.0]])
+        args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
+        with pytest.raises(SystemExit) as exc:
+            main(args + option)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_lambda_max_outside_the_unit_interval(self, tmp_path, capsys, value):
+        data = tmp_path / "c.csv"
+        write_csv(data, [[1.0], [2.0]])
+        args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
+        assert main(args + ["--lambda-max", value]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: mixing interval [0, lambda_hi) must satisfy 0 < lambda_hi < 1")
+        assert f"got lambda_hi={float(value)}" in err
 
 
 class TestCalibrateCommand:
@@ -489,6 +501,13 @@ class TestCalibrateCommand:
               "params": {"pareto_gamma": 1.0}}, "params key 'pareto_gamma' must be > 1.0, got 1.0"),
             ({"scenario": "contam_alt", "n": 60, "replicates": 4, "base_seed": 1,
               "params": {"lam": -0.1}}, "params key 'lam' must be >= 0.0, got -0.1"),
+            # upper and cross-key bounds, refused before any replicate runs
+            ({"scenario": "contam_alt", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"lam": 1.0}}, "params key 'lam' must be < 1.0, got 1.0"),
+            ({"scenario": "contam_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"theta_lo": 3.0}}, "theta_lo=3.0, theta_hi=2.0"),
+            ({"scenario": "contam_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"lambda_lo": -0.25}}, "scenario 'contam_null' reads no params key 'lambda_lo'"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):

@@ -67,8 +67,10 @@ GAP_SETTINGS = SearchSettings(inner_grid=4, nm_starts=2, nm_max_evals=20, outer_
 # one observation so far out that f_alpha and the exponential part of the
 # mixture density both underflow at alpha = 1
 FAR_POINT = 2000.0
-# (alpha, theta, lambda); the last point has a nonpositive mixture density
-MODEL_POINTS = ((1.0, 0.5, 0.0), (1.5, 0.9, 0.3), (2.0, 0.5, -0.05), (0.6, 2.0, -0.2))
+# (alpha, theta, lambda); the third point has lambda < 0 and is refused by
+# rule, and the last has theta >= 2 alpha, where the Pareto floor of the
+# mixture density bounds the tail
+MODEL_POINTS = ((1.0, 0.5, 0.0), (1.5, 0.9, 0.3), (2.0, 0.5, -0.05), (0.6, 2.0, 0.2))
 # small CSV files for the reader, written as these exact bytes
 CSV_FILES = {
     "header": b"x1,x2\n0.25,1.5\n0.75,2.5\n",
