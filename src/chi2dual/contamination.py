@@ -18,9 +18,9 @@ mixture density h is positive on (0, inf), while for every lambda < 0 the
 Pareto term outlasts the exponential and h turns negative far out, so such
 a point is outside the dual class whatever the quadrature sees.  On the
 lambda = 0 line the objective is unbounded above as theta -> 2 alpha from
-below, which the box reaches when alpha <= theta_hi / 2: the value reported
-is the supremum that the grid and Nelder-Mead reach, not the supremum over
-the box.
+below, which the box reaches when alpha <= theta_hi / 2.  Only the grid and
+the null anchor evaluate lambda = 0 (Nelder-Mead keeps lambda >= 1e-6), and
+the value reported is the supremum they reach, not the one over the box.
 
 The p-value is taken from chi-square with one degree of freedom (one free
 parameter).  That reference law is not calibrated: under the null the
@@ -420,6 +420,8 @@ class SearchSettings:
 
 
 _EXCLUDED_PENALTY = 1e30
+# Nelder-Mead's lower lambda bound; the grid and the anchor cover lambda = 0
+_NM_LAMBDA_FLOOR = 1e-6
 
 
 class _InnerObjective:
@@ -492,13 +494,13 @@ def _nelder_mead(
 
     Yields each batch of points it needs evaluated, as a list of points
     (lists of floats), and receives their values through ``send``; returns
-    (x, f(x), evaluations).  As in scipy, the initial simplex steps 5 % along
-    each axis and reflects vertices above ``upper`` into the box, every trial
-    point is clipped to the box, no evaluation goes past ``max_evals``, a
-    step cut short by the limit is abandoned and a shrink cut short keeps
-    the vertices it could evaluate.  (scipy also moves the next vertex
-    before it finds the budget spent; that vertex never comes first in the
-    sort, so the result cannot show it.)
+    (x, f(x), evaluations).  As in scipy, the start is clipped into the box,
+    the initial simplex steps 5 % along each axis and reflects vertices above
+    ``upper`` into the box, every trial point is clipped to the box, no
+    evaluation goes past ``max_evals``, a step cut short by the limit is
+    abandoned and a shrink cut short keeps the vertices it could evaluate.
+    (scipy also moves the next vertex before it finds the budget spent; that
+    vertex never comes first in the sort, so the result cannot show it.)
 
     The vertices are Python floats, and every coordinate goes through the
     same IEEE operations in the same order as scipy's arrays (the centroid
@@ -524,7 +526,7 @@ def _nelder_mead(
         order = sorted(range(len(fsim)), key=fsim.__getitem__)
         return [sim[i] for i in order], [fsim[i] for i in order]
 
-    x0 = [float(v) for v in x0]
+    x0 = clip([float(v) for v in x0])
     n = len(x0)
     sim = [x0]
     for k in range(n):
@@ -589,17 +591,16 @@ def _grid_then_refine(
 
     A grid is (thetas, lams, values), ``values`` holding the objective on it
     (NaN = excluded).  The searches maximize the objective over the box of
-    the rate interval and the mixing interval [0, lambda_hi), with excluded
+    the rate interval and [_NM_LAMBDA_FLOOR, lambda_hi), with excluded
     points penalized, and all run in lockstep: each round gathers the points
     every live search asks for into one ``objective(grid indices, thetas,
     lams)`` call.  Returns [value, (theta, lambda), start indices] per grid;
     a search replaces its grid's optimum only when it ends strictly higher,
     earlier starts winning ties.
     """
-    # lambda = 0 is in the box, so a start on that line is a vertex of the
-    # simplex as it stands (scipy clips a start into the box, _nelder_mead
-    # does not); lambda stays below the open upper end
-    lower = (spec.theta_lo, spec.lambda_lo)
+    # steps clipped onto a bound of 0 would stay on the lambda = 0 line and
+    # climb its unbounded edge; lambda stays below the open upper end
+    lower = (spec.theta_lo, _NM_LAMBDA_FLOOR)
     upper = (spec.theta_hi, spec.lambda_hi - 1e-9)
     budget, outcomes, searches = settings.nm_max_evals, [], []
     for g, (thetas, lams, values) in enumerate(grids):

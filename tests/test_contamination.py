@@ -1,6 +1,7 @@
 """Contamination test: model quadrature, the inner supremum, minimax gap."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from chi2dual.contamination import (
     _BASE_ORDER,
     _MAX_LEVELS,
     _N_PANELS,
+    _NM_LAMBDA_FLOOR,
     _candidate_grid,
     _chi2_lockstep,
     _gl_rule,
@@ -123,8 +125,9 @@ def test_minimax_gap_vanishes_on_null_samples(replicate):
     assert minimax_gap(Sample(x.reshape(-1, 1)), SPEC) <= gap_bound
 
 
-# the box of the inner search: rate interval by the mixing interval [0, lambda_hi)
-NM_LOWER = np.array([SPEC.theta_lo, SPEC.lambda_lo])
+# the box of the inner search: the rate interval by the mixing interval,
+# Nelder-Mead's lambda floor to lambda_hi
+NM_LOWER = np.array([SPEC.theta_lo, _NM_LAMBDA_FLOOR])
 NM_UPPER = np.array([SPEC.theta_hi, SPEC.lambda_hi - 1e-9])
 
 
@@ -141,6 +144,8 @@ def _steps(p):
     return float(np.floor(3.0 * p[0]) + np.floor(4.0 * p[1]))
 
 
+# the starts on the lambda = 0 line, below the floor and outside the rate
+# interval are clipped into the box before the simplex is built
 NM_STARTS = [
     (SPEC.theta_lo, 0.0),
     (SPEC.theta_hi, 0.3),
@@ -152,6 +157,8 @@ NM_STARTS = [
     (0.6, 0.05),
     (1.9, 0.7),
     (1.0, 0.0),
+    (0.8, SPEC.lambda_hi),
+    (0.3, 0.2),
 ]
 
 
@@ -171,9 +178,12 @@ def test_nelder_mead_matches_scipy(f, max_evals):
                 points = search.send(np.array([f(p) for p in points]))
         except StopIteration as stop:
             x, fun, evals = stop.value
-        expected = scipy.optimize.minimize(
-            f, np.array(start), method="Nelder-Mead", bounds=bounds, options=options
-        )
+        with warnings.catch_warnings():
+            # scipy warns of a start outside the box, then clips it
+            warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+            expected = scipy.optimize.minimize(
+                f, np.array(start), method="Nelder-Mead", bounds=bounds, options=options
+            )
         assert (x.tolist(), fun, evals) == (expected.x.tolist(), expected.fun, expected.nfev)
 
 
@@ -422,6 +432,42 @@ def test_zero_lambda_line_is_unbounded_as_theta_nears_twice_the_rate():
     assert edge > 1e5
     reported = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC).value
     assert reported == pytest.approx(0.228418, rel=1e-5)
+
+
+def test_nelder_mead_stays_off_the_zero_lambda_line():
+    # at alpha = 0.7 the edge above runs through the box; a Nelder-Mead step
+    # clipped onto lambda = 0 would stay on that line and climb it (to 7.9e14
+    # on this null sample), so only the grid and the anchor evaluate lambda = 0
+    value_bound = 1e3
+    x = rmixture(Stream(101), 200, 1.0, 0.0, SPEC.pareto_gamma, SPEC.pareto_nu)
+    inner = _InnerObjective(x, [0.7], SPEC)
+    thetas, lams = _candidate_grid(0.7, SPEC, SearchSettings())
+    grid = (thetas, lams, inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams))
+    asked = []
+
+    def objective(rows, ts, ls):
+        asked.append(ls)
+        return inner.batch(rows, ts, ls)
+
+    ((value, _, _),) = _grid_then_refine(objective, [grid], SPEC, SearchSettings())
+    assert np.concatenate(asked).min() >= _NM_LAMBDA_FLOOR
+    assert value <= value_bound
+
+
+@pytest.mark.parametrize(
+    ("theta_lo", "rate", "replicate"), [(0.5, 0.6, 2), (0.5, 0.7, 2), (0.5, 0.8, 1), (0.1, 0.15, 0)]
+)
+def test_null_statistic_at_a_rate_below_half_the_interval_top(theta_lo, rate, replicate):
+    # null samples whose rate lies below theta_hi / 2, so the lambda = 0 edge
+    # runs through the box at the profiled rate; with Nelder-Mead free to step
+    # onto lambda = 0 the third read 0.041, and chi-square(1) critical values
+    # start near 2.7.  The last runs a rate interval down to 0.1, where the
+    # quadrature fails at some lambda far below 1e-6
+    statistic_bound = 1e-3
+    spec = ContaminationSpec(theta_lo=theta_lo, theta_hi=SPEC.theta_hi)
+    x = rexp(Stream(replicate_seed(7, replicate)), 200, rate)
+    report = contamination_test(Sample(x.reshape(-1, 1)), spec, 0.05)
+    assert report.statistic <= statistic_bound
 
 
 def _unimodal(a):
