@@ -42,7 +42,6 @@ from .marginal import (
     Grid,
     MarginalSpec,
     build_indicator_family,
-    marginal_sieve_plan,
     marginal_test,
     parse_marginal_spec,
     pit_transform,
@@ -60,6 +59,6 @@ from .montecarlo import (
     runif_d,
 )
 from .rng import Stream, replicate_seed
-from .sieve import SievePlan, default_m, sieve_test
+from .sieve import default_m, sieve_test
 
 __version__ = "0.1.0"

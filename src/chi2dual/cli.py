@@ -60,7 +60,7 @@ def read_csv_sample(path: str) -> Sample:
     data = _parse_csv_fast(lines)
     if data is None:
         data = _parse_csv_lines(path, lines)
-    return Sample(data, source=path)
+    return Sample(data)
 
 
 def _parse_csv_fast(lines: list[str]) -> np.ndarray | None:

@@ -52,11 +52,14 @@ Search: for each profiled alpha, the sup over (theta, lambda) evaluates a
 grid (with the lambda = 0 line and the exact null point adjoined), then
 runs bounded Nelder-Mead from the best grid points under scipy's rules
 (``_nelder_mead`` reproduces scipy 1.17's steps bit for bit on Python
-floats).  The inf over alpha takes a coarse grid of rates, then a golden
-section that evaluates each point it needs together with both points that
-could follow it.  The rates evaluated together are searched in lockstep:
-each rate's grid is one objective call, and each round of the Nelder-Mead
-searches of all of them shares one call.  The few points of a round cost
+floats).  The anchor (theta, lambda) = (alpha, 0) evaluates to exactly 0
+(f_alpha / h = 1 at every observation, and the model integral is
+2 alpha^2 / alpha^2 - 2), so every supremum, and with it the statistic, is
+>= 0 with no clamp.  The inf over alpha takes a coarse grid of rates, then
+a golden section that evaluates each point it needs together with both
+points that could follow it.  The rates evaluated together are searched in
+lockstep: each rate's grid is one objective call, and each round of the
+Nelder-Mead searches of all of them shares one call.  The few points of a round cost
 little arithmetic, so the fixed cost of each call sets the time.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
@@ -104,7 +107,8 @@ class ContaminationSpec:
 
     The mixing weight lies in [lambda_lo, lambda_hi), lambda_lo the constant
     0 and 0 < lambda_hi < 1; gamma > 1 and nu > 1 make the
-    exponential/Pareto pair identifiable.
+    exponential/Pareto pair identifiable, and the Pareto density
+    gamma nu^gamma x^(-gamma - 1) needs a finite scale gamma nu^gamma.
     """
 
     lambda_lo: ClassVar[float] = 0.0
@@ -128,10 +132,19 @@ class ContaminationSpec:
                 "mixing interval [0, lambda_hi) must satisfy 0 < lambda_hi < 1, "
                 f"got lambda_hi={self.lambda_hi}"
             )
-        if not (self.pareto_gamma > 1.0 and self.pareto_nu > 1.0):
+        gamma, nu = self.pareto_gamma, self.pareto_nu
+        if not (gamma > 1.0 and nu > 1.0):
             raise InvalidSpec(
-                "identifiability requires gamma > 1 and nu > 1, got "
-                f"gamma={self.pareto_gamma}, nu={self.pareto_nu}"
+                f"identifiability requires gamma > 1 and nu > 1, got gamma={gamma}, nu={nu}"
+            )
+        try:
+            scale = gamma * nu**gamma
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise InvalidSpec(
+                "the Pareto density needs finite gamma, nu and gamma * nu^gamma, "
+                f"got gamma={gamma}, nu={nu}"
             )
 
 
@@ -418,6 +431,17 @@ class SearchSettings:
     outer_coarse: int = 5
     alpha_tol: float = 2e-3
 
+    def __post_init__(self) -> None:
+        # a coarse grid of one rate profiles theta_lo alone, and a
+        # tolerance that is not positive runs every golden step
+        for name, least in (
+            ("inner_grid", 1), ("nm_starts", 0), ("nm_max_evals", 0), ("outer_coarse", 2)
+        ):
+            if not getattr(self, name) >= least:
+                raise InvalidInput(f"{name} must be >= {least}, got {getattr(self, name)!r}")
+        if not 0.0 < self.alpha_tol < math.inf:
+            raise InvalidInput(f"alpha_tol must be finite and > 0, got {self.alpha_tol!r}")
+
 
 _EXCLUDED_PENALTY = 1e30
 # Nelder-Mead's lower lambda bound; the grid and the anchor cover lambda = 0
@@ -650,9 +674,6 @@ def _chi2_lockstep(
     for alpha, (thetas, lams, values), (value, point, starts), evaluations in zip(
         alphas, grids, refined, inner.evaluations.tolist()
     ):
-        if value < 0.0:
-            # the anchor candidate is exactly feasible with value 0
-            value, point = 0.0, (alpha, 0.0)
         start_points = tuple(
             (float(thetas[i]), float(lams[i]), float(alpha), float(values[i])) for i in starts
         )
@@ -732,27 +753,34 @@ def _golden_min(
     return best_x, best_f
 
 
-def _profile_minimize(
-    profile: Callable[[list[float]], list],
-    lo: float,
-    hi: float,
-    settings: SearchSettings,
-) -> tuple[float, float]:
-    """Coarse grid to bracket the minimum, then golden-section refinement;
-    ``profile`` maps a list of rates to their values, the grid in one call."""
+def _inf_sup(
+    x: np.ndarray, spec: ContaminationSpec, settings: SearchSettings
+) -> tuple[float, Chi2SimpleResult]:
+    """The profiled rate alpha_hat and ``chi2_simple`` there: the inf over the
+    rate interval of the sup over the mixture parameters.  A coarse grid of
+    rates, searched in one lockstep call, brackets the minimum; golden
+    section refines it."""
+    evaluated: dict[float, Chi2SimpleResult] = {}
+
+    def profile(alphas: list[float]) -> list[float]:
+        results = _chi2_lockstep(x, alphas, spec, settings)
+        evaluated.update(zip(alphas, results))
+        return [result.value for result in results]
+
+    lo, hi = spec.theta_lo, spec.theta_hi
     if hi <= lo:
-        return lo, profile([lo])[0]
+        profile([lo])
+        return lo, evaluated[lo]
     xs = np.linspace(lo, hi, settings.outer_coarse)
-    vals = profile([float(x) for x in xs])
+    vals = profile([float(rate) for rate in xs])
     i_best = int(np.argmin(vals))
     bracket_lo = xs[max(0, i_best - 1)]
     bracket_hi = xs[min(len(xs) - 1, i_best + 1)]
     x_hat, v_hat = _golden_min(
         profile, float(bracket_lo), float(bracket_hi), settings.alpha_tol * (hi - lo)
     )
-    if vals[i_best] < v_hat:
-        return float(xs[i_best]), float(vals[i_best])
-    return x_hat, v_hat
+    alpha_hat = float(xs[i_best]) if vals[i_best] < v_hat else x_hat
+    return alpha_hat, evaluated[alpha_hat]
 
 
 def contamination_test(
@@ -770,26 +798,14 @@ def contamination_test(
     """
     settings = settings or SearchSettings()
     alpha_level = _check_level(alpha_level)
-    x = _require_positive_data(sample)
-
-    evaluated: dict[float, Chi2SimpleResult] = {}
-
-    def profile(alphas: list[float]) -> list[float]:
-        results = _chi2_lockstep(x, alphas, spec, settings)
-        evaluated.update(zip(alphas, results))
-        return [result.value for result in results]
-
-    alpha_hat, value = _profile_minimize(
-        profile, spec.theta_lo, spec.theta_hi, settings
-    )
-    at_min = evaluated[alpha_hat]
-    statistic = sample.n * max(value, 0.0)
+    alpha_hat, at_min = _inf_sup(_require_positive_data(sample), spec, settings)
+    statistic = sample.n * at_min.value
     p_value = chi2_sf(statistic, 1)
     diagnostics = {
         "alpha_hat": float(alpha_hat),
         "theta_hat": at_min.theta_hat,
         "lambda_hat": at_min.lambda_hat,
-        "chi2_value": float(max(value, 0.0)),
+        "chi2_value": at_min.value,
         "n": float(sample.n),
     }
     return TestReport(
@@ -816,11 +832,7 @@ def minimax_gap(
     """
     settings = settings or SearchSettings()
     x = _require_positive_data(sample)
-
-    def profile(alphas: list[float]) -> list[float]:
-        return [result.value for result in _chi2_lockstep(x, alphas, spec, settings)]
-
-    _, inf_sup = _profile_minimize(profile, spec.theta_lo, spec.theta_hi, settings)
+    inf_sup = _inf_sup(x, spec, settings)[1].value
 
     # reversed order: for each mixture point, profile the rate over the
     # alphas that keep the point admissible, then take the supremum

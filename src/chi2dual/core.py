@@ -33,10 +33,9 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class Sample:
-    """An n x d matrix of real observations plus optional provenance."""
+    """An n x d matrix of finite real observations; a vector is one column."""
 
     data: np.ndarray
-    source: str | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.data, dtype=float)

@@ -91,18 +91,6 @@ class TestReport:
             "diagnostics": dict(self.diagnostics),
         }
 
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "TestReport":
-        return cls(
-            statistic=float(payload["statistic"]),
-            df_or_sd=float(payload["df"]),
-            reference_law=str(payload["reference_law"]),
-            p_value=float(payload["p_value"]),
-            alpha=float(payload["alpha"]),
-            reject=bool(payload["reject"]),
-            diagnostics=dict(payload["diagnostics"]),
-        )
-
 
 def _check_level(alpha: float) -> float:
     if not (np.isfinite(alpha) and 0.0 < alpha < 1.0):

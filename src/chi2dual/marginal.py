@@ -5,8 +5,10 @@ integral transform), reducing the problem to testing uniform marginals on
 [0,1]^d.  Uniformity of every marginal is expressed through countably many
 indicator constraints; a finite grid of cut points yields the sieve family
 actually tested: the cell indicators 1{u_(i-1) < x_j <= u_i} with targets
-p_i = u_i - u_(i-1).  ``marginal_test`` reads that family's moments off cell
-counts alone; ``build_indicator_family`` is the function form the counts are
+p_i = u_i - u_(i-1).  ``marginal_test`` puts m = ``default_m(n)`` cuts per
+coordinate unless told otherwise (k = d * m constraints) and reads that
+family's moments off cell counts alone; ``build_indicator_family`` is the
+function form, and ``sieve_test`` on it is the reference the counts are
 checked against.  The cumulative form 1{x_j <= u_i} (a unit-triangular change
 of basis with the same quadratic form) and, for d = 2, the Pearson
 table-minimum that equals n * chi2_n live in ``tests/reference.py``.
@@ -26,7 +28,7 @@ from .core import ConstraintFamily, MomentVectors, Sample
 from .errors import DegenerateCellsWarning, InvalidInput, InvalidSpec, SmallSampleWarning
 from .linear import TestReport, _check_level
 # sieve_test stays importable here because the benchmark tracer wraps marginal.sieve_test
-from .sieve import SievePlan, _sieve_report, default_m, sieve_test  # noqa: F401
+from .sieve import _sieve_report, default_m, sieve_test  # noqa: F401
 
 # Widest admissible spread of cell widths: the statistic's covariance
 # eigenvalues degrade with min p_i, so cells must not shrink too unevenly.
@@ -182,7 +184,7 @@ def pit_transform(sample: Sample, spec: MarginalSpec) -> Sample:
         if not np.all(np.isfinite(y)) or np.any(y < 0.0) or np.any(y > 1.0):
             raise InvalidSpec(f"CDF {j} produced values outside [0, 1]")
         cols.append(y)
-    return Sample(np.column_stack(cols), source=sample.source)
+    return Sample(np.column_stack(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -206,37 +208,17 @@ def build_indicator_family(grid: Grid, d: int) -> ConstraintFamily:
     """
     if d < 1:
         raise InvalidInput(f"dimension must be >= 1, got {d}")
-    functions: list[Callable[[np.ndarray], np.ndarray]] = []
-    names: list[str] = []
     edges = np.concatenate(([0.0], grid.cuts))
-    for j in range(d):
-        for lo, hi in zip(edges, grid.cuts):
-            functions.append(partial(_cell_indicator, j=j, lo=lo, hi=hi))
-            names.append(f"cell(x{j + 1} in ({lo:g},{hi:g}])")
-    targets = np.tile(grid.cell_probs[: grid.m], d)
-    return ConstraintFamily(tuple(functions), targets, names=tuple(names))
+    functions = tuple(
+        partial(_cell_indicator, j=j, lo=lo, hi=hi)
+        for j in range(d)
+        for lo, hi in zip(edges, grid.cuts)
+    )
+    return ConstraintFamily(functions, np.tile(grid.cell_probs[: grid.m], d))
 
 
 # ---------------------------------------------------------------------------
 # The marginal test
-
-def marginal_sieve_plan(d: int) -> SievePlan:
-    """Sieve plan for uniform-marginal testing on [0,1]^d.
-
-    k(n) = d * default_m(n) cell indicators on the uniform grid; run by
-    ``sieve_test``, it is the reference for ``marginal_test``.
-    """
-
-    def k_of_n(n: int) -> int:
-        return d * default_m(n)
-
-    def family_builder(k: int) -> ConstraintFamily:
-        if k % d != 0:
-            raise InvalidInput(f"family size {k} not a multiple of d={d}")
-        return build_indicator_family(Grid.uniform(k // d), d)
-
-    return SievePlan(k_of_n=k_of_n, family_builder=family_builder)
-
 
 def _cell_table(pit: Sample, grid: Grid) -> np.ndarray:
     """Counts of all (coordinate, cell) pairs; block (j, l) is their two-way table."""

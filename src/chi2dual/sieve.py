@@ -1,26 +1,26 @@
-"""Growing constraint families for countably many linear constraints.
+"""The standardized test for countably many linear constraints.
 
-A sieve plan maps the sample size to a family size k(n) and builds nested
-families (each family's functions form a prefix of the next).  With k
-growing, n * chi2_n concentrates around k, so the test statistic is the
-standardized value (n * chi2_n - k) / sqrt(2k), compared against the
-standard normal upper tail.
+The family size grows with n as k(n) = d * ``default_m(n)``: the marginal
+test puts ``default_m(n)`` cuts per coordinate.  ``sieve_test`` runs on a
+given family of k functions.  With k growing, n * chi2_n concentrates
+around k, so the test statistic is the standardized value
+(n * chi2_n - k) / sqrt(2k), compared against the standard normal upper
+tail.  The uniform grids of successive sizes refine rather than extend one
+another, so the families are not nested.
 
 The admissible growth of k(n) is governed by two sequences involving the
 smallest covariance eigenvalue lambda_1(k) and the Gaussian-bridge coupling
 rate delta_n of the function class.  Nothing here evaluates them: the
 results are asymptotic and give no finite-n certificate, so the rate check
-is a test (``tests/reference.py``).  It shows that the default marginal plan,
-k = d * ceil(n^(1/4)) with lambda_1 = (m+1)^(-2), has a covariance-error
-sequence k^(3/2) / (lambda_1 sqrt(n)) that grows like n^(3/8) (ROADMAP
-item 4).
+is a test (``tests/reference.py``).  It shows that the default marginal
+rule, k = d * ceil(n^(1/4)) with lambda_1 = (m+1)^(-2), has a
+covariance-error sequence k^(3/2) / (lambda_1 sqrt(n)) that grows like
+n^(3/8) (ROADMAP item 4).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .core import ConstraintFamily, MomentVectors, Sample, chi2_quadratic, moment_vectors
 from .errors import InvalidInput
@@ -34,30 +34,13 @@ def default_m(n: int) -> int:
     return max(2, math.ceil(n ** 0.25 - 1e-9))
 
 
-@dataclass(frozen=True)
-class SievePlan:
-    """How a family grows with n.
-
-    ``k_of_n`` must be nondecreasing and ``family_builder(k)`` must return
-    nested families: the functions of the family for k' < k are exactly the
-    first k' functions of the family for k.
-    """
-
-    k_of_n: Callable[[int], int]
-    family_builder: Callable[[int], ConstraintFamily]
-
-
-def sieve_test(sample: Sample, plan: SievePlan, alpha: float) -> TestReport:
-    """Build the family for k(n), standardize, and test one-sided.
+def sieve_test(sample: Sample, fam: ConstraintFamily, alpha: float) -> TestReport:
+    """Standardize the family's statistic and test one-sided.
 
     Rejection is for large positive values only: away from the null the
     standardized statistic drifts to +infinity.
     """
     alpha = _check_level(alpha)
-    k = int(plan.k_of_n(sample.n))
-    fam = plan.family_builder(k)
-    if fam.k != k:
-        raise InvalidInput(f"family builder returned k={fam.k}, expected {k}")
     return _sieve_report(moment_vectors(sample, fam), alpha)
 
 

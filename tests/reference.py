@@ -14,7 +14,7 @@ dual chi-square estimate in a second, independent form:
   empty (the paper's contingency-table link), with the map from its
   multipliers to the dual coefficients;
 * the standardized sieve statistic and the two growth-rate sequences of a
-  sieve plan;
+  family-size rule k(n);
 * golden-section minimization one point at a time, the section that the
   contamination profile runs with a one-step look-ahead.
 """
@@ -31,7 +31,7 @@ from chi2dual import (
     DualSolution,
     Sample,
     chi2_quadratic,
-    marginal_sieve_plan,
+    default_m,
     moment_vectors,
 )
 
@@ -154,11 +154,11 @@ def decreasing(seq: list[float]) -> bool:
 
 
 def marginal_plan_sequences(d: int, n_grid) -> tuple[list[float], list[float]]:
-    """``rate_sequences`` of ``marginal_sieve_plan(d)``: lambda1 = (m+1)^(-2),
-    the null bound for a density bounded below by 1, and coupling rate
-    n^(-1/2) for d <= 2, n^(-1/(2d)) above."""
+    """``rate_sequences`` of the marginal rule k(n) = d * ``default_m(n)``:
+    lambda1 = (m+1)^(-2), the null bound for a density bounded below by 1,
+    and coupling rate n^(-1/2) for d <= 2, n^(-1/(2d)) above."""
     return rate_sequences(
-        marginal_sieve_plan(d).k_of_n,
+        lambda n: d * default_m(n),
         lambda k: (k // d + 1.0) ** -2,
         lambda n: n**-0.5 if d <= 2 else n ** (-1.0 / (2.0 * d)),
         n_grid,

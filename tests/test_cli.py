@@ -441,6 +441,19 @@ class TestContamCommand:
         assert f"got lambda_hi={float(value)}" in err
 
 
+    @pytest.mark.parametrize("pareto", ["1e300,1.5", "inf,1.5", "2,1e200"])
+    def test_pareto_scale_past_float_range(self, tmp_path, capsys, pareto):
+        data = tmp_path / "c.csv"
+        write_csv(data, [[1.0], [2.0]])
+        args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
+        assert main(args + ["--pareto", pareto]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        gamma, nu = (float(v) for v in pareto.split(","))
+        assert err.startswith("error: the Pareto density needs finite gamma")
+        assert f"gamma={gamma}, nu={nu}" in err
+        assert "Traceback" not in err
+
+
 class TestCalibrateCommand:
     def test_byte_identical_reports(self, tmp_path):
         out1 = tmp_path / "r1.json"
@@ -508,6 +521,8 @@ class TestCalibrateCommand:
               "params": {"theta_lo": 3.0}}, "theta_lo=3.0, theta_hi=2.0"),
             ({"scenario": "contam_null", "n": 60, "replicates": 4, "base_seed": 1,
               "params": {"lambda_lo": -0.25}}, "scenario 'contam_null' reads no params key 'lambda_lo'"),
+            ({"scenario": "contam_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": {"pareto_gamma": 1e300}}, "gamma=1e+300, nu=1.5"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):

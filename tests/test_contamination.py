@@ -255,6 +255,45 @@ def test_lockstep_starts_match_separate_searches():
     assert (result.value, result.theta_hat, result.lambda_hat) == best
 
 
+@pytest.mark.parametrize("kind", ["null", "contaminated", "far_observation"])
+def test_anchor_is_exactly_zero(kind):
+    # (alpha, alpha, 0): f_alpha / h = 1 at every observation and the
+    # closed-form integral is 2 alpha^2 / alpha^2 - 2, so each rate's
+    # supremum, and the statistic, is >= 0 with no clamp
+    if kind == "contaminated":
+        x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+    else:
+        x = rexp(Stream(101 if kind == "far_observation" else 5), 200, 1.0)
+    if kind == "far_observation":
+        x[0] = 2000.0
+    between = np.random.default_rng(2).uniform(SPEC.theta_lo, SPEC.theta_hi, 30)
+    alphas = np.concatenate(([SPEC.theta_lo, SPEC.theta_hi], between))
+    inner = _InnerObjective(x, alphas, SPEC)
+    values = inner.batch(np.arange(alphas.size), alphas, np.zeros(alphas.size))
+    assert values.tobytes() == np.zeros(alphas.size).tobytes()  # +0.0, not -0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("inner_grid", 0),
+        ("nm_starts", -1),
+        ("nm_max_evals", -1),
+        ("outer_coarse", 1),
+        ("outer_coarse", 0),
+        ("alpha_tol", 0.0),
+        ("alpha_tol", -1.0),
+        ("alpha_tol", math.nan),
+        ("alpha_tol", math.inf),
+    ],
+)
+def test_search_settings_refuse_values_that_break_the_search(field, value):
+    with pytest.raises(InvalidInput, match=f"^{field} must be"):
+        SearchSettings(**{field: value})
+    # the least values the search runs with are accepted
+    SearchSettings(inner_grid=1, nm_starts=0, nm_max_evals=0, outer_coarse=2, alpha_tol=1e-300)
+
+
 def test_far_observation_keeps_the_zero_lambda_line():
     # f_alpha and the lambda = 0 mixture both underflow at x = 2000; their
     # ratio must not turn into 0 / 0 and exclude the null line

@@ -1,10 +1,16 @@
 """Core dual machinery: hand oracles, primal equivalence, invariants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chi2dual
 from chi2dual import (
     ConstraintFamily,
     InvalidInput,
@@ -246,3 +252,18 @@ class TestSampleValidation:
         s = Sample(np.array([1.0, 2.0]))
         assert s.data.shape == (2, 1)
         assert s.n == 2 and s.d == 1
+
+
+def test_import_loads_no_optimize_integrate_or_stats():
+    # the import is part of every command's start-up time; scipy's
+    # optimize, integrate and stats subpackages are for the tests only
+    src = str(Path(chi2dual.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = (
+        "import sys, chi2dual; "
+        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -19,8 +19,8 @@ from chi2dual import (
     build_indicator_family,
     chi2_quadratic,
     dual_coefficients,
+    default_m,
     marginal_test,
-    marginal_sieve_plan,
     moment_vectors,
     parse_marginal_spec,
     pit_transform,
@@ -305,7 +305,8 @@ class TestMarginalTest:
         sample = Sample(stream.uniforms(3000 * d).reshape(-1, d) ** 1.2)
         spec = MarginalSpec.all_uniform(d)
         counted = marginal_test(sample, spec, 0.05)
-        generic = sieve_test(pit_transform(sample, spec), marginal_sieve_plan(d), 0.05)
+        fam = build_indicator_family(Grid.uniform(default_m(sample.n)), d)
+        generic = sieve_test(pit_transform(sample, spec), fam, 0.05)
         assert counted.statistic == pytest.approx(generic.statistic, rel=1e-12)
         for key in ("chi2_value", "scaled_statistic"):
             assert counted.diagnostics[key] == pytest.approx(generic.diagnostics[key], rel=1e-12)

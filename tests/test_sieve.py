@@ -1,4 +1,4 @@
-"""Sieve: standardization, nesting, rate-condition sequences (from ``reference``)."""
+"""Sieve: standardization, families rebuilt at one size, rate-condition sequences (from ``reference``)."""
 
 import math
 
@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from chi2dual import ConstraintFamily, Sample, default_m, sieve_test
-from chi2dual.marginal import build_indicator_family, Grid, marginal_sieve_plan
+from chi2dual.marginal import build_indicator_family, Grid
 from chi2dual.rng import Stream
 from reference import decreasing, marginal_plan_sequences, rate_sequences, standardized_statistic
 
 
-def indicator_plan(d=1):
-    return marginal_sieve_plan(d)
+def indicator_family(n, d=1):
+    """The marginal test's family at sample size n: k = d * default_m(n)."""
+    return build_indicator_family(Grid.uniform(default_m(n)), d)
 
 
 class TestDefaultGrowth:
@@ -47,30 +48,26 @@ class TestStandardizedStatistic:
     def test_determinism_bit_for_bit(self):
         stream = Stream(21)
         data = stream.uniforms(600).reshape(-1, 2)
-        plan = indicator_plan(d=2)
-        r1 = sieve_test(Sample(data), plan, 0.05)
-        r2 = sieve_test(Sample(data.copy()), plan, 0.05)
+        fam = indicator_family(300, d=2)
+        r1 = sieve_test(Sample(data), fam, 0.05)
+        r2 = sieve_test(Sample(data.copy()), fam, 0.05)
         assert r1.statistic == r2.statistic
 
 
 class TestNesting:
-    def test_family_prefix_property(self):
-        plan = indicator_plan(d=1)
-        small = plan.family_builder(plan.k_of_n(100))
-        large = plan.family_builder(plan.k_of_n(100_000))
+    def test_family_rebuilt_at_the_same_size_is_identical(self):
+        # the uniform grids refine rather than extend, so the families of
+        # two sizes are not nested; a family built twice at one size is
+        # the same family
+        small = indicator_family(100)
+        large = indicator_family(100_000)
         assert large.k > small.k
         x = np.linspace(0.01, 0.99, 37).reshape(-1, 1)
         sample = Sample(x)
-        f_small = small.evaluate(sample)
-        f_large = large.evaluate(sample)
-        # same leading targets and identical function values columnwise
-        m_small = small.k
-        # nested uniform grids refine rather than extend, so compare the
-        # family built twice at the same size instead
-        again = plan.family_builder(plan.k_of_n(100))
-        assert np.array_equal(f_small, again.evaluate(sample))
+        again = indicator_family(100)
+        assert np.array_equal(small.evaluate(sample), again.evaluate(sample))
         assert np.array_equal(small.targets, again.targets)
-        assert f_large.shape[1] == large.k
+        assert large.evaluate(sample).shape[1] == large.k
 
 
 class TestRateConditions:
@@ -109,12 +106,12 @@ class TestSieveTest:
     def test_one_sided_upper_rejection(self):
         stream = Stream(5)
         null_data = stream.uniforms(2000).reshape(-1, 2)
-        report = sieve_test(Sample(null_data), indicator_plan(d=2), 0.05)
+        report = sieve_test(Sample(null_data), indicator_family(1000, d=2), 0.05)
         assert report.reference_law == "std_normal"
         assert report.reject == (report.p_value < 0.05)
         # alternative: concentrated first coordinate drifts positive
         skew = null_data.copy()
         skew[:, 0] = skew[:, 0] ** 3
-        alt = sieve_test(Sample(skew), indicator_plan(d=2), 0.05)
+        alt = sieve_test(Sample(skew), indicator_family(1000, d=2), 0.05)
         assert alt.statistic > report.statistic
         assert alt.reject

@@ -10,8 +10,11 @@ Each pair runs ``python3 bench/run.py --workload W --seed S --seconds T
 in odd pairs and the change in even ones, so that a slow drift of the host
 weighs on both sides alike.  For every end-to-end metric of the change
 tree's ``BENCHMARK.json`` the script prints each side's median and
-quartiles, the change's relative change of the median and the number of
-pairs the change won (ties count for neither side).
+quartiles, the change's relative change of the median, the number of
+pairs the change won (ties count for neither side) and whether the
+change's median is worse than the parent's by more than the metric's
+``bound`` (a fraction of the parent's median).  The last line names every
+metric past its bound, or says that none is; the exit status stays 0.
 
 With ``--out`` it writes ``{"W_seedS": {"runs": [...], "summary": {...}}}``,
 the layout of the ``pairs`` entries of ``BENCH_*.json``; an existing FILE
@@ -73,9 +76,12 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, median, q3
 
 
-def summarise(runs: list[dict], better: dict[str, str]) -> dict:
+def summarise(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
+    """Per metric: each side's quartiles, the relative change of the median,
+    the change's wins and ``past_bound``; ``metrics`` maps a name to its
+    (better, bound)."""
     summary = {}
-    for name, direction in better.items():
+    for name, (direction, bound) in metrics.items():
         side_values = {side: [run[side][name] for run in runs] for side in SIDES}
         wins = sum(
             (c < p) if direction == "lower" else (c > p)
@@ -87,6 +93,8 @@ def summarise(runs: list[dict], better: dict[str, str]) -> dict:
             entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
         entry["change_wins"] = f"{wins}/{len(runs)}"
         entry["relative_change"] = entry["change_median"] / entry["parent_median"] - 1.0
+        worse_by = entry["relative_change"] * (1.0 if direction == "lower" else -1.0)
+        entry["past_bound"] = worse_by > bound
         summary[name] = entry
     return summary
 
@@ -106,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    metrics = {m["name"]: (m["better"], float(m["bound"])) for m in spec["end_to_end"]}
     trees = {"parent": args.parent, "change": args.change}
 
     runs = []
@@ -120,16 +128,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pair {pair} ({order[0]} first): "
               + ", ".join(f"{side} {json.dumps(run[side])}" for side in SIDES), flush=True)
 
-    summary = summarise(runs, better)
+    summary = summarise(runs, metrics)
     print(f"{'metric':<18} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
-          f"{'change':>8} {'wins':>6}")
+          f"{'change':>8} {'wins':>6} {'bound':>6} {'past':>5}")
     for name, entry in summary.items():
         sides = [
             f"{entry[f'{side}_median']:.6g} [{entry[f'{side}_q1']:.6g}, {entry[f'{side}_q3']:.6g}]"
             for side in SIDES
         ]
         print(f"{name:<18} {sides[0]:>36} {sides[1]:>36} "
-              f"{entry['relative_change']:>+8.1%} {entry['change_wins']:>6}")
+              f"{entry['relative_change']:>+8.1%} {entry['change_wins']:>6} "
+              f"{metrics[name][1]:>6.0%} {'yes' if entry['past_bound'] else 'no':>5}")
+    past = [name for name, entry in summary.items() if entry["past_bound"]]
+    print(f"past bound: {', '.join(past) if past else 'none'}")
     if args.out:
         block = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
         block[f"{args.workload}_seed{args.seed}"] = {"runs": runs, "summary": summary}
