@@ -16,23 +16,26 @@ lambda = 0 on its edge (the boundary setting of Chernoff 1954 and Self &
 Liang 1987).  Admissibility is analytic: for every lambda in [0, 1) the
 mixture density h is positive on (0, inf), while for every lambda < 0 the
 Pareto term outlasts the exponential and h turns negative far out, so such
-a point is outside the dual class whatever the quadrature sees.  On the
-lambda = 0 line the objective is unbounded above as theta -> 2 alpha from
-below, which the box reaches when alpha <= theta_hi / 2.  Only the grid and
-the null anchor evaluate lambda = 0 (Nelder-Mead keeps lambda >= 1e-6), and
-the value reported is the supremum they reach, not the one over the box.
+a point is outside the dual class whatever the quadrature sees.  At rate
+alpha the search box is [theta_lo, min(theta_hi, 1.5 alpha)] x [0, lambda_hi)
+(``THETA_CAP``): on lambda = 0 the model integral 2 alpha^2 / (theta (2 alpha
+- theta)) - 2 is unbounded as theta -> 2 alpha, while below the cap
+h >= (1 - lambda) theta e^(-theta x) keeps it finite.  Under the null,
+(f_alpha / f_theta)^2 has a finite mean only while theta < 1.5 alpha, which
+the plug-in step of the dual representation needs (Broniatowski & Keziou,
+J. Multivariate Anal. 2009).  ``model_integral`` takes any point.
 
 The p-value is taken from chi-square with one degree of freedom (one free
 parameter).  That reference law is not calibrated: under the null the
 statistic sits at the lambda = 0 edge of what the search admits, and the
 ``contam_null`` scenario (n = 200, 40 replicates, seed 7) puts it at KS
-distance 0.521 from chi-square(1), with 21 of the 40 statistics below 1e-3.
+distance 0.596 from chi-square(1), with 24 of the 40 statistics below 1e-3.
 
 Numerical layout: the model integral reduces to int f_alpha^2 / h, which is
 exponential below the Pareto support onset (closed form) and is integrated
 above it on 16 uniform panels, truncated where the integrand's tail falls
 below ``TAIL_TOLERANCE`` with an analytic tail estimate added.  The panels
-take Gauss-Legendre rules of doubling order, 8 to 256 nodes, until two
+take Gauss-Legendre rules of doubling order, 8 to 1024 nodes, until two
 levels agree; one integrand call evaluates levels 0 and 1 for a whole
 batch of points, and each later level only the points that reach it.  The
 lambda = 0 line is closed form.  A point with lambda outside [0, 1) or
@@ -98,7 +101,7 @@ OBJECTIVE_TOLERANCE = 1e-8
 # terms trade dominance) at a safe distance from every panel.
 _N_PANELS = 16
 _BASE_ORDER = 8
-_MAX_LEVELS = 6
+_MAX_LEVELS = 8
 
 
 @dataclass(frozen=True)
@@ -255,7 +258,7 @@ def _integral_batch(
     admissible point.
 
     Refinement doubles the Gauss-Legendre order per level, from 8 nodes per
-    panel at level 0 to 256 at level 5, and stops a point once two levels
+    panel at level 0 to 1024 at level 7, and stops a point once two levels
     agree.  Levels 0 and 1 share one integrand call over every point; each
     later level evaluates only the points that have not converged.
     """
@@ -444,8 +447,8 @@ class SearchSettings:
 
 
 _EXCLUDED_PENALTY = 1e30
-# Nelder-Mead's lower lambda bound; the grid and the anchor cover lambda = 0
-_NM_LAMBDA_FLOOR = 1e-6
+# the inner search at rate alpha keeps theta <= THETA_CAP * alpha (module docstring)
+THETA_CAP = 1.5
 
 
 class _InnerObjective:
@@ -497,10 +500,10 @@ class Chi2SimpleResult:
 
 
 def _candidate_grid(
-    alpha: float, spec: ContaminationSpec, settings: SearchSettings
+    alpha: float, theta_top: float, spec: ContaminationSpec, settings: SearchSettings
 ) -> tuple[np.ndarray, np.ndarray]:
     g = settings.inner_grid
-    thetas = np.linspace(spec.theta_lo, spec.theta_hi, g)
+    thetas = np.linspace(spec.theta_lo, theta_top, g)
     # the midpoints of g cells of [0, lambda_hi) plus the lambda = 0 line,
     # where the closed form is exact and the null optimum lives
     lams = np.append(spec.lambda_hi / g * (np.arange(g) + 0.5), 0.0)
@@ -608,26 +611,24 @@ def _nelder_mead(
 def _grid_then_refine(
     objective: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     grids: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    theta_tops: list[float],
     spec: ContaminationSpec,
     settings: SearchSettings,
 ) -> list[list]:
     """Raise the best point of each grid by Nelder-Mead from its ``nm_starts`` best.
 
     A grid is (thetas, lams, values), ``values`` holding the objective on it
-    (NaN = excluded).  The searches maximize the objective over the box of
-    the rate interval and [_NM_LAMBDA_FLOOR, lambda_hi), with excluded
-    points penalized, and all run in lockstep: each round gathers the points
-    every live search asks for into one ``objective(grid indices, thetas,
-    lams)`` call.  Returns [value, (theta, lambda), start indices] per grid;
-    a search replaces its grid's optimum only when it ends strictly higher,
-    earlier starts winning ties.
+    (NaN = excluded).  The searches maximize the objective over the box
+    [theta_lo, theta_top] x [0, lambda_hi), one ``theta_tops`` entry per
+    grid, with excluded points penalized, and all run in lockstep: each
+    round gathers the points every live search asks for into one
+    ``objective(grid indices, thetas, lams)`` call.  Returns [value, (theta,
+    lambda), start indices] per grid; a search replaces its grid's optimum
+    only when it ends strictly higher, earlier starts winning ties.
     """
-    # steps clipped onto a bound of 0 would stay on the lambda = 0 line and
-    # climb its unbounded edge; lambda stays below the open upper end
-    lower = (spec.theta_lo, _NM_LAMBDA_FLOOR)
-    upper = (spec.theta_hi, spec.lambda_hi - 1e-9)
+    lam_top = spec.lambda_hi - 1e-9  # below the open upper end
     budget, outcomes, searches = settings.nm_max_evals, [], []
-    for g, (thetas, lams, values) in enumerate(grids):
+    for g, ((thetas, lams, values), theta_top) in enumerate(zip(grids, theta_tops)):
         finite = np.isfinite(values)
         if not finite.any():
             raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
@@ -635,7 +636,8 @@ def _grid_then_refine(
         starts = np.flatnonzero(finite)[order[: settings.nm_starts]]
         top = np.nanargmax(values)
         outcomes.append([float(values[top]), (float(thetas[top]), float(lams[top])), starts])
-        searches += [(g, _nelder_mead((thetas[i], lams[i]), lower, upper, budget)) for i in starts]
+        box = (spec.theta_lo, 0.0), (theta_top, lam_top)
+        searches += [(g, _nelder_mead((thetas[i], lams[i]), *box, budget)) for i in starts]
     pending = [(j, next(search)) for j, (_, search) in enumerate(searches)]
     results = [None] * len(searches)
     while pending:
@@ -665,11 +667,12 @@ def _chi2_lockstep(
     """``chi2_simple`` at each rate of ``alphas``, searched in lockstep; no
     objective call holds more than one rate's grid."""
     inner = _InnerObjective(x, alphas, spec)
-    grids = [_candidate_grid(alpha, spec, settings) for alpha in alphas]
+    tops = [min(spec.theta_hi, THETA_CAP * alpha) for alpha in alphas]
+    grids = [_candidate_grid(alpha, top, spec, settings) for alpha, top in zip(alphas, tops)]
     grids = [
         (ts, ls, inner.batch(np.full(ts.size, i), ts, ls)) for i, (ts, ls) in enumerate(grids)
     ]
-    refined = _grid_then_refine(inner.batch, grids, spec, settings)
+    refined = _grid_then_refine(inner.batch, grids, tops, spec, settings)
     results = []
     for alpha, (thetas, lams, values), (value, point, starts), evaluations in zip(
         alphas, grids, refined, inner.evaluations.tolist()
@@ -689,9 +692,9 @@ def chi2_simple(
 ) -> Chi2SimpleResult:
     """Divergence estimate for the simple null at rate ``alpha_fixed``.
 
-    Supremum of the dual objective over the admissible mixture parameters:
-    a coarse grid (with the lambda = 0 line and the exact null anchor
-    adjoined) followed by simplex refinement from the best
+    Supremum of the dual objective over the mixture parameters with
+    theta <= 1.5 alpha: a coarse grid (with the lambda = 0 line and the
+    exact null anchor adjoined) followed by simplex refinement from the best
     ``settings.nm_starts`` grid points.  The anchor value is exactly 0, so
     the result is never negative.
     """
@@ -834,35 +837,29 @@ def minimax_gap(
     x = _require_positive_data(sample)
     inf_sup = _inf_sup(x, spec, settings)[1].value
 
-    # reversed order: for each mixture point, profile the rate over the
-    # alphas that keep the point admissible, then take the supremum
+    # reversed order: for each point of the uncapped box, profile the rate
+    # over the whole interval (+inf where lambda = 0 and theta >= 2 alpha),
+    # then take the supremum; rates cut to theta <= 1.5 alpha per point
+    # would couple the rate to the point and the orders would not agree
     def min_over_alpha(theta: float, lam: float) -> float:
-        lo = spec.theta_lo
-        if lam == 0.0:
-            # integrability needs theta < 2 alpha
-            lo = max(lo, theta / 2.0 + 1e-12)
-            if lo > spec.theta_hi:
-                return math.nan
-
         def by_alpha(alphas: list[float]) -> list[float]:
             k = len(alphas)
             inner = _InnerObjective(x, alphas, spec)
             vals = inner.batch(np.arange(k), np.full(k, theta), np.full(k, lam)).tolist()
             return [math.inf if math.isnan(v) else v for v in vals]
 
-        _, value = _golden_min(
-            by_alpha, lo, spec.theta_hi, settings.alpha_tol * (spec.theta_hi - lo)
-        )
+        lo, hi = spec.theta_lo, spec.theta_hi
+        _, value = _golden_min(by_alpha, lo, hi, settings.alpha_tol * (hi - lo))
         return value if math.isfinite(value) else math.nan
 
-    thetas, lams = _candidate_grid(0.5 * (spec.theta_lo + spec.theta_hi), spec, settings)
     # drop the anchor point (specific to the forward order)
+    thetas, lams = _candidate_grid(spec.theta_hi, spec.theta_hi, spec, settings)
     thetas, lams = thetas[:-1], lams[:-1]
 
     def sup_side(rows: np.ndarray, ts: np.ndarray, ls: np.ndarray) -> np.ndarray:
         return np.array([min_over_alpha(float(t), float(l)) for t, l in zip(ts, ls)])
 
     ((sup_inf, _, _),) = _grid_then_refine(
-        sup_side, [(thetas, lams, sup_side(None, thetas, lams))], spec, settings
+        sup_side, [(thetas, lams, sup_side(None, thetas, lams))], [spec.theta_hi], spec, settings
     )
     return abs(inf_sup - sup_inf)

@@ -30,7 +30,7 @@ class SingularCovariance(Chi2DualError):
 
 
 class NonPositiveDensity(Chi2DualError):
-    """Mixture density is not strictly positive on the evaluation nodes."""
+    """Mixture density is not strictly positive on (0, inf)."""
 
 
 class QuadratureFailure(Chi2DualError):

@@ -27,7 +27,7 @@ from chi2dual.contamination import (
     _BASE_ORDER,
     _MAX_LEVELS,
     _N_PANELS,
-    _NM_LAMBDA_FLOOR,
+    THETA_CAP,
     _candidate_grid,
     _chi2_lockstep,
     _gl_rule,
@@ -115,19 +115,21 @@ def test_minimax_gap_finite_and_nonnegative():
     assert np.isfinite(gap) and gap >= 0.0
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.15], ids=["null", "alt"])
 @pytest.mark.parametrize("replicate", [0, 1, 2])
-def test_minimax_gap_vanishes_on_null_samples(replicate):
-    # the first three contam_null samples of base seed 7 (n = 200), at the
-    # default search; sup-inf <= inf-sup holds for any function, so a gap
-    # above the search's own noise means the two orders searched different sets
+def test_minimax_gap_vanishes_on_seed_7_samples(lam, replicate):
+    # the first three contam_null and contam_alt samples of base seed 7
+    # (n = 200), at the default search; sup-inf <= inf-sup holds for any
+    # function, so a gap above the search's own noise means the two orders
+    # searched different sets
     gap_bound = 1e-6
-    x = rexp(Stream(replicate_seed(7, replicate)), 200, 1.0)
+    x = rmixture(Stream(replicate_seed(7, replicate)), 200, 1.0, lam, SPEC.pareto_gamma,
+                 SPEC.pareto_nu)
     assert minimax_gap(Sample(x.reshape(-1, 1)), SPEC) <= gap_bound
 
 
-# the box of the inner search: the rate interval by the mixing interval,
-# Nelder-Mead's lambda floor to lambda_hi
-NM_LOWER = np.array([SPEC.theta_lo, _NM_LAMBDA_FLOOR])
+# the box of the inner search: the rate interval by the mixing interval
+NM_LOWER = np.array([SPEC.theta_lo, 0.0])
 NM_UPPER = np.array([SPEC.theta_hi, SPEC.lambda_hi - 1e-9])
 
 
@@ -144,12 +146,12 @@ def _steps(p):
     return float(np.floor(3.0 * p[0]) + np.floor(4.0 * p[1]))
 
 
-# the starts on the lambda = 0 line, below the floor and outside the rate
-# interval are clipped into the box before the simplex is built
+# the starts below lambda = 0, above lambda_hi and outside the rate interval
+# are clipped into the box before the simplex is built
 NM_STARTS = [
     (SPEC.theta_lo, 0.0),
     (SPEC.theta_hi, 0.3),
-    (1.2, NM_LOWER[1]),
+    (1.2, -0.1),
     (0.8, NM_UPPER[1]),
     (SPEC.theta_hi, NM_UPPER[1]),
     (SPEC.theta_lo, 1e-9),
@@ -236,9 +238,10 @@ def test_rates_searched_together_match_separate_searches(lam):
 def test_lockstep_starts_match_separate_searches():
     x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
     alpha = 1.0
+    top = min(SPEC.theta_hi, THETA_CAP * alpha)
     result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
     inner = _InnerObjective(x, [alpha], SPEC)
-    thetas, lams = _candidate_grid(alpha, SPEC, SearchSettings())
+    thetas, lams = _candidate_grid(alpha, top, SPEC, SearchSettings())
     values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)
     best = None
     for theta, lam, _, _ in result.start_points:
@@ -247,7 +250,7 @@ def test_lockstep_starts_match_separate_searches():
         only = np.full_like(values, np.nan)
         only[i] = values[i]
         ((value, point, _),) = _grid_then_refine(
-            inner.batch, [(thetas, lams, only)], SPEC, SearchSettings(nm_starts=1)
+            inner.batch, [(thetas, lams, only)], [top], SPEC, SearchSettings(nm_starts=1)
         )
         if best is None or value > best[0]:
             best = (value, *point)
@@ -301,7 +304,7 @@ def test_far_observation_keeps_the_zero_lambda_line():
     x[0] = 2000.0
     alpha = 1.0
     inner = _InnerObjective(x, [alpha], SPEC)
-    thetas, lams = _candidate_grid(alpha, SPEC, SearchSettings())
+    thetas, lams = _candidate_grid(alpha, THETA_CAP * alpha, SPEC, SearchSettings())
     values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)
     assert values[-1] == 0.0  # the anchor (alpha, 0)
     assert np.all(np.isfinite(values[(lams == 0.0) & (thetas <= alpha)]))
@@ -421,16 +424,16 @@ def test_quadrature_matches_level_by_level_reference():
     # batch the reference cannot refine raises
     rng = np.random.default_rng(8)
     # (alpha, theta, lambda) that the reference cannot refine to the target
-    failing = (0.1, 4.182385375124121, 1.054158387354394e-10)
+    failing = (0.005, 2.435500076273434, 1.1067039726274862e-13)
     outcomes = {"raised": 0, "refused": 0}
     for _ in range(300):
-        alpha = float(rng.choice([0.1, 0.5, 1.0, 2.0]))
+        alpha = float(rng.choice([failing[0], 0.1, 0.5, 1.0, 2.0]))
         s = 2.0 * alpha
         rows = []
         for _ in range(int(rng.integers(1, 13))):
             kind = rng.integers(5)
             if kind == 0:  # the lambda = 0 line, divergent past theta = 2 alpha
-                rows.append((float(rng.uniform(0.1, 2.0 * s)), 0.0))
+                rows.append((float(rng.uniform(min(0.1, s), 2.0 * s)), 0.0))
             elif kind == 1:  # theta >= 2 alpha with lambda on either side of 0
                 rows.append((float(rng.uniform(s, 3.0 * s)), float(rng.uniform(-0.3, 0.9))))
             elif kind == 2:  # outside the search box
@@ -461,47 +464,72 @@ def test_quadrature_matches_level_by_level_reference():
 
 def test_zero_lambda_line_is_unbounded_as_theta_nears_twice_the_rate():
     # on lambda = 0 the model integral 2 alpha^2 / (theta (2 alpha - theta)) - 2
-    # has no upper bound as theta -> 2 alpha from below, so at alpha <= theta_hi / 2
-    # the statistic is the supremum the grid and Nelder-Mead reach
+    # has no upper bound as theta -> 2 alpha from below; the search stops at
+    # theta = 1.5 alpha, so the statistic is the supremum over the capped box
     x = rexp(Stream(7).derive(1), 200, 1.0)
     alpha = 0.7
     inner = _InnerObjective(x, [alpha], SPEC)
     near, edge = inner.batch(np.zeros(2, dtype=int), np.array([1.399, 2 * alpha - 1e-6]), np.zeros(2))
     assert near == pytest.approx(601.933, rel=1e-5)
     assert edge > 1e5
-    reported = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC).value
-    assert reported == pytest.approx(0.228418, rel=1e-5)
+    result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
+    assert result.value == pytest.approx(0.203696, rel=1e-5)
+    assert result.theta_hat <= THETA_CAP * alpha
 
 
-def test_nelder_mead_stays_off_the_zero_lambda_line():
-    # at alpha = 0.7 the edge above runs through the box; a Nelder-Mead step
-    # clipped onto lambda = 0 would stay on that line and climb it (to 7.9e14
-    # on this null sample), so only the grid and the anchor evaluate lambda = 0
-    value_bound = 1e3
+def _objective_bound(alpha, theta, lam):
+    # h >= (1 - lambda) theta e^(-theta x) bounds the model integral by
+    # 2 alpha^2 / ((1 - lambda) theta (2 alpha - theta)) - 2, and the
+    # conjugate t + t^2 / 4 is >= -1
+    return 2.0 * alpha**2 / ((1.0 - lam) * theta * (2.0 * alpha - theta)) - 1.0
+
+
+def test_sup_over_the_capped_box_is_finite():
+    # at alpha = 0.7 < theta_hi / 2 the rate interval reaches the lambda = 0
+    # edge theta -> 2 alpha, which the cap keeps out of the search box
     x = rmixture(Stream(101), 200, 1.0, 0.0, SPEC.pareto_gamma, SPEC.pareto_nu)
-    inner = _InnerObjective(x, [0.7], SPEC)
-    thetas, lams = _candidate_grid(0.7, SPEC, SearchSettings())
+    alphas = [0.5, 0.7, 1.0, 1.3]
+    inner = _InnerObjective(x, alphas, SPEC)
+    for lam in (0.0, 1e-12):
+        thetas = THETA_CAP * np.array(alphas)
+        values = inner.batch(np.arange(len(alphas)), thetas, np.full(len(alphas), lam))
+        assert np.all(values <= _objective_bound(np.array(alphas), thetas, lam))
+    alpha = 0.7
+    top = THETA_CAP * alpha
+    inner = _InnerObjective(x, [alpha], SPEC)
+    thetas, lams = _candidate_grid(alpha, top, SPEC, SearchSettings())
     grid = (thetas, lams, inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams))
     asked = []
 
     def objective(rows, ts, ls):
-        asked.append(ls)
+        asked.append(ts)
         return inner.batch(rows, ts, ls)
 
-    ((value, _, _),) = _grid_then_refine(objective, [grid], SPEC, SearchSettings())
-    assert np.concatenate(asked).min() >= _NM_LAMBDA_FLOOR
-    assert value <= value_bound
+    ((value, (theta, lam), _),) = _grid_then_refine(
+        objective, [grid], [top], SPEC, SearchSettings()
+    )
+    assert np.concatenate(asked).max() <= top
+    assert 0.0 <= value <= _objective_bound(alpha, theta, lam)
+
+
+def test_steep_contaminant_null_sample_completes():
+    # gamma = 50 puts the mixture's switch from the exponential to the Pareto
+    # regime where 256 nodes per panel fell just short of the quadrature
+    # target on every one of the first six seed-7 null samples
+    spec = ContaminationSpec(theta_lo=0.5, theta_hi=2.0, pareto_gamma=50.0, pareto_nu=1.2)
+    x = rexp(Stream(replicate_seed(7, 0)), 200, 1.0)
+    report = contamination_test(Sample(x.reshape(-1, 1)), spec, 0.05)
+    assert math.isfinite(report.statistic) and report.statistic >= 0.0
 
 
 @pytest.mark.parametrize(
     ("theta_lo", "rate", "replicate"), [(0.5, 0.6, 2), (0.5, 0.7, 2), (0.5, 0.8, 1), (0.1, 0.15, 0)]
 )
 def test_null_statistic_at_a_rate_below_half_the_interval_top(theta_lo, rate, replicate):
-    # null samples whose rate lies below theta_hi / 2, so the lambda = 0 edge
-    # runs through the box at the profiled rate; with Nelder-Mead free to step
-    # onto lambda = 0 the third read 0.041, and chi-square(1) critical values
-    # start near 2.7.  The last runs a rate interval down to 0.1, where the
-    # quadrature fails at some lambda far below 1e-6
+    # null samples whose rate lies below theta_hi / 2, where the uncapped box
+    # held the lambda = 0 edge at the profiled rate; with Nelder-Mead free to
+    # step onto lambda = 0 in that box the third read 0.041, and chi-square(1)
+    # critical values start near 2.7.  The last runs a rate interval down to 0.1
     statistic_bound = 1e-3
     spec = ContaminationSpec(theta_lo=theta_lo, theta_hi=SPEC.theta_hi)
     x = rexp(Stream(replicate_seed(7, replicate)), 200, rate)

@@ -11,7 +11,7 @@ floats may move, ``tools/report_diff.py`` says by how much.  Each line is
 its last bit shows up.  The inputs are generated from fixed seeds
 and the script uses only the package's public API, so the same file runs on
 any tree that has it.  It writes no file other than OUT (the CLI inputs go
-to a temporary directory that is removed afterwards).  It takes about 5 s
+to a temporary directory that is removed afterwards).  It takes about 7 s
 on a 2-vCPU host.
 """
 
@@ -43,6 +43,7 @@ from chi2dual import (
     marginal_test,
     minimax_gap,
     model_integral,
+    replicate_seed,
     rexp,
     rmixture,
     run_plan,
@@ -57,6 +58,10 @@ SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
 # (seed, contamination weight) of the n = 200 contamination samples
 CONTAM_SAMPLES = ((101, 0.0), (102, 0.15), (103, 0.3))
 PROFILE_ALPHAS = (0.7, 1.0, 1.6)
+# a steep contaminant: the mixture density switches from the exponential to
+# the Pareto regime within a short stretch above nu, tested on the null
+# sample of seed 101
+STEEP_SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0, pareto_gamma=50.0, pareto_nu=1.2)
 # the rate resolution at which the null atom of the statistic resolves; the
 # null sample is also tested at it, a golden section of more than 20 steps
 FINE_RATE_SETTINGS = SearchSettings(alpha_tol=2e-5)
@@ -64,6 +69,9 @@ FINE_RATE_SETTINGS = SearchSettings(alpha_tol=2e-5)
 # with a reduced SearchSettings (two lockstep starts) to keep the dump quick
 GAP_SAMPLES = ((104, 0.0), (105, 0.2))
 GAP_SETTINGS = SearchSettings(inner_grid=4, nm_starts=2, nm_max_evals=20, outer_coarse=3, alpha_tol=0.05)
+# (base seed, replicate, contamination weight) of an n = 200 contam_alt
+# sample whose minimax_gap is also taken at the default search
+DEFAULT_GAP_SAMPLE = (7, 2, 0.15)
 # one observation so far out that f_alpha and the exponential part of the
 # mixture density both underflow at alpha = 1
 FAR_POINT = 2000.0
@@ -187,10 +195,22 @@ def contamination_lines() -> list[str]:
     except Chi2DualError as exc:
         outcome = type(exc).__name__
     lines.append(_line("chi2_simple.far_point", outcome))
+    x = rmixture(Stream(101), 200, 1.0, 0.0, SPEC.pareto_gamma, SPEC.pareto_nu)
+    try:
+        report = contamination_test(Sample(x.reshape(-1, 1)), STEEP_SPEC, 0.05)
+        outcome = emit_json(report.to_json_dict())
+    except Chi2DualError as exc:
+        outcome = type(exc).__name__
+    lines.append(_line("contamination_test.101.steep", outcome))
     for seed, lam in GAP_SAMPLES:
         x = rmixture(Stream(seed), 100, 1.0, lam, SPEC.pareto_gamma, SPEC.pareto_nu)
         gap = minimax_gap(Sample(x.reshape(-1, 1)), SPEC, GAP_SETTINGS)
         lines.append(_line(f"minimax_gap.{seed}", repr(gap)))
+    seed, replicate, lam = DEFAULT_GAP_SAMPLE
+    x = rmixture(Stream(replicate_seed(seed, replicate)), 200, 1.0, lam, SPEC.pareto_gamma,
+                 SPEC.pareto_nu)
+    gap = minimax_gap(Sample(x.reshape(-1, 1)), SPEC)
+    lines.append(_line(f"minimax_gap.{seed}.{replicate}.default", repr(gap)))
     return lines
 
 
