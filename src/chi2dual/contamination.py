@@ -32,12 +32,14 @@ statistic sits at the lambda = 0 edge of what the search admits, and the
 distance 0.596 from chi-square(1), with 24 of the 40 statistics below 1e-3.
 
 Numerical layout: the model integral reduces to int f_alpha^2 / h, which is
-exponential below the Pareto support onset (closed form) and is integrated
-above it on 16 uniform panels, truncated where the integrand's tail falls
-below ``TAIL_TOLERANCE`` with an analytic tail estimate added.  The panels
-take Gauss-Legendre rules of doubling order, 8 to 1024 nodes, until two
-levels agree; one integrand call evaluates levels 0 and 1 for a whole
-batch of points, and each later level only the points that reach it.  The
+exponential below the Pareto support onset nu (closed form).  Above it, in
+the capped box, h >= (1 - lambda) theta e^(-theta x) bounds every tail, so
+one truncation point X(alpha) from the box's worst corner serves a whole
+rate, and each point's tail above it is added in closed form.  [nu, X] is
+cut into graded panels, the first nu / (gamma + 1) wide and each next twice
+as wide, with Gauss-Legendre rules of 28 and 36 nodes that must agree to
+``QUAD_TOLERANCE``.  A point outside the box, or one the two rules do not
+certify, goes to ``scipy.integrate.quad``, imported on first use.  The
 lambda = 0 line is closed form.  A point with lambda outside [0, 1) or
 theta <= 0 is refused by rule, and one whose integral diverges (lambda = 0
 with theta >= 2 alpha) is outside the dual class too; the search excludes
@@ -91,17 +93,16 @@ from .errors import (
 )
 from .linear import CHI_SQUARED, TestReport, _check_level, chi2_sf
 
-# Truncate the model integral where its integrand drops below this level;
-# the analytic tail added afterwards is of the same magnitude.
+# Truncate the model integral where the tail bound of every point of the
+# capped box drops below this level; each point's tail is added in closed form.
 TAIL_TOLERANCE = 1e-15
 # Quadrature error target; Nelder-Mead tolerance on its simplex values.
 QUAD_TOLERANCE = 1e-10
 OBJECTIVE_TOLERANCE = 1e-8
-# Uniform panels keep the integrand's complex poles (where the mixture
-# terms trade dominance) at a safe distance from every panel.
-_N_PANELS = 16
-_BASE_ORDER = 8
-_MAX_LEVELS = 8
+# the inner search at rate alpha keeps theta <= THETA_CAP * alpha (module docstring)
+THETA_CAP = 1.5
+# Gauss-Legendre nodes and weights on [0, 1] of the two rules compared on every panel
+_GL_RULES = [((t + 1.0) / 2.0, w / 2.0) for t, w in map(np.polynomial.legendre.leggauss, (28, 36))]
 
 
 @dataclass(frozen=True)
@@ -188,10 +189,12 @@ class DualGFunction:
 
     def __post_init__(self) -> None:
         # a NaN or infinite parameter would pass every admissibility check
-        # and only fail after the last quadrature refinement
+        # and only fail inside the quadrature
         for name in ("alpha", "theta", "lam"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInput(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.alpha > 0.0:
+            raise InvalidInput(f"alpha must be > 0, got {self.alpha}")
 
     def values(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -205,68 +208,115 @@ class DualGFunction:
 
 # ---------------------------------------------------------------------------
 # Model integral int g f_alpha dx = amp * int e^(-s x) / h dx - 2,
-# with s = 2 alpha and amp = 2 alpha^2 taken per point.
+# with s = 2 alpha and amp = 2 alpha^2.
 
-@functools.lru_cache(maxsize=None)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+class _RateRule:
+    """The graded rule of the capped box at rate alpha (module docstring):
+    its nodes, their weights times amp e^(-s x) and r(x), built once."""
+
+    def __init__(self, alpha: float, spec: ContaminationSpec) -> None:
+        s = 2.0 * alpha
+        gamma, nu = spec.pareto_gamma, spec.pareto_nu
+        # the tail bound amp e^(-c x) / ((1 - lambda) theta c) is largest at the
+        # box's corner theta_lo, lambda -> lambda_hi, c = s - min(theta_hi, 1.5 alpha)
+        c = s - min(spec.theta_hi, THETA_CAP * alpha)
+        corner = (1.0 - spec.lambda_hi) * spec.theta_lo
+        log_scale = math.log(2.0 / corner) + 2.0 * math.log(alpha)
+        first = nu / (gamma + 1.0)
+        self.x_cut = max((log_scale - math.log(TAIL_TOLERANCE * c)) / c, nu + first)
+        panels = math.ceil(math.log2((self.x_cut - nu) / first + 1.0))
+        breaks = np.minimum(nu + first * (2.0 ** np.arange(panels + 1) - 1.0), self.x_cut)
+        breaks[-1] = self.x_cut
+        lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
+        self.nodes = np.concatenate([(lo + width * t).ravel() for t, _ in _GL_RULES])
+        weights = np.concatenate([(width * w).ravel() for _, w in _GL_RULES])
+        self.weights = weights * (s * alpha) * np.exp(-s * self.nodes)
+        self.pareto = gamma * nu**gamma * self.nodes ** -(gamma + 1.0)
+        self.split = panels * _GL_RULES[0][0].size
+
+    def body(self, th: np.ndarray, lm: np.ndarray) -> np.ndarray:
+        """amp int e^(-s x) / h over [nu, X] at points of the box: the finer
+        of the two sums, NaN where they disagree.  Each row is summed on its
+        own, so its value does not depend on the batch; the caller holds the
+        floating-point errstate."""
+        vals = np.exp(np.multiply(-th[:, None], self.nodes))
+        vals *= ((1.0 - lm) * th)[:, None]
+        vals += lm[:, None] * self.pareto
+        np.divide(self.weights, vals, out=vals)
+        coarse = vals[:, : self.split].sum(axis=1)
+        fine = vals[:, self.split :].sum(axis=1)
+        # relative floor: absolute targets below float64 roundoff are
+        # unreachable once the integral itself is large
+        limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(fine))
+        return np.where(np.abs(fine - coarse) < limit, fine, np.nan)
 
 
-# Panel fractions and the Gauss-Legendre rules of levels 0 and 1 (orders 8
-# and 16), whose nodes lie side by side so that one integrand call covers
-# both levels.
-_PANEL_FRACTIONS = np.arange(_N_PANELS + 1) / _N_PANELS
-(_T0, _W0), (_T1, _W1) = _gl_rule(_BASE_ORDER), _gl_rule(2 * _BASE_ORDER)
-_T01 = np.concatenate((_T0, _T1))
+def _quad_integral(alpha: float, theta: float, lam: float, spec: ContaminationSpec) -> float:
+    """amp int e^(-s x) / h over [nu, inf) by ``scipy.integrate.quad``,
+    imported here so that the search inside the box never loads it."""
+    import warnings
 
+    from scipy.integrate import IntegrationWarning, quad
 
-def _integrand(x, th, lm, amp, s, pareto_scale, power):
-    """amp e^(-s x) / h at the nodes x (axis 0 runs over the points th, lm,
-    amp, s).  Every node lies above nu, where r is the Pareto power law
-    pareto_scale * x^power.  Works in place on three arrays (a product or a
-    sum is the same float in either order); the caller holds the
-    floating-point errstate."""
-    theta, lam, amp, s = (v[:, None, None] for v in (th, lm, amp, s))
-    den = np.multiply(-theta, x)
-    np.exp(den, out=den)
-    den *= (1.0 - lam) * theta
-    pareto = np.power(x, power)
-    pareto *= pareto_scale
-    pareto *= lam
-    den += pareto
-    vals = np.multiply(-s, x, out=pareto)
-    np.exp(vals, out=vals)
-    vals *= amp
-    vals /= den
-    return vals
+    gamma, nu, s = spec.pareto_gamma, spec.pareto_nu, 2.0 * alpha
+    log_exp = math.log((1.0 - lam) * theta)
+    log_pareto = math.log(lam * gamma) + gamma * math.log(nu)
+
+    def logs(x: float) -> tuple[float, float]:
+        # the logs of the two terms of e^(s x) h, which cannot overflow
+        return log_exp + (s - theta) * x, log_pareto - (gamma + 1.0) * math.log(x) + s * x
+
+    def integrand(x: float) -> float:
+        a, b = logs(x)
+        return s * alpha * math.exp(-max(a, b)) / (1.0 + math.exp(-abs(a - b)))
+
+    def slope(x: float) -> float:  # of log(integrand); log(e^a + e^b) is convex
+        a, b = logs(x)
+        share = 0.5 + 0.5 * math.tanh(0.5 * (a - b))  # of e^a in e^a + e^b
+        return share * theta + (1.0 - share) * (gamma + 1.0) / x - s
+
+    # the integrand is log-concave: quad runs up to its one peak through the
+    # breaks of graded panels, which keep the Pareto onset in view, and on
+    # from the peak, so that it cannot step over a peak far out
+    lo = peak = nu
+    while slope(peak) > 0.0:
+        lo, peak = peak, 2.0 * peak
+    for _ in range(60 if peak > lo else 0):
+        mid = 0.5 * (lo + peak)
+        lo, peak = (mid, peak) if slope(mid) > 0.0 else (lo, mid)
+    breaks = [nu + nu / (gamma + 1.0) * (2.0**k - 1.0) for k in range(1, 48)]
+    breaks = [x for x in breaks if x < peak]
+    opts = dict(epsabs=0.25 * QUAD_TOLERANCE, epsrel=1e-13, limit=100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            head = quad(integrand, nu, peak, points=breaks, **opts)[0] if peak > nu else 0.0
+            return head + quad(integrand, peak, math.inf, **opts)[0]
+        except (IntegrationWarning, OverflowError) as exc:
+            raise QuadratureFailure(
+                f"model integral at alpha={alpha}, theta={theta}, lambda={lam} "
+                f"did not reach the error target {QUAD_TOLERANCE:g}: {exc}"
+            ) from exc
 
 
 def _integral_batch(
-    alpha: float | np.ndarray,
-    thetas: np.ndarray,
-    lams: np.ndarray,
-    spec: ContaminationSpec,
+    alpha: float | np.ndarray, thetas: np.ndarray, lams: np.ndarray, spec: ContaminationSpec,
+    rules: dict[float, _RateRule] | None = None,
 ) -> np.ndarray:
-    """Model integral for a batch of (alpha, theta, lambda), alpha per point or shared.
+    """Model integral for a batch of (alpha, theta, lambda), alpha per point or
+    shared, with the ``_RateRule`` of each rate taken from ``rules`` if given.
 
     Returns +inf where the integral diverges (lambda = 0, theta >= s) and
     NaN where the point is refused: lambda outside [0, 1) or theta <= 0, so
     that the mixture density is not positive on all of (0, inf).  Raises
-    QuadratureFailure if refinement does not reach QUAD_TOLERANCE on an
-    admissible point.
-
-    Refinement doubles the Gauss-Legendre order per level, from 8 nodes per
-    panel at level 0 to 1024 at level 7, and stops a point once two levels
-    agree.  Levels 0 and 1 share one integrand call over every point; each
-    later level evaluates only the points that have not converged.
+    QuadratureFailure where ``scipy.integrate.quad`` misses its target.
     """
     thetas = np.asarray(thetas, dtype=float)
     lams = np.asarray(lams, dtype=float)
-    s = np.full(thetas.shape, 2.0) * alpha  # one rate per point
-    amp = s * alpha
-    gamma, nu = spec.pareto_gamma, spec.pareto_nu
+    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), thetas.shape)
+    s = 2.0 * alphas
+    amp = s * alphas
+    nu = spec.pareto_nu
     out = np.full(thetas.shape[0], np.nan)
 
     invalid = (lams < 0.0) | (lams >= 1.0) | (thetas <= 0.0)
@@ -282,113 +332,39 @@ def _integral_batch(
     if idx.size == 0:
         return out
 
-    th, lm, amp, s = thetas[idx], lams[idx], amp[idx], s[idx]
-    pareto_args = (gamma * nu**gamma, -(gamma + 1.0))
+    th, lm, rates, amp, s = thetas[idx], lams[idx], alphas[idx], amp[idx], s[idx]
+    value = np.full(idx.size, np.nan)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
         c = s - th
         scale = amp / ((1.0 - lm) * th)
-        x_cut, tail = _truncation_and_tail(amp, s, c, scale, lm, gamma, nu)
         # closed-form segment below the Pareto onset: h is purely exponential
         flat = c == 0.0
         seg0 = -np.expm1(-c * nu) / np.where(flat, 1.0, c)
         seg0[flat] = nu
-        i_low = scale * seg0
-
-        # uniform panels on [nu, X]
-        breaks = nu + (x_cut - nu)[:, None] * _PANEL_FRACTIONS
-        lo = breaks[:, :-1]
-        width = breaks[:, 1:] - lo
-
-        x = lo[:, :, None] + width[:, :, None] * _T01
-        vals = _integrand(x, th, lm, amp, s, *pareto_args)
-        coarse = np.einsum("pqn,n,pq->p", vals[:, :, : _T0.size], _W0, width)
-        value = np.einsum("pqn,n,pq->p", vals[:, :, _T0.size :], _W1, width)
-        # relative floor: absolute targets below float64 roundoff are unreachable
-        # once the integral itself is large
-        limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(value))
-        converged = np.abs(value - coarse) < limit
-
-        for level in range(2, _MAX_LEVELS + 1):
-            refine = (~converged).nonzero()[0]
-            if refine.size == 0:
-                break
-            if level == _MAX_LEVELS:
-                raise QuadratureFailure(
-                    "model integral did not reach the error target "
-                    f"{QUAD_TOLERANCE:g} within {_MAX_LEVELS} refinement levels"
-                )
-            t_nodes, w_nodes = _gl_rule(_BASE_ORDER * 2**level)
-            x = lo[refine, :, None] + width[refine, :, None] * t_nodes
-            vals = _integrand(x, *(v[refine] for v in (th, lm, amp, s)), *pareto_args)
-            finer = np.einsum("pqn,n,pq->p", vals, w_nodes, width[refine])
-            limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(finer))
-            converged[refine] = np.abs(finer - value[refine]) < limit
-            value[refine] = finer
-
-    out[idx] = i_low + value + tail - 2.0
+        tops = np.minimum(spec.theta_hi, THETA_CAP * rates)
+        box = (th >= spec.theta_lo) & (th <= tops) & (lm < spec.lambda_hi)
+        for rate in np.unique(rates[box]).tolist():
+            at = (box & (rates == rate)).nonzero()[0]
+            rule = rules[rate] if rules else _RateRule(rate, spec)
+            tail = scale[at] * np.exp(-c[at] * rule.x_cut) / c[at]
+            value[at] = rule.body(th[at], lm[at]) + tail
+    for i in np.isnan(value).nonzero()[0].tolist():
+        value[i] = _quad_integral(float(rates[i]), float(th[i]), float(lm[i]), spec)
+    out[idx] = scale * seg0 + value - 2.0
     return out
-
-
-def _truncation_and_tail(
-    amp: np.ndarray,
-    s: np.ndarray,
-    c: np.ndarray,
-    exp_scale: np.ndarray,
-    lam: np.ndarray,
-    gamma: float,
-    nu: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Truncation point with tail < TAIL_TOLERANCE, plus the tail estimate,
-    given amp, s, c = s - theta and exp_scale = amp / ((1 - lambda) theta)
-    per point, 0 < lambda < 1.
-
-    The floor h >= (1 - lambda) theta e^(-theta x) bounds the tail whenever
-    theta < s.  When that bound is unusable or too slow the Pareto floor
-    h >= lambda r takes over.  The caller holds the floating-point errstate.
-    """
-    x_floor = nu + 1.0
-    bounded = c > 0.0
-    c_safe = np.where(bounded, c, 1.0)
-    x_exp = np.where(
-        bounded, (np.log(exp_scale) - np.log(TAIL_TOLERANCE * c_safe)) / c_safe, np.inf
-    )
-    x_cut = np.maximum(x_floor, x_exp)
-    # Pareto fixed point only where the exponential bound is missing or slow
-    need_par = (c <= 0.0) | (x_exp > 150.0)
-    pareto = need_par.any()
-    if pareto:
-        amp, s = amp[need_par], s[need_par]
-        a_log = np.log(amp / (lam[need_par] * gamma * nu**gamma))
-        floor_p = np.maximum(x_floor, 2.0 * (gamma + 1.0) / s)
-        x_iter = floor_p
-        for _ in range(4):
-            denom = s - (gamma + 1.0) / x_iter
-            x_iter = np.maximum(
-                floor_p,
-                (a_log + (gamma + 1.0) * np.log(x_iter) - np.log(TAIL_TOLERANCE * denom)) / s,
-            )
-        x_cut[need_par] = np.minimum(x_cut[need_par], x_iter)
-    tail = np.where(bounded, exp_scale * np.exp(-c_safe * x_cut) / c_safe, np.inf)
-    if pareto:
-        xc = x_cut[need_par]
-        tail_par = (
-            amp
-            * np.exp(-s * xc)
-            * xc ** (gamma + 1.0)
-            / (lam[need_par] * gamma * nu**gamma * (s - (gamma + 1.0) / xc))
-        )
-        tail[need_par] = np.minimum(tail[need_par], tail_par)
-    return x_cut, tail
 
 
 def model_integral(g: DualGFunction) -> float:
     """int g(x) f_alpha(x) dx over (0, inf).
 
-    Returns +inf when the integral diverges (the candidate is outside the
-    admissible dual class).  Raises NonPositiveDensity when lambda lies
-    outside [0, 1) or theta <= 0, where the mixture density is not positive
-    on all of (0, inf), and QuadratureFailure when the error target cannot
-    be met.
+    Computed by the rule of the search at rate alpha (module docstring), so
+    that a point the search evaluates gets the same float here.  Returns
+    +inf when the integral diverges (the candidate is outside the admissible
+    dual class).  Raises NonPositiveDensity when lambda lies outside [0, 1)
+    or theta <= 0, where the mixture density is not positive on all of
+    (0, inf), and QuadratureFailure when ``scipy.integrate.quad``, which
+    takes the points outside the capped box, warns that it missed the error
+    target.
     """
     value = _integral_batch(g.alpha, np.array([g.theta]), np.array([g.lam]), g.spec)[0]
     if np.isnan(value):
@@ -447,16 +423,14 @@ class SearchSettings:
 
 
 _EXCLUDED_PENALTY = 1e30
-# the inner search at rate alpha keeps theta <= THETA_CAP * alpha (module docstring)
-THETA_CAP = 1.5
 
 
 class _InnerObjective:
     """sup-side objective over (theta, lambda) at each rate of ``alphas``.
 
-    Precomputes the Pareto density and e^(alpha x) at the sample, so each
-    parameter evaluation costs one exp over the sample plus the model
-    quadrature.
+    Precomputes the Pareto density and e^(alpha x) at the sample and the
+    model-integral rule of each rate, so each parameter evaluation costs one
+    exp over the sample plus h at the rule's nodes.
     """
 
     def __init__(self, x: np.ndarray, alphas: Iterable[float], spec: ContaminationSpec) -> None:
@@ -466,6 +440,7 @@ class _InnerObjective:
         self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
         with np.errstate(over="ignore"):
             self.e_x = np.exp(self.alphas[:, None] * x)
+        self.rules = {alpha: _RateRule(alpha, spec) for alpha in self.alphas.tolist()}
         self.evaluations = np.zeros(self.alphas.size, dtype=int)
 
     def batch(self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
@@ -473,7 +448,7 @@ class _InnerObjective:
         the dual class."""
         self.evaluations += np.bincount(rates, minlength=self.alphas.size)
         alpha = self.alphas[rates]
-        integrals = _integral_batch(alpha, thetas, lams, self.spec)
+        integrals = _integral_batch(alpha, thetas, lams, self.spec, self.rules)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ratio = _density_ratio(
                 self.x, alpha[:, None], thetas[:, None], lams[:, None], self.r_x, self.e_x[rates]

@@ -34,7 +34,7 @@ class NonPositiveDensity(Chi2DualError):
 
 
 class QuadratureFailure(Chi2DualError):
-    """Adaptive quadrature could not meet the requested error target."""
+    """The model integral's quadrature could not meet its error target."""
 
 
 class OptimizationFailure(Chi2DualError):

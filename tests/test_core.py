@@ -255,8 +255,9 @@ class TestSampleValidation:
 
 
 def test_import_loads_no_optimize_integrate_or_stats():
-    # the import is part of every command's start-up time; scipy's
-    # optimize, integrate and stats subpackages are for the tests only
+    # the import is part of every command's start-up time; scipy's optimize
+    # and stats subpackages are for the tests only, and integrate is loaded
+    # on first use, by a model integral outside the capped search box
     src = str(Path(chi2dual.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (

@@ -79,6 +79,9 @@ FAR_POINT = 2000.0
 # rule, and the last has theta >= 2 alpha, where the Pareto floor of the
 # mixture density bounds the tail
 MODEL_POINTS = ((1.0, 0.5, 0.0), (1.5, 0.9, 0.3), (2.0, 0.5, -0.05), (0.6, 2.0, 0.2))
+# (alpha, theta, lambda) under STEEP_SPEC: one point inside the search box
+# [theta_lo, min(theta_hi, 1.5 alpha)] x [0, lambda_hi) and one outside it
+STEEP_MODEL_POINTS = ((1.0, 1.2, 0.3), (0.6, 1.5, 1e-9))
 # small CSV files for the reader, written as these exact bytes
 CSV_FILES = {
     "header": b"x1,x2\n0.25,1.5\n0.75,2.5\n",
@@ -244,6 +247,9 @@ def model_integral_lines() -> list[str]:
         except NonPositiveDensity as exc:
             value = f"NonPositiveDensity: {exc}"
         lines.append(_line(f"model_integral.{alpha}.{theta}.{lam}", value))
+    for alpha, theta, lam in STEEP_MODEL_POINTS:
+        value = repr(model_integral(DualGFunction(alpha, theta, lam, STEEP_SPEC)))
+        lines.append(_line(f"model_integral.steep.{alpha}.{theta}.{lam}", value))
     return lines
 
 
