@@ -34,16 +34,18 @@ distance 0.596 from chi-square(1), with 24 of the 40 statistics below 1e-3.
 Numerical layout: the model integral reduces to int f_alpha^2 / h, which is
 exponential below the Pareto support onset nu (closed form).  Above it, in
 the capped box, h >= (1 - lambda) theta e^(-theta x) bounds every tail, so
-one truncation point X(alpha) from the box's worst corner serves a whole
-rate, and each point's tail above it is added in closed form.  [nu, X] is
-cut into graded panels, the first nu / (gamma + 1) wide and each next twice
-as wide, with Gauss-Legendre rules of 28 and 36 nodes that must agree to
-``QUAD_TOLERANCE``.  A point outside the box, or one the two rules do not
-certify, goes to ``scipy.integrate.quad``, imported on first use.  The
-lambda = 0 line is closed form.  A point with lambda outside [0, 1) or
-theta <= 0 is refused by rule, and one whose integral diverges (lambda = 0
-with theta >= 2 alpha) is outside the dual class too; the search excludes
-both.
+one truncation point X from the worst corner of every rate's box (the
+lowest rate with a box, theta_lo / 1.5) serves the whole spec, and each
+point's tail above it is added in closed form.  [nu, X] is cut into graded
+panels, the first nu / (gamma + 1) wide and each next twice as wide, with
+Gauss-Legendre rules of 28 and 36 nodes that must agree to
+``QUAD_TOLERANCE``.  The nodes do not depend on the rate, so the box points
+of a batch take one pass whatever their rates.  A point outside the box, or
+one the two rules do not certify, goes to ``scipy.integrate.quad``,
+imported on first use.  The lambda = 0 line is closed form.  A point with
+lambda outside [0, 1) or theta <= 0 is refused by rule, and one whose
+integral diverges (lambda = 0 with theta >= 2 alpha) is outside the dual
+class too; the search excludes both.
 
 The sample side of the objective needs f_alpha / h at each observation.
 ``_density_ratio`` divides alpha by h e^(alpha x), expanded term by term,
@@ -210,47 +212,6 @@ class DualGFunction:
 # Model integral int g f_alpha dx = amp * int e^(-s x) / h dx - 2,
 # with s = 2 alpha and amp = 2 alpha^2.
 
-class _RateRule:
-    """The graded rule of the capped box at rate alpha (module docstring):
-    its nodes, their weights times amp e^(-s x) and r(x), built once."""
-
-    def __init__(self, alpha: float, spec: ContaminationSpec) -> None:
-        s = 2.0 * alpha
-        gamma, nu = spec.pareto_gamma, spec.pareto_nu
-        # the tail bound amp e^(-c x) / ((1 - lambda) theta c) is largest at the
-        # box's corner theta_lo, lambda -> lambda_hi, c = s - min(theta_hi, 1.5 alpha)
-        c = s - min(spec.theta_hi, THETA_CAP * alpha)
-        corner = (1.0 - spec.lambda_hi) * spec.theta_lo
-        log_scale = math.log(2.0 / corner) + 2.0 * math.log(alpha)
-        first = nu / (gamma + 1.0)
-        self.x_cut = max((log_scale - math.log(TAIL_TOLERANCE * c)) / c, nu + first)
-        panels = math.ceil(math.log2((self.x_cut - nu) / first + 1.0))
-        breaks = np.minimum(nu + first * (2.0 ** np.arange(panels + 1) - 1.0), self.x_cut)
-        breaks[-1] = self.x_cut
-        lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
-        self.nodes = np.concatenate([(lo + width * t).ravel() for t, _ in _GL_RULES])
-        weights = np.concatenate([(width * w).ravel() for _, w in _GL_RULES])
-        self.weights = weights * (s * alpha) * np.exp(-s * self.nodes)
-        self.pareto = gamma * nu**gamma * self.nodes ** -(gamma + 1.0)
-        self.split = panels * _GL_RULES[0][0].size
-
-    def body(self, th: np.ndarray, lm: np.ndarray) -> np.ndarray:
-        """amp int e^(-s x) / h over [nu, X] at points of the box: the finer
-        of the two sums, NaN where they disagree.  Each row is summed on its
-        own, so its value does not depend on the batch; the caller holds the
-        floating-point errstate."""
-        vals = np.exp(np.multiply(-th[:, None], self.nodes))
-        vals *= ((1.0 - lm) * th)[:, None]
-        vals += lm[:, None] * self.pareto
-        np.divide(self.weights, vals, out=vals)
-        coarse = vals[:, : self.split].sum(axis=1)
-        fine = vals[:, self.split :].sum(axis=1)
-        # relative floor: absolute targets below float64 roundoff are
-        # unreachable once the integral itself is large
-        limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(fine))
-        return np.where(np.abs(fine - coarse) < limit, fine, np.nan)
-
-
 def _quad_integral(alpha: float, theta: float, lam: float, spec: ContaminationSpec) -> float:
     """amp int e^(-s x) / h over [nu, inf) by ``scipy.integrate.quad``,
     imported here so that the search inside the box never loads it."""
@@ -299,74 +260,20 @@ def _quad_integral(alpha: float, theta: float, lam: float, spec: ContaminationSp
             ) from exc
 
 
-def _integral_batch(
-    alpha: float | np.ndarray, thetas: np.ndarray, lams: np.ndarray, spec: ContaminationSpec,
-    rules: dict[float, _RateRule] | None = None,
-) -> np.ndarray:
-    """Model integral for a batch of (alpha, theta, lambda), alpha per point or
-    shared, with the ``_RateRule`` of each rate taken from ``rules`` if given.
-
-    Returns +inf where the integral diverges (lambda = 0, theta >= s) and
-    NaN where the point is refused: lambda outside [0, 1) or theta <= 0, so
-    that the mixture density is not positive on all of (0, inf).  Raises
-    QuadratureFailure where ``scipy.integrate.quad`` misses its target.
-    """
-    thetas = np.asarray(thetas, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    alphas = np.broadcast_to(np.asarray(alpha, dtype=float), thetas.shape)
-    s = 2.0 * alphas
-    amp = s * alphas
-    nu = spec.pareto_nu
-    out = np.full(thetas.shape[0], np.nan)
-
-    invalid = (lams < 0.0) | (lams >= 1.0) | (thetas <= 0.0)
-    zero = lams == 0.0
-    zero_lam = zero & ~invalid
-    if zero_lam.any():
-        div = zero_lam & (thetas >= s)
-        ok = zero_lam & ~div
-        out[div] = np.inf
-        out[ok] = amp[ok] / (thetas[ok] * (s[ok] - thetas[ok])) - 2.0
-
-    idx = (~(invalid | zero)).nonzero()[0]
-    if idx.size == 0:
-        return out
-
-    th, lm, rates, amp, s = thetas[idx], lams[idx], alphas[idx], amp[idx], s[idx]
-    value = np.full(idx.size, np.nan)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        c = s - th
-        scale = amp / ((1.0 - lm) * th)
-        # closed-form segment below the Pareto onset: h is purely exponential
-        flat = c == 0.0
-        seg0 = -np.expm1(-c * nu) / np.where(flat, 1.0, c)
-        seg0[flat] = nu
-        tops = np.minimum(spec.theta_hi, THETA_CAP * rates)
-        box = (th >= spec.theta_lo) & (th <= tops) & (lm < spec.lambda_hi)
-        for rate in np.unique(rates[box]).tolist():
-            at = (box & (rates == rate)).nonzero()[0]
-            rule = rules[rate] if rules else _RateRule(rate, spec)
-            tail = scale[at] * np.exp(-c[at] * rule.x_cut) / c[at]
-            value[at] = rule.body(th[at], lm[at]) + tail
-    for i in np.isnan(value).nonzero()[0].tolist():
-        value[i] = _quad_integral(float(rates[i]), float(th[i]), float(lm[i]), spec)
-    out[idx] = scale * seg0 + value - 2.0
-    return out
-
-
 def model_integral(g: DualGFunction) -> float:
     """int g(x) f_alpha(x) dx over (0, inf).
 
-    Computed by the rule of the search at rate alpha (module docstring), so
-    that a point the search evaluates gets the same float here.  Returns
-    +inf when the integral diverges (the candidate is outside the admissible
-    dual class).  Raises NonPositiveDensity when lambda lies outside [0, 1)
-    or theta <= 0, where the mixture density is not positive on all of
-    (0, inf), and QuadratureFailure when ``scipy.integrate.quad``, which
-    takes the points outside the capped box, warns that it missed the error
-    target.
+    Computed by the search's objective at the one rate alpha on an empty
+    sample (module docstring), so that a point the search evaluates gets the
+    same float here.  Returns +inf when the integral diverges (the candidate
+    is outside the admissible dual class).  Raises NonPositiveDensity when
+    lambda lies outside [0, 1) or theta <= 0, where the mixture density is
+    not positive on all of (0, inf), and QuadratureFailure when
+    ``scipy.integrate.quad``, which takes the points outside the capped box,
+    warns that it missed the error target.
     """
-    value = _integral_batch(g.alpha, np.array([g.theta]), np.array([g.lam]), g.spec)[0]
+    inner = _InnerObjective(np.empty(0), [g.alpha], g.spec)
+    value = inner.integrals(np.zeros(1, dtype=int), np.array([g.theta]), np.array([g.lam]))[0]
     if np.isnan(value):
         raise NonPositiveDensity(
             f"mixture density not positive on (0, inf) at theta={g.theta}, lambda={g.lam}"
@@ -428,27 +335,105 @@ _EXCLUDED_PENALTY = 1e30
 class _InnerObjective:
     """sup-side objective over (theta, lambda) at each rate of ``alphas``.
 
-    Precomputes the Pareto density and e^(alpha x) at the sample and the
-    model-integral rule of each rate, so each parameter evaluation costs one
-    exp over the sample plus h at the rule's nodes.
+    Lays out the spec's graded rule (module docstring) and precomputes the
+    Pareto density at the sample and the nodes, and per rate e^(alpha x) at
+    the sample and the rule's weights times amp e^(-s x), so each parameter
+    evaluation costs one exp over the sample plus h at the rule's nodes.
     """
 
     def __init__(self, x: np.ndarray, alphas: Iterable[float], spec: ContaminationSpec) -> None:
         self.x = x
         self.alphas = np.array(alphas, dtype=float)
         self.spec = spec
-        self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
+        gamma, nu = spec.pareto_gamma, spec.pareto_nu
+        self.r_x = pareto_pdf(x, gamma, nu)
+        # a box point's tail bound amp e^(-c x) / ((1 - lambda) theta c) is
+        # largest at the lowest rate with a box, alpha = theta_lo / 1.5, its
+        # corner theta_lo, lambda -> lambda_hi and c = alpha / 2
+        low = spec.theta_lo / THETA_CAP
+        c = 0.5 * low
+        corner = (1.0 - spec.lambda_hi) * spec.theta_lo
+        log_scale = math.log(2.0 / corner) + 2.0 * math.log(low)
+        first = nu / (gamma + 1.0)
+        self.x_cut = max((log_scale - math.log(TAIL_TOLERANCE * c)) / c, nu + first)
+        panels = math.ceil(math.log2((self.x_cut - nu) / first + 1.0))
+        breaks = np.minimum(nu + first * (2.0 ** np.arange(panels + 1) - 1.0), self.x_cut)
+        breaks[-1] = self.x_cut
+        lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
+        self.nodes = np.concatenate([(lo + width * t).ravel() for t, _ in _GL_RULES])
+        weights = np.concatenate([(width * w).ravel() for _, w in _GL_RULES])
+        self.pareto = gamma * nu**gamma * self.nodes ** -(gamma + 1.0)
+        self.split = panels * _GL_RULES[0][0].size
+        s = 2.0 * self.alphas[:, None]
         with np.errstate(over="ignore"):
             self.e_x = np.exp(self.alphas[:, None] * x)
-        self.rules = {alpha: _RateRule(alpha, spec) for alpha in self.alphas.tolist()}
+            self.weights = weights * (s * self.alphas[:, None]) * np.exp(-s * self.nodes)
         self.evaluations = np.zeros(self.alphas.size, dtype=int)
+
+    def integrals(self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
+        """Model integral at (alphas[rates], thetas, lams).
+
+        Returns +inf where the integral diverges (lambda = 0, theta >= s) and
+        NaN where the point is refused: lambda outside [0, 1) or theta <= 0,
+        so that the mixture density is not positive on all of (0, inf).  The
+        box rows of every rate take the rule in one pass, each row summed on
+        its own, so that its value does not depend on the batch; the finer of
+        the two sums serves where they agree.  Raises QuadratureFailure where
+        ``scipy.integrate.quad``, which takes the other rows, misses its target.
+        """
+        spec, alphas = self.spec, self.alphas[rates]
+        s = 2.0 * alphas
+        amp = s * alphas
+        nu = spec.pareto_nu
+        out = np.full(thetas.shape[0], np.nan)
+
+        invalid = (lams < 0.0) | (lams >= 1.0) | (thetas <= 0.0)
+        zero = lams == 0.0
+        zero_lam = zero & ~invalid
+        if zero_lam.any():
+            div = zero_lam & (thetas >= s)
+            ok = zero_lam & ~div
+            out[div] = np.inf
+            out[ok] = amp[ok] / (thetas[ok] * (s[ok] - thetas[ok])) - 2.0
+
+        idx = (~(invalid | zero)).nonzero()[0]
+        if idx.size == 0:
+            return out
+
+        th, lm, rates, alphas = thetas[idx], lams[idx], rates[idx], alphas[idx]
+        amp, s = amp[idx], s[idx]
+        value = np.full(idx.size, np.nan)
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+            c = s - th
+            scale = amp / ((1.0 - lm) * th)
+            # closed-form segment below the Pareto onset: h is purely exponential
+            flat = c == 0.0
+            seg0 = -np.expm1(-c * nu) / np.where(flat, 1.0, c)
+            seg0[flat] = nu
+            tops = np.minimum(spec.theta_hi, THETA_CAP * alphas)
+            at = ((th >= spec.theta_lo) & (th <= tops) & (lm < spec.lambda_hi)).nonzero()[0]
+            vals = np.exp(np.multiply(-th[at, None], self.nodes))
+            vals *= ((1.0 - lm[at]) * th[at])[:, None]
+            vals += lm[at, None] * self.pareto
+            np.divide(self.weights[rates[at]], vals, out=vals)
+            coarse = vals[:, : self.split].sum(axis=1)
+            fine = vals[:, self.split :].sum(axis=1)
+            # relative floor: absolute targets below float64 roundoff are
+            # unreachable once the integral itself is large
+            limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(fine))
+            tail = scale[at] * np.exp(-c[at] * self.x_cut) / c[at]
+            value[at] = np.where(np.abs(fine - coarse) < limit, fine, np.nan) + tail
+        for i in np.isnan(value).nonzero()[0].tolist():
+            value[i] = _quad_integral(float(alphas[i]), float(th[i]), float(lm[i]), spec)
+        out[idx] = scale * seg0 + value - 2.0
+        return out
 
     def batch(self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
         """Values at (alphas[rates], thetas, lams); NaN marks points outside
         the dual class."""
         self.evaluations += np.bincount(rates, minlength=self.alphas.size)
         alpha = self.alphas[rates]
-        integrals = _integral_batch(alpha, thetas, lams, self.spec, self.rules)
+        integrals = self.integrals(rates, thetas, lams)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ratio = _density_ratio(
                 self.x, alpha[:, None], thetas[:, None], lams[:, None], self.r_x, self.e_x[rates]
@@ -601,7 +586,7 @@ def _grid_then_refine(
     lambda), start indices] per grid; a search replaces its grid's optimum
     only when it ends strictly higher, earlier starts winning ties.
     """
-    lam_top = spec.lambda_hi - 1e-9  # below the open upper end
+    lam_top = float(np.nextafter(spec.lambda_hi, 0.0))  # below the open upper end
     budget, outcomes, searches = settings.nm_max_evals, [], []
     for g, ((thetas, lams, values), theta_top) in enumerate(zip(grids, theta_tops)):
         finite = np.isfinite(values)

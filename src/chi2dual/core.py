@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InvalidInput, SingularCovariance
 
@@ -182,11 +181,12 @@ def dual_coefficients(mv: MomentVectors) -> DualSolution:
 
     The intercept is a0 = -sum_i a_i mean(f_i), which centers the optimal
     function under the empirical measure.  The returned chi2_value equals
-    both nu' S^{-1} nu and (1/4) a' S a.  S is factored by Cholesky; raises
-    SingularCovariance on factorization failure or when the eigenvalue-based
-    condition estimate exceeds CONDITION_LIMIT.
+    both nu' S^{-1} nu and (1/4) a' S a.  One eigendecomposition S = V L V'
+    gives both the condition number and the solve x = V (V' nu / L); raises
+    SingularCovariance when S is not positive definite or its condition
+    number exceeds CONDITION_LIMIT.
     """
-    eigs = np.linalg.eigvalsh(mv.s_n)
+    eigs, vecs = np.linalg.eigh(mv.s_n)
     lam_min, lam_max = float(eigs[0]), float(eigs[-1])
     if lam_max <= 0.0 or lam_min <= 0.0:
         raise SingularCovariance(
@@ -198,11 +198,7 @@ def dual_coefficients(mv: MomentVectors) -> DualSolution:
         raise SingularCovariance(
             f"covariance condition number {cond:.3e} exceeds {CONDITION_LIMIT:.1e}"
         )
-    try:
-        factor = scipy.linalg.cho_factor(mv.s_n, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularCovariance(f"Cholesky factorization failed: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, mv.nu_n, check_finite=False)
+    x = vecs @ ((vecs.T @ mv.nu_n) / eigs)
     a = 2.0 * x
     a0 = -float(a @ mv.empirical_means)
     chi2 = max(float(mv.nu_n @ x), 0.0)

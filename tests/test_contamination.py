@@ -34,7 +34,6 @@ from chi2dual.contamination import (
     _golden_min,
     _grid_then_refine,
     _InnerObjective,
-    _integral_batch,
     _nelder_mead,
 )
 from chi2dual.errors import InvalidInput, NonPositiveDensity, QuadratureFailure
@@ -46,6 +45,13 @@ SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
 
 def exp_sample(seed: int, n: int) -> Sample:
     return Sample(rexp(Stream(seed), n, 1.0).reshape(-1, 1))
+
+
+def integrals_at(alpha, thetas, lams, spec=SPEC):
+    # the model integral at one rate for every point, as model_integral
+    # computes it: the objective at that rate on an empty sample
+    inner = _InnerObjective(np.empty(0), [alpha], spec)
+    return inner.integrals(np.zeros(len(thetas), dtype=int), thetas, lams)
 
 
 class TestModelIntegral:
@@ -200,7 +206,7 @@ def test_inner_objective_rows_do_not_depend_on_the_batch():
     thetas = np.tile([0.5, 0.9, 2.0, 2.0, 4.0, 1.1, 2.0, 4.0], 3)
     lams = np.tile([-0.05, 0.3, 0.0, -0.2, 0.0, 0.1, 0.3, 0.2], 3)
     rates = np.random.default_rng(0).permutation(np.repeat([0, 1, 2], 8))
-    assert _integral_batch(2.0, thetas[4:5], lams[4:5], SPEC)[0] == math.inf
+    assert inner.integrals(np.zeros(1, dtype=int), thetas[4:5], lams[4:5])[0] == math.inf
     together = inner.batch(rates, thetas, lams)
     alone = np.concatenate(
         [inner.batch(rates[i : i + 1], thetas[i : i + 1], lams[i : i + 1]) for i in range(24)]
@@ -214,10 +220,9 @@ def test_inner_objective_rows_do_not_depend_on_the_batch():
     assert together.tobytes() == alone.tobytes() == single.tobytes()
     # and so does the model integral at one rate for all points
     per_rate = np.concatenate(
-        [_integral_batch(alphas[r], thetas[i : i + 1], lams[i : i + 1], SPEC)
-         for i, r in enumerate(rates)]
+        [integrals_at(alphas[r], thetas[i : i + 1], lams[i : i + 1]) for i, r in enumerate(rates)]
     )
-    assert _integral_batch(np.take(alphas, rates), thetas, lams, SPEC).tobytes() == per_rate.tobytes()
+    assert inner.integrals(rates, thetas, lams).tobytes() == per_rate.tobytes()
     assert inner.evaluations.tolist() == [16, 16, 16]  # 8 rows per rate, twice
     at_two = _InnerObjective(x, [2.0], SPEC).batch(np.zeros(6, dtype=int), thetas[:6], lams[:6])
     assert np.array_equal(np.isnan(at_two), [True, False, False, True, True, False])
@@ -466,7 +471,7 @@ def test_quadrature_matches_level_by_level_reference():
         if alpha == failing[0] and rng.random() < 0.25:
             rows.insert(int(rng.integers(len(rows) + 1)), failing[1:])
         thetas, lams = np.array(rows).T
-        got = _integral_batch(alpha, thetas, lams, SPEC)
+        got = integrals_at(alpha, thetas, lams)
         try:
             expected = _level_by_level_integral(alpha, thetas, lams, SPEC)
         except QuadratureFailure:
@@ -525,7 +530,7 @@ def test_rate_rule_matches_quad_across_the_capped_box(gamma, nu, monkeypatch):
         thetas = np.concatenate(([top] * 8, [spec.theta_lo], rng.uniform(spec.theta_lo, top, 11)))
         lams = 10.0 ** rng.uniform(-12.0, math.log10(spec.lambda_hi), thetas.size)
         lams[:2] = 1e-12, spec.lambda_hi - 1e-9
-        got = _integral_batch(alpha, thetas, lams, spec)
+        got = integrals_at(alpha, thetas, lams, spec)
         for value, theta, lam in zip(got.tolist(), thetas.tolist(), lams.tolist()):
             expected = _quad_model_integral(alpha, theta, lam, gamma, nu)
             assert abs(value - expected) <= rel_tol * max(1.0, abs(expected)), (alpha, theta, lam)
@@ -581,6 +586,26 @@ def test_sup_over_the_capped_box_is_finite():
     assert 0.0 <= value <= _objective_bound(alpha, theta, lam)
 
 
+def test_mixing_box_narrower_than_a_fixed_margin_is_refined(monkeypatch):
+    # lambda_hi = 1e-10: a Nelder-Mead box whose lambda top sits 1e-9 below
+    # lambda_hi lies below 0, every refined point is refused and the search
+    # returns a grid point
+    spec = ContaminationSpec(theta_lo=0.5, theta_hi=2.0, lambda_hi=1e-10)
+    x = rmixture(Stream(3), 200, 1.0, 0.15, spec.pareto_gamma, spec.pareto_nu)
+    asked = []
+    batch = _InnerObjective.batch
+
+    def recording_batch(self, rates, thetas, lams):
+        asked.append(lams)
+        return batch(self, rates, thetas, lams)
+
+    monkeypatch.setattr(_InnerObjective, "batch", recording_batch)
+    result = chi2_simple(Sample(x.reshape(-1, 1)), 1.0, spec)
+    assert result.value > max(start[3] for start in result.start_points)
+    lams = np.concatenate(asked)
+    assert np.all((lams >= 0.0) & (lams < spec.lambda_hi))
+
+
 def test_steep_contaminant_null_sample_completes():
     # gamma = 50 puts the mixture's switch from the exponential to the Pareto
     # regime within nu / 51 of the onset nu, the width of the graded rule's
@@ -634,6 +659,33 @@ def test_quad_path_matches_a_dense_rule_outside_the_box(gamma, nu, alpha, theta,
     value = model_integral(DualGFunction(alpha, theta, lam, spec))
     expected = _dense_model_integral(alpha, theta, lam, gamma, nu)
     assert abs(value - expected) <= rel_tol * max(1.0, abs(expected))
+
+
+@pytest.mark.parametrize("gamma, nu", [(2.0, 1.5), (50.0, 1.2)])
+def test_spec_layout_serves_every_rate_of_a_wide_interval(gamma, nu, monkeypatch):
+    # one layout serves the whole rate interval: it comes from the lowest rate
+    # with a box, theta_lo / 1.5 = 0.033, so at alpha = 10 it runs far past
+    # that rate's own cut, where e^(-2 alpha x) underflows; the box points of
+    # every rate go through one batch
+    rel_tol = 1e-12  # relative, with a floor of 1
+    spec = ContaminationSpec(theta_lo=0.05, theta_hi=10.0, pareto_gamma=gamma, pareto_nu=nu)
+
+    def no_fallback(alpha, theta, lam, spec):
+        raise AssertionError(f"box point sent to quad: {alpha}, {theta}, {lam}")
+
+    monkeypatch.setattr(contamination, "_quad_integral", no_fallback)
+    alphas = np.geomspace(spec.theta_lo, spec.theta_hi, 9)
+    points = [
+        (rate, theta, lam)
+        for rate, alpha in enumerate(alphas)
+        for theta in np.geomspace(spec.theta_lo, min(spec.theta_hi, THETA_CAP * alpha), 4)
+        for lam in (1e-12, 1e-6, 0.1, spec.lambda_hi - 1e-9)
+    ]
+    rates, thetas, lams = (np.array(column) for column in zip(*points))
+    got = _InnerObjective(np.empty(0), alphas, spec).integrals(rates, thetas, lams)
+    for value, (rate, theta, lam) in zip(got.tolist(), points):
+        expected = _dense_model_integral(alphas[rate], theta, lam, gamma, nu)
+        assert abs(value - expected) <= rel_tol * max(1.0, abs(expected)), (alphas[rate], theta, lam)
 
 
 def test_nonpositive_rate_is_refused():

@@ -256,13 +256,15 @@ class TestSampleValidation:
 
 def test_import_loads_no_optimize_integrate_or_stats():
     # the import is part of every command's start-up time; scipy's optimize
-    # and stats subpackages are for the tests only, and integrate is loaded
-    # on first use, by a model integral outside the capped search box
+    # and stats subpackages are for the tests only, integrate is loaded on
+    # first use, by a model integral outside the capped search box, and the
+    # dual solve takes numpy's eigendecomposition instead of scipy.linalg
     src = str(Path(chi2dual.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
         "import sys, chi2dual; "
-        "print([m for m in ('scipy.optimize', 'scipy.integrate', 'scipy.stats') if m in sys.modules])"
+        "subpackages = ('scipy.optimize', 'scipy.integrate', 'scipy.stats', 'scipy.linalg'); "
+        "print([m for m in subpackages if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

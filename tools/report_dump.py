@@ -82,6 +82,13 @@ MODEL_POINTS = ((1.0, 0.5, 0.0), (1.5, 0.9, 0.3), (2.0, 0.5, -0.05), (0.6, 2.0, 
 # (alpha, theta, lambda) under STEEP_SPEC: one point inside the search box
 # [theta_lo, min(theta_hi, 1.5 alpha)] x [0, lambda_hi) and one outside it
 STEEP_MODEL_POINTS = ((1.0, 1.2, 0.3), (0.6, 1.5, 1e-9))
+# a wide rate interval, whose quadrature layout comes from its lowest rates,
+# with (alpha, theta, lambda) in the search box at both ends of it
+WIDE_SPEC = ContaminationSpec(theta_lo=0.05, theta_hi=10.0)
+WIDE_MODEL_POINTS = ((8.0, 10.0, 0.3), (0.05, 0.07, 1e-9), (10.0, 0.05, 0.5))
+# a mixing box [0, lambda_hi) narrower than the search's step below its top,
+# tested at alpha = 1 on the contaminated sample of seed 3
+NARROW_LAMBDA_SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0, lambda_hi=1e-10)
 # small CSV files for the reader, written as these exact bytes
 CSV_FILES = {
     "header": b"x1,x2\n0.25,1.5\n0.75,2.5\n",
@@ -198,6 +205,15 @@ def contamination_lines() -> list[str]:
     except Chi2DualError as exc:
         outcome = type(exc).__name__
     lines.append(_line("chi2_simple.far_point", outcome))
+    x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+    result = chi2_simple(Sample(x.reshape(-1, 1)), 1.0, NARROW_LAMBDA_SPEC)
+    outcome = {
+        "value": repr(result.value),
+        "theta_hat": repr(result.theta_hat),
+        "lambda_hat": repr(result.lambda_hat),
+        "n_evaluations": result.n_evaluations,
+    }
+    lines.append(_line("chi2_simple.3.lambda_hi_1e-10", outcome))
     x = rmixture(Stream(101), 200, 1.0, 0.0, SPEC.pareto_gamma, SPEC.pareto_nu)
     try:
         report = contamination_test(Sample(x.reshape(-1, 1)), STEEP_SPEC, 0.05)
@@ -250,6 +266,9 @@ def model_integral_lines() -> list[str]:
     for alpha, theta, lam in STEEP_MODEL_POINTS:
         value = repr(model_integral(DualGFunction(alpha, theta, lam, STEEP_SPEC)))
         lines.append(_line(f"model_integral.steep.{alpha}.{theta}.{lam}", value))
+    for alpha, theta, lam in WIDE_MODEL_POINTS:
+        value = repr(model_integral(DualGFunction(alpha, theta, lam, WIDE_SPEC)))
+        lines.append(_line(f"model_integral.wide.{alpha}.{theta}.{lam}", value))
     return lines
 
 
