@@ -6,22 +6,26 @@ minus, parentheses, and the functions pow(a, b), exp(a), log(a) and the
 indicator le(a, b) = 1 if a <= b else 0.  Compiled expressions evaluate
 vectorized over the whole sample.
 
-Grammar (recursive descent):
+Grammar (precedence climbing; ``_BINARY`` gives each operator's precedence,
++ - 1, * / 2, ^ 3, and whether it is left-associative):
 
-    expr    := term (('+' | '-') term)*
-    term    := factor (('*' | '/') factor)*
-    factor  := unary ('^' factor)?
-    unary   := '-' unary | primary
-    primary := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
+    expr(p) := unary (OP expr(q))*   for each OP of precedence r >= p, where
+                                     q = r + 1 if OP is left-associative, else r
+    unary   := '-' expr(3) | primary          (so -x^2 reads -(x^2))
+    primary := NUMBER | IDENT | IDENT '(' expr(1) (',' expr(1))* ')' | '(' expr(1) ')'
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+MAX_DEPTH = 100  # expr calls nested deeper than this are refused, not left to recurse
+
+_Node = Callable[[np.ndarray], np.ndarray]
 
 
 class ExprError(ValueError):
@@ -31,41 +35,46 @@ class ExprError(ValueError):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[()+\-*/^,]))"
+    r"|(?P<op>[()+\-*/^,])"
+    r"|(?P<bad>\S))"
 )
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            remainder = text[pos:].lstrip()
-            if not remainder:
-                break
-            raise ExprError(f"unexpected character {remainder[0]!r} at position {pos}")
-        for kind in ("number", "ident", "op"):
-            if match.group(kind) is not None:
-                tokens.append(_Token(kind, match.group(kind), match.start(kind)))
-                break
-        pos = match.end()
-    return tokens
-
+# operator: (precedence, left-associative, function); Python's operators, not
+# np.add and kin, since numpy reuses a temporary operand's buffer only via them
+_BINARY = {
+    "+": (1, True, operator.add),
+    "-": (1, True, operator.sub),
+    "*": (2, True, operator.mul),
+    "/": (2, True, operator.truediv),
+    "^": (3, False, np.power),
+}
 
 _FUNCTIONS: dict[str, tuple[int, Callable[..., np.ndarray]]] = {
-    "pow": (2, lambda a, b: np.power(a, b)),
+    "pow": (2, np.power),
     "exp": (1, np.exp),
     "log": (1, np.log),
     "le": (2, lambda a, b: (a <= b).astype(float)),
 }
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, then ("end", "", len(text))."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ExprError(f"unexpected character {match[kind]!r} at position {match.start()}")
+        tokens.append((kind, match[kind], match.start(kind)))
+    return tokens + [("end", "", len(text))]
+
+
+def _node(fn: Callable[..., np.ndarray], *args: _Node) -> _Node:
+    # operands passed one by one: a generator costs several microseconds a node
+    if len(args) == 1:
+        (a,) = args
+        return lambda x: fn(a(x))
+    a, b = args
+    return lambda x: fn(a(x), b(x))
 
 
 class _Parser:
@@ -74,119 +83,83 @@ class _Parser:
         self.d = d
         self.tokens = _tokenize(text)
         self.index = 0
+        self.depth = 0
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.index]
 
-    def next(self) -> _Token:
-        token = self.peek()
-        if token is None:
+    def next(self, expected: str | None = None) -> tuple[str, str, int]:
+        kind, text, pos = token = self.peek()
+        if kind == "end":
             raise ExprError(f"unexpected end of expression in {self.text!r}")
+        if expected is not None and text != expected:
+            raise ExprError(f"expected {expected!r} at position {pos}, found {text!r}")
         self.index += 1
         return token
 
-    def expect(self, text: str) -> None:
+    def expr(self, least: int = 1) -> _Node:
+        """Operators of precedence >= ``least``, folded by ``_BINARY``."""
         token = self.next()
-        if token.text != text:
-            raise ExprError(
-                f"expected {text!r} at position {token.pos}, found {token.text!r}"
-            )
-
-    def parse(self) -> Callable[[np.ndarray], np.ndarray]:
-        node = self.expr()
-        token = self.peek()
-        if token is not None:
-            raise ExprError(f"trailing input {token.text!r} at position {token.pos}")
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprError(f"nested more than {MAX_DEPTH} levels deep at position {token[2]}")
+        if token[1] == "-":
+            node = _node(operator.neg, self.expr(_BINARY["^"][0]))
+        else:
+            node = self.primary(token)
+        while (op := self.peek()[1]) in _BINARY:
+            precedence, left_assoc, fn = _BINARY[op]
+            if precedence < least:
+                break
+            self.index += 1
+            node = _node(fn, node, self.expr(precedence + 1 if left_assoc else precedence))
+        self.depth -= 1
         return node
 
-    def expr(self) -> Callable[[np.ndarray], np.ndarray]:
-        node = self.term()
-        while (token := self.peek()) is not None and token.text in ("+", "-"):
-            self.next()
-            rhs = self.term()
-            node = (
-                (lambda a, b: lambda x: a(x) + b(x))
-                if token.text == "+"
-                else (lambda a, b: lambda x: a(x) - b(x))
-            )(node, rhs)
-        return node
-
-    def term(self) -> Callable[[np.ndarray], np.ndarray]:
-        node = self.factor()
-        while (token := self.peek()) is not None and token.text in ("*", "/"):
-            self.next()
-            rhs = self.factor()
-            node = (
-                (lambda a, b: lambda x: a(x) * b(x))
-                if token.text == "*"
-                else (lambda a, b: lambda x: a(x) / b(x))
-            )(node, rhs)
-        return node
-
-    def factor(self) -> Callable[[np.ndarray], np.ndarray]:
-        # power binds tighter than unary minus: -x^2 reads -(x^2)
-        token = self.peek()
-        if token is not None and token.text == "-":
-            self.next()
-            inner = self.factor()
-            return (lambda a: lambda x: -a(x))(inner)
-        base = self.primary()
-        token = self.peek()
-        if token is not None and token.text == "^":
-            self.next()
-            exponent = self.factor()  # right-associative
-            return (lambda a, b: lambda x: np.power(a(x), b(x)))(base, exponent)
-        return base
-
-    def primary(self) -> Callable[[np.ndarray], np.ndarray]:
-        token = self.next()
-        if token.kind == "number":
-            value = float(token.text)
+    def primary(self, token: tuple[str, str, int]) -> _Node:
+        kind, text, pos = token
+        if kind == "number":
+            value = float(text)
             return lambda x: np.full(x.shape[0], value)
-        if token.kind == "ident":
-            name = token.text
-            following = self.peek()
-            if following is not None and following.text == "(":
-                return self.call(name, token.pos)
-            return self.variable(name, token.pos)
-        if token.text == "(":
+        if text == "(":
             node = self.expr()
-            self.expect(")")
+            self.next(")")
             return node
-        raise ExprError(f"unexpected token {token.text!r} at position {token.pos}")
-
-    def call(self, name: str, pos: int) -> Callable[[np.ndarray], np.ndarray]:
-        if name not in _FUNCTIONS:
-            raise ExprError(f"unknown function {name!r} at position {pos}")
-        arity, impl = _FUNCTIONS[name]
-        self.expect("(")
-        args = [self.expr()]
-        while (token := self.peek()) is not None and token.text == ",":
-            self.next()
-            args.append(self.expr())
-        self.expect(")")
-        if len(args) != arity:
-            raise ExprError(f"{name} takes {arity} argument(s), got {len(args)}")
-        return (lambda fs: lambda x: impl(*(f(x) for f in fs)))(args)
-
-    def variable(self, name: str, pos: int) -> Callable[[np.ndarray], np.ndarray]:
-        match = re.fullmatch(r"x(\d+)", name)
+        if kind != "ident":
+            raise ExprError(f"unexpected token {text!r} at position {pos}")
+        if self.peek()[1] == "(":
+            if text not in _FUNCTIONS:
+                raise ExprError(f"unknown function {text!r} at position {pos}")
+            arity, impl = _FUNCTIONS[text]
+            self.next("(")
+            args = [self.expr()]
+            while self.peek()[1] == ",":
+                self.index += 1
+                args.append(self.expr())
+            self.next(")")
+            if len(args) != arity:
+                raise ExprError(f"{text} takes {arity} argument(s), got {len(args)}")
+            return _node(impl, *args)
+        match = re.fullmatch(r"x(\d+)", text)
         if match is None:
             raise ExprError(
-                f"unknown identifier {name!r} at position {pos}; coordinates are x1..x{self.d}"
+                f"unknown identifier {text!r} at position {pos}; coordinates are x1..x{self.d}"
             )
         coord = int(match.group(1))
         if not 1 <= coord <= self.d:
-            raise ExprError(
-                f"coordinate {name} out of range for d={self.d} at position {pos}"
-            )
+            raise ExprError(f"coordinate {text} out of range for d={self.d} at position {pos}")
         return lambda x: x[:, coord - 1]
 
 
-def compile_expression(text: str, d: int) -> Callable[[np.ndarray], np.ndarray]:
+def compile_expression(text: str, d: int) -> _Node:
     """Compile an expression into a vectorized (n, d) -> (n,) evaluator."""
     if d < 1:
         raise ExprError(f"dimension must be >= 1, got {d}")
     if not text.strip():
         raise ExprError("empty expression")
-    return _Parser(text, d).parse()
+    parser = _Parser(text, d)
+    node = parser.expr()
+    token = parser.peek()
+    if token[0] != "end":
+        raise ExprError(f"trailing input {token[1]!r} at position {token[2]}")
+    return node

@@ -91,9 +91,6 @@ class UniformCDF:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.clip((x - self.low) / (self.high - self.low), 0.0, 1.0)
 
-    def __repr__(self) -> str:
-        return f"uniform({self.low},{self.high})"
-
 
 class ExponentialCDF:
     def __init__(self, rate: float) -> None:
@@ -104,9 +101,6 @@ class ExponentialCDF:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * np.maximum(x, 0.0)))
 
-    def __repr__(self) -> str:
-        return f"exp({self.rate})"
-
 
 class NormalCDF:
     def __init__(self, mu: float = 0.0, sigma: float = 1.0) -> None:
@@ -116,9 +110,6 @@ class NormalCDF:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return scipy.special.ndtr((x - self.mu) / self.sigma)
-
-    def __repr__(self) -> str:
-        return f"normal({self.mu},{self.sigma})"
 
 
 @dataclass(frozen=True)

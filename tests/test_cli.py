@@ -165,6 +165,20 @@ class TestCsvIngestion:
         data = read_csv_sample(str(path)).data
         assert data.shape == rows.shape and data.tobytes() == rows.tobytes()
 
+    def test_whitespace_only_line_keeps_fast_path(self, tmp_path, monkeypatch):
+        def refuse(path, lines):
+            raise AssertionError("per-line parser called on a file numpy can read")
+
+        monkeypatch.setattr(cli, "_parse_csv_lines", refuse)
+        rows = Stream(15).uniforms(2000).reshape(-1, 2)
+        path = tmp_path / "d.csv"
+        write_csv(path, rows, header="x1,x2")
+        text = path.read_text(encoding="utf-8").splitlines()
+        text.insert(500, " \t")
+        path.write_text("\n".join(text) + "\n  \n", encoding="utf-8")
+        data = read_csv_sample(str(path)).data
+        assert data.shape == rows.shape and data.tobytes() == rows.tobytes()
+
     def test_utf8_bom_is_not_a_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
@@ -380,6 +394,24 @@ class TestContamCommand:
             ["contam-test", "--data", str(data), "--theta-range", "nonsense"]
         )
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--theta-range", "0.5", "--theta-range must look like LO:HI, got '0.5'"),
+            ("--theta-range", "0.5:1:2", "--theta-range must look like LO:HI, got '0.5:1:2'"),
+            ("--theta-range", "a:2", "--theta-range must be numeric LO:HI, got 'a:2'"),
+            ("--pareto", "2.0", "--pareto must look like G,NU, got '2.0'"),
+            ("--pareto", "2,1.5,3", "--pareto must look like G,NU, got '2,1.5,3'"),
+            ("--pareto", "2,x", "--pareto must be numeric G,NU, got '2,x'"),
+        ],
+    )
+    def test_malformed_pair_names_option_and_form(self, tmp_path, capsys, option, value, message):
+        data = tmp_path / "c.csv"
+        write_csv(data, [[1.0], [2.0]])
+        args = ["contam-test", "--data", str(data), "--theta-range", "0.5:2"]
+        assert main(args + [option, value]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "option, lambda_hi",

@@ -50,6 +50,7 @@ from chi2dual import (
 )
 from chi2dual.cli import CliError, read_csv_sample
 from chi2dual.cli import main as cli_main
+from chi2dual.exprparse import ExprError, compile_expression
 from chi2dual.montecarlo import SCENARIOS
 from chi2dual.reportio import emit_json
 
@@ -99,6 +100,24 @@ CSV_FILES = {
     "non_finite": b"x\n0.5\n\ninf\n",
     "bom": b"\xef\xbb\xbf0.25,1.5\n0.75,2.5\n0.5,3.5\n",
 }
+# linear-test constraints over two coordinates: every operator and function,
+# a right-associative power chain and a negative exponent
+EXPRESSIONS = (
+    "x1 + x2 - 0.5",
+    "x1 * x2 / 0.25",
+    "2^-x1",
+    "x2^2^0.5",
+    "-x1^2 + exp(x2)",
+    "pow(x1, 3) - log(x2 + 1)",
+    "le(x1, 0.5) * le(x2, 0.25)",
+)
+# (expression, dimension) pairs that compile_expression refuses
+MALFORMED_EXPRESSIONS = (
+    ("", 2), ("   ", 2), ("x1 @ 2", 2), ("x1 +", 2), ("(x1+1", 2), ("(x1 1)", 2),
+    ("pow(x1 x1)", 2), ("x1 * )", 2), ("pow(x1)", 2), ("exp(x1, 2)", 2), ("sin(x1)", 2),
+    ("y1", 2), ("x3", 2), ("x0", 2), ("x1 x1", 2), ("2^", 2), ("le(,x1)", 2),
+    ("1.2.3", 2), ("x1 ^ ^ 2", 2), ("x1", 0),
+)
 # (scenario, n, replicates): small plans, every scenario once
 PLANS = {
     "linear_null": (200, 20),
@@ -134,15 +153,29 @@ def cli_lines(tmp: Path) -> list[str]:
     _write_csv(marginal_csv, Stream(8).uniforms(3000).reshape(-1, 2))
     contam_csv = tmp / "contam.csv"
     _write_csv(contam_csv, rmixture(Stream(9), 200, 1.0, 0.1, 2.0, 1.5).reshape(-1, 1))
+    expr_json = tmp / "expressions.json"
+    targets = (0.5, 1.0, 0.721, 0.414, 1.385, -0.136, 0.125)  # near the uniform means
+    expr_json.write_text(json.dumps(
+        {"constraints": [{"f": f, "target": t} for f, t in zip(EXPRESSIONS, targets)]}))
     commands = {
         "linear": ["linear-test", "--data", str(linear_csv),
                    "--constraints", str(FIXTURES / "uniform_quarter_mean.json")],
+        "expr": ["linear-test", "--data", str(marginal_csv), "--constraints", str(expr_json)],
         "marginal": ["marginal-test", "--data", str(marginal_csv),
                      "--marginals", "uniform(0,1);uniform(0,1)"],
         "contam": ["contam-test", "--data", str(contam_csv), "--theta-range", "0.5:2"],
         "calibrate": ["calibrate", "--plan", str(FIXTURES / "linear_null_plan.json")],
     }
-    return [_line(f"cli.{name}", _cli(argv)) for name, argv in commands.items()]
+    lines = [_line(f"cli.{name}", _cli(argv)) for name, argv in commands.items()]
+    messages = []
+    for text, d in MALFORMED_EXPRESSIONS:
+        try:
+            compile_expression(text, d)
+            outcome = "compiled"
+        except ExprError as exc:
+            outcome = str(exc)
+        messages.append([text, d, outcome])
+    return lines + [_line("cli.expr.errors", messages)]
 
 
 def csv_lines(tmp: Path) -> list[str]:
