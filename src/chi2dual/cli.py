@@ -5,10 +5,10 @@ blank lines skipped; the first non-blank line may be a header, and any other
 unparseable cell is a hard error with its line number.  A UTF-8 byte-order
 mark at the start of a data, constraints or plan file is dropped, so it
 never turns the first row into a header.  The rows go through one numpy
-parse (two if the file has a whitespace-only line); a file that numpy
-refuses, or that holds a non-finite value, is read again line by line, and
-that parser words every error.  numpy reads a strict subset of what float()
-reads, and reads it the same way, so both paths accept the same inputs.
+parse; a file that parse refuses, or that holds a non-finite value, is read
+again line by line, and that parser words every error.  numpy reads a
+strict subset of what float() reads, and reads it the same way, so both
+paths accept the same inputs.
 
 ``--theta-range`` takes the rate interval as ``LO:HI``; ``--lambda-max``
 takes the open upper end HI of the mixing interval [0, HI), whose lower end
@@ -67,8 +67,7 @@ def _parse_csv_fast(lines: list[str]) -> np.ndarray | None:
     """All rows in one C-level parse, or None to leave the file to
     ``_parse_csv_lines``.  numpy converts each cell with the parser that
     float() uses but accepts less (no ``_``, no non-ASCII digits, no
-    whitespace-only line: a second parse drops those), so whatever it accepts
-    it reads as float() does."""
+    whitespace-only line), so whatever it accepts it reads as float() does."""
     start = next((i for i, raw in enumerate(lines) if raw.strip()), None)
     if start is None:
         return None
@@ -77,17 +76,13 @@ def _parse_csv_fast(lines: list[str]) -> np.ndarray | None:
     except ValueError:
         start += 1  # header row
     rows = lines[start:]
-    while any(rows):  # no rows: loadtxt would warn and return an empty array
-        try:
-            data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
-        except ValueError:
-            kept = [raw for raw in rows if not raw or raw.strip()]
-            if len(kept) == len(rows):  # no whitespace-only line to drop
-                return None
-            rows = kept
-        else:
-            return data if np.isfinite(data).all() else None
-    return None
+    if not any(rows):  # loadtxt would warn and return an empty array
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    return data if np.isfinite(data).all() else None
 
 
 def _parse_csv_lines(path: str, lines: list[str]) -> np.ndarray:

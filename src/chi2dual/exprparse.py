@@ -24,6 +24,7 @@ from typing import Callable
 import numpy as np
 
 MAX_DEPTH = 100  # expr calls nested deeper than this are refused, not left to recurse
+MAX_NODES = 500  # more operations are refused: evaluation recurses once per operation
 
 _Node = Callable[[np.ndarray], np.ndarray]
 
@@ -68,15 +69,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens + [("end", "", len(text))]
 
 
-def _node(fn: Callable[..., np.ndarray], *args: _Node) -> _Node:
-    # operands passed one by one: a generator costs several microseconds a node
-    if len(args) == 1:
-        (a,) = args
-        return lambda x: fn(a(x))
-    a, b = args
-    return lambda x: fn(a(x), b(x))
-
-
 class _Parser:
     def __init__(self, text: str, d: int) -> None:
         self.text = text
@@ -84,6 +76,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.index = 0
         self.depth = 0
+        self.nodes = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -97,6 +90,17 @@ class _Parser:
         self.index += 1
         return token
 
+    def node(self, pos: int, fn: Callable[..., np.ndarray], *args: _Node) -> _Node:
+        self.nodes += 1
+        if self.nodes > MAX_NODES:
+            raise ExprError(f"more than {MAX_NODES} operations at position {pos}")
+        # operands passed one by one: a generator costs several microseconds a node
+        if len(args) == 1:
+            (a,) = args
+            return lambda x: fn(a(x))
+        a, b = args
+        return lambda x: fn(a(x), b(x))
+
     def expr(self, least: int = 1) -> _Node:
         """Operators of precedence >= ``least``, folded by ``_BINARY``."""
         token = self.next()
@@ -104,15 +108,16 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise ExprError(f"nested more than {MAX_DEPTH} levels deep at position {token[2]}")
         if token[1] == "-":
-            node = _node(operator.neg, self.expr(_BINARY["^"][0]))
+            node = self.node(token[2], operator.neg, self.expr(_BINARY["^"][0]))
         else:
             node = self.primary(token)
-        while (op := self.peek()[1]) in _BINARY:
-            precedence, left_assoc, fn = _BINARY[op]
+        while (op := self.peek())[1] in _BINARY:
+            precedence, left_assoc, fn = _BINARY[op[1]]
             if precedence < least:
                 break
             self.index += 1
-            node = _node(fn, node, self.expr(precedence + 1 if left_assoc else precedence))
+            rhs = self.expr(precedence + 1 if left_assoc else precedence)
+            node = self.node(op[2], fn, node, rhs)
         self.depth -= 1
         return node
 
@@ -139,7 +144,7 @@ class _Parser:
             self.next(")")
             if len(args) != arity:
                 raise ExprError(f"{text} takes {arity} argument(s), got {len(args)}")
-            return _node(impl, *args)
+            return self.node(pos, impl, *args)
         match = re.fullmatch(r"x(\d+)", text)
         if match is None:
             raise ExprError(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chi2dual.cli import EXIT_ERROR, main
-from chi2dual.exprparse import MAX_DEPTH, ExprError, compile_expression
+from chi2dual.exprparse import MAX_DEPTH, MAX_NODES, ExprError, compile_expression
 
 
 def evaluate(text, rows, d=None):
@@ -201,6 +201,10 @@ class TestErrors:
         assert str(exc.value) == message
 
 
+TOO_DEEP = f"nested more than {MAX_DEPTH} levels deep at position {MAX_DEPTH}"
+TOO_LONG = f"more than {MAX_NODES} operations at position {3 * MAX_NODES + 2}"  # "x1" + "+x1" * n
+
+
 class TestNesting:
     rows = np.array([[2.0], [3.0]])
 
@@ -216,21 +220,31 @@ class TestNesting:
         text = opener * (depth + 1) + "x1" + closer * (depth + 1)
         with pytest.raises(ExprError) as exc:
             compile_expression(text, 1)
-        assert str(exc.value) == f"nested more than {MAX_DEPTH} levels deep at position {MAX_DEPTH}"
+        assert str(exc.value) == TOO_DEEP
+
+    def test_flat_chain_bound(self):
+        # a flat chain parses in a loop but evaluates one operation inside the next
+        text = "x1" + "+x1" * MAX_NODES
+        expected = self.rows[:, 0] * (MAX_NODES + 1)
+        assert compile_expression(text, 1)(self.rows).tobytes() == expected.tobytes()
+        with pytest.raises(ExprError) as exc:
+            compile_expression(text + "+x1", 1)
+        assert str(exc.value) == TOO_LONG
 
     @pytest.mark.parametrize(
-        "text", ["(" * 250 + "x1" + ")" * 250, "-" * 3000 + "x1"],
-        ids=["parentheses", "unary_minus"],
+        "text, message",
+        [
+            ("(" * 250 + "x1" + ")" * 250, TOO_DEEP),
+            ("-" * 3000 + "x1", TOO_DEEP),
+            ("x1" + "+x1" * 1199, TOO_LONG),
+        ],
+        ids=["parentheses", "unary_minus", "flat_sum"],
     )
-    def test_cli_names_file_and_constraint(self, tmp_path, capsys, text):
+    def test_cli_names_file_and_constraint(self, tmp_path, capsys, text, message):
         data = tmp_path / "d.csv"
         data.write_text("x1\n0.5\n0.25\n", encoding="utf-8")
         constraints = tmp_path / "c.json"
         constraints.write_text(json.dumps({"constraints": [{"f": text, "target": 0.5}]}))
         code = main(["linear-test", "--data", str(data), "--constraints", str(constraints)])
-        err = capsys.readouterr().err
         assert code == EXIT_ERROR
-        assert err == (
-            f"error: {constraints}: constraint 0: nested more than {MAX_DEPTH} levels deep"
-            f" at position {MAX_DEPTH}\n"
-        )
+        assert capsys.readouterr().err == f"error: {constraints}: constraint 0: {message}\n"
