@@ -13,10 +13,9 @@ commutation numerically.
 
 What the search covers: the mixing box is ``[0, lambda_hi)``, the null
 lambda = 0 on its edge (the boundary setting of Chernoff 1954 and Self &
-Liang 1987).  Admissibility is analytic: for every lambda in [0, 1) the
-mixture density h is positive on (0, inf), while for every lambda < 0 the
-Pareto term outlasts the exponential and h turns negative far out, so such
-a point is outside the dual class whatever the quadrature sees.  At rate
+Liang 1987).  Admissibility is analytic: h is positive on (0, inf) for
+every lambda in [0, 1), and for every lambda < 0 the Pareto term outlasts
+the exponential, so h turns negative far out, whatever the nodes see.  At rate
 alpha the search box is [theta_lo, min(theta_hi, 1.5 alpha)] x [0, lambda_hi)
 (``THETA_CAP``): on lambda = 0 the model integral 2 alpha^2 / (theta (2 alpha
 - theta)) - 2 is unbounded as theta -> 2 alpha, while below the cap
@@ -31,43 +30,33 @@ statistic sits at the lambda = 0 edge of what the search admits, and the
 ``contam_null`` scenario (n = 200, 40 replicates, seed 7) puts it at KS
 distance 0.596 from chi-square(1), with 24 of the 40 statistics below 1e-3.
 
-Numerical layout: the model integral reduces to int f_alpha^2 / h, which is
-exponential below the Pareto support onset nu (closed form).  Above it, in
-the capped box, h >= (1 - lambda) theta e^(-theta x) bounds every tail, so
-one truncation point X from the worst corner of every rate's box (the
-lowest rate with a box, theta_lo / 1.5) serves the whole spec, and each
-point's tail above it is added in closed form.  [nu, X] is cut into graded
-panels, the first nu / (gamma + 1) wide and each next twice as wide, with
-Gauss-Legendre rules of 28 and 36 nodes that must agree to
-``QUAD_TOLERANCE``.  The nodes do not depend on the rate, so the box points
-of a batch take one pass whatever their rates.  A point outside the box, or
-one the two rules do not certify, goes to ``scipy.integrate.quad``,
-imported on first use.  The lambda = 0 line is closed form.  A point with
-lambda outside [0, 1) or theta <= 0 is refused by rule, and one whose
-integral diverges (lambda = 0 with theta >= 2 alpha) is outside the dual
-class too; the search excludes both.
+Numerical layout: the model integral reduces to int f_alpha^2 / h, closed
+form below the Pareto onset nu.  Above it, in the capped box, h >= (1 -
+lambda) theta e^(-theta x) bounds every tail, so one truncation point X
+from the worst corner of every rate's box (rate theta_lo / 1.5) serves the
+whole spec, each point's tail above it added in closed form.  [nu, X] is
+cut into graded panels, the first nu / (gamma + 1) wide and each next twice
+as wide, with Gauss-Legendre rules of 28 and 36 nodes that must agree to
+``QUAD_TOLERANCE``; the box points of a batch take one pass whatever their
+rates.  Other points go to ``scipy.integrate.quad``, imported on first use.
+lambda outside [0, 1) or theta <= 0 is refused by rule, and a divergent
+integral (lambda = 0, theta >= 2 alpha) is outside the dual class.  On the
+sample, ``_density_ratio`` divides alpha by h e^(alpha x) term by term, so
+that a far observation does not give 0 / 0.  The search and
+``dual_objective_contam`` share it and the conjugate: n *
+dual_objective_contam at the reported optimum is the statistic exactly.
 
-The sample side of the objective needs f_alpha / h at each observation.
-``_density_ratio`` divides alpha by h e^(alpha x), expanded term by term,
-so that an observation far enough out to underflow both densities does
-not give 0 / 0; the search computes e^(alpha x) once per profiled rate.
-The search and ``dual_objective_contam`` share this ratio and the
-conjugate (``core.legendre_batch``): n * dual_objective_contam at the
-reported (alpha_hat, theta_hat, lambda_hat) is the statistic exactly.
-
-Search: for each profiled alpha, the sup over (theta, lambda) evaluates a
-grid (with the lambda = 0 line and the exact null point adjoined), then
-runs bounded Nelder-Mead from the best grid points under scipy's rules
-(``_nelder_mead`` reproduces scipy 1.17's steps bit for bit on Python
-floats).  The anchor (theta, lambda) = (alpha, 0) evaluates to exactly 0
-(f_alpha / h = 1 at every observation, and the model integral is
-2 alpha^2 / alpha^2 - 2), so every supremum, and with it the statistic, is
->= 0 with no clamp.  The inf over alpha takes a coarse grid of rates, then
-a golden section that evaluates each point it needs together with both
-points that could follow it.  The rates evaluated together are searched in
-lockstep: each rate's grid is one objective call, and each round of the
-Nelder-Mead searches of all of them shares one call.  The few points of a round cost
-little arithmetic, so the fixed cost of each call sets the time.
+Search: at each profiled alpha a grid (with the lambda = 0 line and the
+null point adjoined) seeds projected Newton ascent from its best points,
+the derivatives summed on the rule's nodes and the sample (``_slopes``).
+On the lambda = 0 face d/dlambda is -inf wherever theta > alpha, so a
+search there moves theta alone while d/dlambda <= 0.  The anchor (alpha, 0)
+is exactly 0 (f_alpha / h = 1 on the sample, model integral 2 alpha^2 /
+alpha^2 - 2), so the statistic is >= 0 with no clamp.  The inf over alpha
+takes a coarse grid of rates, then a golden section that evaluates each
+point it needs with both points that could follow it.  Rates evaluated
+together are searched in lockstep: one objective call per rate's grid,
+one for all their starts and one per Newton round.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
@@ -79,9 +68,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Generator, Iterable
+from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
@@ -98,7 +86,7 @@ from .linear import CHI_SQUARED, TestReport, _check_level, chi2_sf
 # Truncate the model integral where the tail bound of every point of the
 # capped box drops below this level; each point's tail is added in closed form.
 TAIL_TOLERANCE = 1e-15
-# Quadrature error target; Nelder-Mead tolerance on its simplex values.
+# Quadrature error target; Nelder-Mead tolerance on the simplex values (minimax_gap).
 QUAD_TOLERANCE = 1e-10
 OBJECTIVE_TOLERANCE = 1e-8
 # the inner search at rate alpha keeps theta <= THETA_CAP * alpha (module docstring)
@@ -273,7 +261,7 @@ def model_integral(g: DualGFunction) -> float:
     warns that it missed the error target.
     """
     inner = _InnerObjective(np.empty(0), [g.alpha], g.spec)
-    value = inner.integrals(np.zeros(1, dtype=int), np.array([g.theta]), np.array([g.lam]))[0]
+    value = inner.integrals(np.zeros(1, dtype=int), np.array([g.theta]), np.array([g.lam]))[0][0]
     if np.isnan(value):
         raise NonPositiveDensity(
             f"mixture density not positive on (0, inf) at theta={g.theta}, lambda={g.lam}"
@@ -306,9 +294,10 @@ def _require_positive_data(sample: Sample) -> np.ndarray:
 class SearchSettings:
     """Knobs for the nested optimization; defaults match the documented design.
 
-    ``inner_grid`` points per (theta, lambda) axis; Nelder-Mead from the
-    ``nm_starts`` best, ``nm_max_evals`` calls each; ``outer_coarse`` rate
-    points, then golden section to ``alpha_tol`` of the rate interval.
+    ``inner_grid`` points per (theta, lambda) axis; refinement (projected
+    Newton, Nelder-Mead in ``minimax_gap``'s reverse order) from the
+    ``nm_starts`` best, ``nm_max_evals`` evaluations each; ``outer_coarse``
+    rate points, then golden section to ``alpha_tol`` of the rate interval.
     """
 
     inner_grid: int = 8
@@ -329,118 +318,166 @@ class SearchSettings:
             raise InvalidInput(f"alpha_tol must be finite and > 0, got {self.alpha_tol!r}")
 
 
-_EXCLUDED_PENALTY = 1e30
+# projected Newton (``_projected_newton``): stops, value rounding, face probe
+_GRADIENT_TOLERANCE = 1e-9
+_STEP_TOLERANCE = 1e-10
+_ROUNDING = 1e-14
+_PROBE = 1e-3
+
+
+@functools.lru_cache(maxsize=8)
+def _spec_layout(spec: ContaminationSpec) -> tuple:
+    """The spec's graded rule, shared read-only: X, the ends of the 28- and
+    36-node rules, and all nodes, weights and Pareto densities, the 36-node
+    rule on [0, nu] last (for the derivatives only)."""
+    gamma, nu = spec.pareto_gamma, spec.pareto_nu
+    # a box point's tail bound amp e^(-c x) / ((1 - lambda) theta c) is
+    # largest at the lowest rate with a box, alpha = theta_lo / 1.5, its
+    # corner theta_lo, lambda -> lambda_hi and c = alpha / 2
+    low = spec.theta_lo / THETA_CAP
+    c = 0.5 * low
+    corner = (1.0 - spec.lambda_hi) * spec.theta_lo
+    log_scale = math.log(2.0 / corner) + 2.0 * math.log(low)
+    first = nu / (gamma + 1.0)
+    x_cut = max((log_scale - math.log(TAIL_TOLERANCE * c)) / c, nu + first)
+    panels = math.ceil(math.log2((x_cut - nu) / first + 1.0))
+    breaks = np.minimum(nu + first * (2.0 ** np.arange(panels + 1) - 1.0), x_cut)
+    breaks[-1] = x_cut
+    lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
+    rules = [((lo + width * t).ravel(), (width * w).ravel()) for t, w in _GL_RULES]
+    rules.append((nu * _GL_RULES[1][0], nu * _GL_RULES[1][1]))
+    nodes, weights = (np.concatenate(column) for column in zip(*rules))
+    pareto = gamma * nu**gamma * nodes ** -(gamma + 1.0)
+    pareto[-rules[-1][0].size :] = 0.0
+    for a in (nodes, weights, pareto):
+        a.flags.writeable = False
+    return x_cut, rules[0][0].size, nodes.size - rules[-1][0].size, nodes, weights, pareto
 
 
 class _InnerObjective:
-    """sup-side objective over (theta, lambda) at each rate of ``alphas``.
-
-    Lays out the spec's graded rule (module docstring) and precomputes the
-    Pareto density at the sample and the nodes, and per rate e^(alpha x) at
-    the sample and the rule's weights times amp e^(-s x), so each parameter
-    evaluation costs one exp over the sample plus h at the rule's nodes.
-    """
+    """sup-side objective over (theta, lambda) at each rate of ``alphas``:
+    per rate, e^(alpha x) at the sample and the rule's weights times amp
+    e^(-s x) are precomputed, so a point costs one exp over the sample plus
+    h at the rule's nodes (``_spec_layout``)."""
 
     def __init__(self, x: np.ndarray, alphas: Iterable[float], spec: ContaminationSpec) -> None:
         self.x = x
         self.alphas = np.array(alphas, dtype=float)
         self.spec = spec
-        gamma, nu = spec.pareto_gamma, spec.pareto_nu
-        self.r_x = pareto_pdf(x, gamma, nu)
-        # a box point's tail bound amp e^(-c x) / ((1 - lambda) theta c) is
-        # largest at the lowest rate with a box, alpha = theta_lo / 1.5, its
-        # corner theta_lo, lambda -> lambda_hi and c = alpha / 2
-        low = spec.theta_lo / THETA_CAP
-        c = 0.5 * low
-        corner = (1.0 - spec.lambda_hi) * spec.theta_lo
-        log_scale = math.log(2.0 / corner) + 2.0 * math.log(low)
-        first = nu / (gamma + 1.0)
-        self.x_cut = max((log_scale - math.log(TAIL_TOLERANCE * c)) / c, nu + first)
-        panels = math.ceil(math.log2((self.x_cut - nu) / first + 1.0))
-        breaks = np.minimum(nu + first * (2.0 ** np.arange(panels + 1) - 1.0), self.x_cut)
-        breaks[-1] = self.x_cut
-        lo, width = breaks[:-1, None], np.diff(breaks)[:, None]
-        self.nodes = np.concatenate([(lo + width * t).ravel() for t, _ in _GL_RULES])
-        weights = np.concatenate([(width * w).ravel() for _, w in _GL_RULES])
-        self.pareto = gamma * nu**gamma * self.nodes ** -(gamma + 1.0)
-        self.split = panels * _GL_RULES[0][0].size
+        self.r_x = pareto_pdf(x, spec.pareto_gamma, spec.pareto_nu)
+        self.x_cut, self.split, self.fine, self.nodes, weights, self.pareto = _spec_layout(spec)
+        # the columns of ``_slopes``: the 36-node rule's and the segment's nodes, then the sample
+        self.columns = np.concatenate((self.nodes[self.split :], x))
+        self.multiplier = np.repeat([2.0, 3.0], [self.nodes.size - self.split, x.size])
         s = 2.0 * self.alphas[:, None]
         with np.errstate(over="ignore"):
             self.e_x = np.exp(self.alphas[:, None] * x)
+            self.p_x = self.r_x * self.e_x  # r e^(alpha x), 0 below nu
             self.weights = weights * (s * self.alphas[:, None]) * np.exp(-s * self.nodes)
         self.evaluations = np.zeros(self.alphas.size, dtype=int)
 
-    def integrals(self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """Model integral at (alphas[rates], thetas, lams).
-
-        Returns +inf where the integral diverges (lambda = 0, theta >= s) and
-        NaN where the point is refused: lambda outside [0, 1) or theta <= 0,
-        so that the mixture density is not positive on all of (0, inf).  The
-        box rows of every rate take the rule in one pass, each row summed on
-        its own, so that its value does not depend on the batch; the finer of
-        the two sums serves where they agree.  Raises QuadratureFailure where
-        ``scipy.integrate.quad``, which takes the other rows, misses its target.
-        """
-        spec, alphas = self.spec, self.alphas[rates]
+    def integrals(
+        self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray, slopes: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Model integral at (alphas[rates], thetas, lams): +inf where it
+        diverges (lambda = 0, theta >= s), NaN where the point is refused
+        (lambda outside [0, 1) or theta <= 0).  The box rows of every rate take
+        the rule in one pass, each row summed on its own, so that its value
+        does not depend on the batch; the finer sum serves where the two agree.
+        Raises QuadratureFailure where ``scipy.integrate.quad``, which takes
+        the other rows, misses its target.  Then, with ``slopes``, the box rows
+        (lambda = 0 included) and there weight / h and r / h at the 36-node
+        rule's and the segment's nodes (the tail has none: below
+        ``TAIL_TOLERANCE``)."""
+        spec, alphas, nu = self.spec, self.alphas[rates], self.spec.pareto_nu
         s = 2.0 * alphas
         amp = s * alphas
-        nu = spec.pareto_nu
         out = np.full(thetas.shape[0], np.nan)
 
         invalid = (lams < 0.0) | (lams >= 1.0) | (thetas <= 0.0)
         zero = lams == 0.0
-        zero_lam = zero & ~invalid
-        if zero_lam.any():
-            div = zero_lam & (thetas >= s)
-            ok = zero_lam & ~div
-            out[div] = np.inf
-            out[ok] = amp[ok] / (thetas[ok] * (s[ok] - thetas[ok])) - 2.0
-
-        idx = (~(invalid | zero)).nonzero()[0]
-        if idx.size == 0:
-            return out
-
-        th, lm, rates, alphas = thetas[idx], lams[idx], rates[idx], alphas[idx]
-        amp, s = amp[idx], s[idx]
-        value = np.full(idx.size, np.nan)
+        tops = np.minimum(spec.theta_hi, THETA_CAP * alphas)
+        box = ~invalid & (thetas >= spec.theta_lo) & (thetas <= tops) & (lams < spec.lambda_hi)
+        box = (box & (slopes | ~zero)).nonzero()[0]
+        th, lm, end = thetas[box], lams[box], None if slopes else self.fine
+        value = np.full(out.size, np.nan)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            c = s - th
-            scale = amp / ((1.0 - lm) * th)
+            closed = np.where(thetas >= s, np.inf, amp / (thetas * (s - thetas)) - 2.0)
+            out[zero & ~invalid] = closed[zero & ~invalid]
+            c = s - thetas
+            scale = amp / ((1.0 - lams) * thetas)
             # closed-form segment below the Pareto onset: h is purely exponential
             flat = c == 0.0
             seg0 = -np.expm1(-c * nu) / np.where(flat, 1.0, c)
             seg0[flat] = nu
-            tops = np.minimum(spec.theta_hi, THETA_CAP * alphas)
-            at = ((th >= spec.theta_lo) & (th <= tops) & (lm < spec.lambda_hi)).nonzero()[0]
-            vals = np.exp(np.multiply(-th[at, None], self.nodes))
-            vals *= ((1.0 - lm[at]) * th[at])[:, None]
-            vals += lm[at, None] * self.pareto
-            np.divide(self.weights[rates[at]], vals, out=vals)
+            h = np.exp(np.multiply(-th[:, None], self.nodes[:end]))
+            h *= ((1.0 - lm) * th)[:, None]
+            h += lm[:, None] * self.pareto[:end]
+            vals = self.weights[rates[box], :end] / h
             coarse = vals[:, : self.split].sum(axis=1)
-            fine = vals[:, self.split :].sum(axis=1)
+            fine = vals[:, self.split : self.fine].sum(axis=1)
             # relative floor: absolute targets below float64 roundoff are
             # unreachable once the integral itself is large
             limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(fine))
-            tail = scale[at] * np.exp(-c[at] * self.x_cut) / c[at]
-            value[at] = np.where(np.abs(fine - coarse) < limit, fine, np.nan) + tail
-        for i in np.isnan(value).nonzero()[0].tolist():
-            value[i] = _quad_integral(float(alphas[i]), float(th[i]), float(lm[i]), spec)
-        out[idx] = scale * seg0 + value - 2.0
-        return out
+            tail = scale[box] * np.exp(-c[box] * self.x_cut) / c[box]
+            value[box] = np.where(np.abs(fine - coarse) < limit, fine, np.nan) + tail
+            r_h = self.pareto[self.split :] / h[:, self.split :] if slopes else None
+        # the lambda = 0 box rows take the rule for their derivatives only
+        idx = (~(invalid | zero)).nonzero()[0]
+        for i in idx[np.isnan(value[idx])].tolist():
+            value[i] = _quad_integral(float(alphas[i]), float(thetas[i]), float(lams[i]), spec)
+        out[idx] = scale[idx] * seg0[idx] + value[idx] - 2.0
+        return out, box, vals[:, self.split :], r_h
 
-    def batch(self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray) -> np.ndarray:
-        """Values at (alphas[rates], thetas, lams); NaN marks points outside
-        the dual class."""
+    def batch(
+        self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray, slopes: bool = True
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values at (alphas[rates], thetas, lams), NaN outside the dual
+        class, and with ``slopes`` gradients and Hessians in (theta, lambda),
+        NaN outside the capped box.  The sample term mean(rho^2), rho =
+        f_alpha / h, has r / h = rho r e^(alpha x) / alpha (0 where rho is)."""
         self.evaluations += np.bincount(rates, minlength=self.alphas.size)
         alpha = self.alphas[rates]
-        integrals = self.integrals(rates, thetas, lams)
+        integrals, box, v_h, r_h = self.integrals(rates, thetas, lams, slopes)
+        grad, hess = np.full((thetas.size, 2), np.nan), np.full((thetas.size, 2, 2), np.nan)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             ratio = _density_ratio(
                 self.x, alpha[:, None], thetas[:, None], lams[:, None], self.r_x, self.e_x[rates]
             )
             values = integrals - legendre_batch(2.0 * (ratio - 1.0))
+            if slopes:
+                ratio = ratio[box]
+                weight = np.concatenate((v_h, ratio * ratio * (-2.0 / self.x.size)), axis=1)
+                sample = self.p_x[rates[box]] * (ratio / alpha[box, None])
+                sample[ratio == 0.0] = 0.0
+                r_h = np.concatenate((r_h, sample), axis=1)
+                grad[box], hess[box] = _slopes(weight, r_h, thetas[box], lams[box], self.columns,
+                                               self.multiplier)
         values[~np.isfinite(values)] = np.nan
-        return values
+        return values, grad, hess
+
+
+def _slopes(weight, r_h, theta, lam, x, multiplier) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian in (theta, lambda) of sum_j c_j h(x_j)^-m_j, given
+    weight = m c h^-m, r / h and multiplier = m + 1 at x: with q_p = h_p / h,
+    -sum weight q_p and sum weight (multiplier q_p q_q - h_pq / h).  With e
+    = (1 - lambda) e^(-theta x) / h = (1 - lambda r / h) / theta: q_theta =
+    e (1 - theta x), q_lambda = r / h - theta e / (1 - lambda), h_thetatheta
+    / h = -x (q_theta + e), h_thetalambda / h = -q_theta / (1 - lambda) and
+    h_lambdalambda = 0.  ``np.einsum`` sums each row on its own (a matrix
+    product would not), so no row depends on the batch."""
+    e = r_h * (-lam / theta)[:, None]
+    e += (1.0 / theta)[:, None]
+    q_t = e * (1.0 - np.multiply.outer(theta, x))
+    q_l = r_h - (theta / (1.0 - lam))[:, None] * e
+    m_weight = weight * multiplier
+    g_t, g_l = np.einsum("ij,ij->i", weight, q_t), np.einsum("ij,ij->i", weight, q_l)
+    h_tt = np.einsum("ij,ij,ij->i", m_weight, q_t, q_t)
+    h_tt += np.einsum("ij,ij,j->i", weight, q_t + e, x)
+    h_tl = np.einsum("ij,ij,ij->i", m_weight, q_t, q_l) + g_t / (1.0 - lam)
+    h_ll = np.einsum("ij,ij,ij->i", m_weight, q_l, q_l)
+    hess = np.stack((h_tt, h_tl, h_tl, h_ll), axis=1).reshape(-1, 2, 2)
+    return np.stack((-g_t, -g_l), axis=1), hess
 
 
 @dataclass(frozen=True)
@@ -474,151 +511,117 @@ def _candidate_grid(
     return t_flat, l_flat
 
 
-def _nelder_mead(
-    x0: Iterable[float], lower: Iterable[float], upper: Iterable[float], max_evals: int
-) -> Generator[list[list[float]], list[float], tuple[np.ndarray, float, int]]:
-    """Bounded Nelder-Mead minimization, step for step as scipy 1.17 runs it.
+def _starts(values: np.ndarray, count: int) -> np.ndarray:
+    """Indices of the ``count`` largest finite values, the first of equal ones first."""
+    finite = np.flatnonzero(np.isfinite(values))
+    if finite.size == 0:
+        raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
+    return finite[np.argsort(-values[finite], kind="stable")[:count]]
 
-    Yields each batch of points it needs evaluated, as a list of points
-    (lists of floats), and receives their values through ``send``; returns
-    (x, f(x), evaluations).  As in scipy, the start is clipped into the box,
-    the initial simplex steps 5 % along each axis and reflects vertices above
-    ``upper`` into the box, every trial point is clipped to the box, no
-    evaluation goes past ``max_evals``, a step cut short by the limit is
-    abandoned and a shrink cut short keeps the vertices it could evaluate.
-    (scipy also moves the next vertex before it finds the budget spent; that
-    vertex never comes first in the sort, so the result cannot show it.)
 
-    The vertices are Python floats, and every coordinate goes through the
-    same IEEE operations in the same order as scipy's arrays (the centroid
-    sums rows first to last, the clip makes ``np.clip``'s comparisons), so
-    the path matches scipy bit for bit.  The vertices are ordered by a
-    stable sort, which keeps tied values in their current order as scipy's
-    ``np.argsort`` does on arrays this small; a stable sort gives the same
-    order when repeated, so scipy's second sort after the initial simplex
-    is left out.  The values sent in must not be NaN, which has no place in
-    a sort order.
+def _projected_newton(objective, rows, start, lower, upper, budget, radius):
+    """Maximize from every start at once by projected Newton ascent.
+
+    ``start`` holds points (searches x 2) with their values, gradients and
+    Hessians, as ``objective(rows, thetas, lams)`` gives them for each
+    round's trials.  Search i keeps to [lower, upper[i]], scaled by its
+    width; a bound holds a coordinate whose derivative points out of it.
+    The others step by Newton along the Hessian's concave directions and by
+    steepest ascent along the rest, at most ``radius`` (max norm).  A trial
+    is taken if the value rises, or stays within ``_ROUNDING`` while the
+    projected gradient shrinks; the radius becomes twice the step (at most
+    1), else half of it.  A search stops at a projected gradient of
+    ``_GRADIENT_TOLERANCE``, a step below ``_STEP_TOLERANCE``, derivatives
+    not finite or ``budget`` evaluations, but on lambda = 0 it first tries
+    lambda = ``_PROBE`` box widths.  Returns points and values.
     """
-    lower = [float(v) for v in lower]
-    upper = [float(v) for v in upper]
+    point, value, grad, hess = (np.array(a, dtype=float) for a in start)
+    width = upper - lower
+    unit = np.where(width > 0.0, width, 1.0)
+    first, radius, evals = radius, np.full(value.size, radius), np.zeros(value.size, dtype=int)
+    live, probe = np.full(value.size, budget > 0), np.full(value.size, True)
+    minus_one = -np.eye(2)  # the Hessian of a held coordinate
 
-    def clip(point):
-        out = []
-        for v, lo, hi in zip(point, lower, upper):
-            v = lo if lo >= v else v
-            out.append(hi if hi <= v else v)
-        return out
+    def scaled(point, grad, upper, width):  # the gradient in box widths, 0 where held
+        held = np.where(grad > 0.0, point >= upper, point <= lower)
+        return held, np.where(held, 0.0, grad * width)
 
-    def ordered(sim, fsim):
-        order = sorted(range(len(fsim)), key=fsim.__getitem__)
-        return [sim[i] for i in order], [fsim[i] for i in order]
-
-    x0 = clip([float(v) for v in x0])
-    n = len(x0)
-    sim = [x0]
-    for k in range(n):
-        vertex = list(x0)
-        vertex[k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-        sim.append(vertex)
-    sim = [clip([2 * hi - v if v > hi else v for v, hi in zip(p, upper)]) for p in sim]
-    fsim = [math.inf] * (n + 1)
-    evals = min(n + 1, max(max_evals, 0))
-    fsim[:evals] = yield sim[:evals]
-    sim, fsim = ordered(sim, fsim)
-
-    while evals < max_evals:
-        best, worst = sim[0], sim[-1]
-        if all(abs(v - b) <= 1e-4 for p in sim[1:] for v, b in zip(p, best)) and all(
-            abs(fsim[0] - f) <= OBJECTIVE_TOLERANCE for f in fsim[1:]
-        ):
-            break
-        xbar = [functools.reduce(operator.add, column) / n for column in zip(*sim[:-1])]
-        xr = clip([2 * c - w for c, w in zip(xbar, worst)])
-        (fxr,) = yield [xr]
-        evals += 1
-        shrink = False
-        if fxr < fsim[0]:
-            if evals < max_evals:
-                xe = clip([3 * c - 2 * w for c, w in zip(xbar, worst)])
-                (fxe,) = yield [xe]
-                evals += 1
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif evals < max_evals:
-            if fxr < fsim[-1]:
-                xc = clip([1.5 * c - 0.5 * w for c, w in zip(xbar, worst)])
-                (fxc,) = yield [xc]
-                shrink = not fxc <= fxr
-            else:
-                xc = clip([0.5 * c + 0.5 * w for c, w in zip(xbar, worst)])
-                (fxc,) = yield [xc]
-                shrink = not fxc < fsim[-1]
-            evals += 1
-            if not shrink:
-                sim[-1], fsim[-1] = xc, fxc
-        if shrink:
-            room = min(n, max_evals - evals)
-            for j in range(1, 1 + room):
-                sim[j] = clip([b + 0.5 * (v - b) for v, b in zip(sim[j], best)])
-            if room:
-                fsim[1 : 1 + room] = yield sim[1 : 1 + room]
-                evals += room
-        sim, fsim = ordered(sim, fsim)
-    return np.array(sim[0]), fsim[0], evals
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            held, g = scaled(point, grad, upper, width)
+            norm = np.abs(g).max(axis=1)
+            h = hess * width[:, :, None] * width[:, None, :]
+            h = np.where(held[:, :, None] | held[:, None, :], minus_one, h)
+            live &= np.isfinite(h).all(axis=(1, 2)) & (norm > _GRADIENT_TOLERANCE)
+            live &= evals < budget
+            h[~live], g[~live], norm[~live] = minus_one, 0.0, 1.0
+            eig, vec = np.linalg.eigh(h)
+            d = np.einsum("nji,nj->ni", vec, g) / np.maximum(-eig, norm[:, None])
+            d = np.einsum("nij,nj->ni", vec, d)
+            length = np.abs(d).max(axis=1)
+            d *= (np.minimum(length, radius) / length)[:, None]
+            trial = np.clip(point + d * width, lower, upper)
+            step = (np.abs(trial - point) / unit).max(axis=1)
+            live &= step > _STEP_TOLERANCE
+            face = ~live & probe & (point[:, 1] == lower[1]) & (evals < budget)
+            trial[face], step[face] = point[face] + [0.0, _PROBE] * width[face], _PROBE
+            live, probe = live | face, probe & ~face
+            idx = live.nonzero()[0]
+            if idx.size == 0:
+                return point, value
+            new = objective(rows[idx], trial[idx, 0], trial[idx, 1])
+            evals[idx] += 1
+            flat = new[0] >= value[idx] - _ROUNDING * np.maximum(1.0, np.abs(value[idx]))
+            g_new = scaled(trial[idx], new[1], upper[idx], width[idx])[1]
+            rise = (new[0] > value[idx]) | (flat & (np.abs(g_new).max(axis=1) < norm[idx]))
+            radius[idx] = np.where(rise, np.minimum(1.0, 2.0 * step[idx]), 0.5 * step[idx])
+            radius[idx[rise & face[idx]]] = first
+            up = idx[rise]
+            point[up], value[up], grad[up], hess[up] = trial[up], *(a[rise] for a in new)
 
 
-def _grid_then_refine(
-    objective: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    grids: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    theta_tops: list[float],
-    spec: ContaminationSpec,
-    settings: SearchSettings,
-) -> list[list]:
-    """Raise the best point of each grid by Nelder-Mead from its ``nm_starts`` best.
-
-    A grid is (thetas, lams, values), ``values`` holding the objective on it
-    (NaN = excluded).  The searches maximize the objective over the box
-    [theta_lo, theta_top] x [0, lambda_hi), one ``theta_tops`` entry per
-    grid, with excluded points penalized, and all run in lockstep: each
-    round gathers the points every live search asks for into one
-    ``objective(grid indices, thetas, lams)`` call.  Returns [value, (theta,
-    lambda), start indices] per grid; a search replaces its grid's optimum
-    only when it ends strictly higher, earlier starts winning ties.
-    """
+def _grid_then_refine(objective, grids, theta_tops, spec, settings) -> list[list]:
+    """Raise the best point of each grid (thetas, lams, values; NaN excluded)
+    by ``_projected_newton`` from its ``nm_starts`` best, in the box
+    [theta_lo, theta_top] x [0, lambda_hi), all in lockstep.  Returns [value,
+    (theta, lambda), start indices] per grid; a search replaces its grid's
+    optimum only when it ends strictly higher, earlier starts winning ties."""
     lam_top = float(np.nextafter(spec.lambda_hi, 0.0))  # below the open upper end
-    budget, outcomes, searches = settings.nm_max_evals, [], []
+    outcomes, rows, starts, uppers = [], [], [], []
     for g, ((thetas, lams, values), theta_top) in enumerate(zip(grids, theta_tops)):
-        finite = np.isfinite(values)
-        if not finite.any():
-            raise OptimizationFailure("no admissible candidate in the mixture-parameter grid")
-        order = np.argsort(-values[finite], kind="stable")
-        starts = np.flatnonzero(finite)[order[: settings.nm_starts]]
-        top = np.nanargmax(values)
-        outcomes.append([float(values[top]), (float(thetas[top]), float(lams[top])), starts])
-        box = (spec.theta_lo, 0.0), (theta_top, lam_top)
-        searches += [(g, _nelder_mead((thetas[i], lams[i]), *box, budget)) for i in starts]
-    pending = [(j, next(search)) for j, (_, search) in enumerate(searches)]
-    results = [None] * len(searches)
-    while pending:
-        points = np.array([p for _, request in pending for p in request]).reshape(-1, 2)
-        rows = np.array([searches[j][0] for j, request in pending for _ in request], dtype=int)
-        costs = [
-            -v if math.isfinite(v) else _EXCLUDED_PENALTY
-            for v in objective(rows, points[:, 0], points[:, 1]).tolist()
-        ]
-        offset, waiting = 0, []
-        for j, request in pending:
-            try:
-                waiting.append((j, searches[j][1].send(costs[offset : offset + len(request)])))
-            except StopIteration as stop:
-                results[j] = stop.value
-            offset += len(request)
-        pending = waiting
-    for (g, _), (x, fun, _) in zip(searches, results):
-        if -fun > outcomes[g][0]:
-            outcomes[g][:2] = float(-fun), (float(x[0]), float(x[1]))
+        top, best = _starts(values, 1)[0], _starts(values, settings.nm_starts)
+        outcomes.append([float(values[top]), (float(thetas[top]), float(lams[top])), best])
+        rows += [g] * best.size
+        uppers += [(theta_top, lam_top)] * best.size
+        starts += [(thetas[i], lams[i]) for i in best]
+    if not rows or settings.nm_max_evals == 0:
+        return outcomes
+    rows, starts = np.array(rows), np.array(starts)
+    points, values = _projected_newton(
+        objective, rows, (starts, *objective(rows, starts[:, 0], starts[:, 1])),
+        np.array([spec.theta_lo, 0.0]), np.array(uppers), settings.nm_max_evals,
+        1.0 / settings.inner_grid,
+    )
+    for g, value, point in zip(rows.tolist(), values.tolist(), points.tolist()):
+        if value > outcomes[g][0]:
+            outcomes[g][:2] = value, tuple(point)
     return outcomes
+
+
+def _simplex_max(f, start, lower, upper, max_evals) -> tuple[np.ndarray, float]:
+    """Point and value of the maximum of ``f(theta, lam)`` on [lower, upper] by
+    scipy's bounded Nelder-Mead (imported here: the test never loads it)
+    from ``start``, ``max_evals`` calls at most, f not finite penalized."""
+    from scipy.optimize import minimize
+
+    def cost(p: np.ndarray) -> float:
+        v = f(float(p[0]), float(p[1]))
+        return -v if math.isfinite(v) else 1e30
+
+    options = {"xatol": 1e-4, "fatol": OBJECTIVE_TOLERANCE, "maxfev": max_evals}
+    result = minimize(cost, np.array(start, dtype=float), method="Nelder-Mead",
+                      bounds=list(zip(lower, upper)), options=options)
+    return result.x, -float(result.fun)
 
 
 def _chi2_lockstep(
@@ -629,9 +632,8 @@ def _chi2_lockstep(
     inner = _InnerObjective(x, alphas, spec)
     tops = [min(spec.theta_hi, THETA_CAP * alpha) for alpha in alphas]
     grids = [_candidate_grid(alpha, top, spec, settings) for alpha, top in zip(alphas, tops)]
-    grids = [
-        (ts, ls, inner.batch(np.full(ts.size, i), ts, ls)) for i, (ts, ls) in enumerate(grids)
-    ]
+    grids = [(ts, ls, inner.batch(np.full(ts.size, i), ts, ls, slopes=False)[0])
+             for i, (ts, ls) in enumerate(grids)]
     refined = _grid_then_refine(inner.batch, grids, tops, spec, settings)
     results = []
     for alpha, (thetas, lams, values), (value, point, starts), evaluations in zip(
@@ -652,11 +654,10 @@ def chi2_simple(
 ) -> Chi2SimpleResult:
     """Divergence estimate for the simple null at rate ``alpha_fixed``.
 
-    Supremum of the dual objective over the mixture parameters with
-    theta <= 1.5 alpha: a coarse grid (with the lambda = 0 line and the
-    exact null anchor adjoined) followed by simplex refinement from the best
-    ``settings.nm_starts`` grid points.  The anchor value is exactly 0, so
-    the result is never negative.
+    Supremum of the dual objective over the mixture parameters with theta <=
+    1.5 alpha: a coarse grid (with the lambda = 0 line and the exact null
+    anchor adjoined), then projected Newton ascent from its best
+    ``settings.nm_starts`` points.  The anchor is exactly 0: never negative.
     """
     settings = settings or SearchSettings()
     if not (spec.theta_lo <= alpha_fixed <= spec.theta_hi):
@@ -804,9 +805,9 @@ def minimax_gap(
     def min_over_alpha(theta: float, lam: float) -> float:
         def by_alpha(alphas: list[float]) -> list[float]:
             k = len(alphas)
-            inner = _InnerObjective(x, alphas, spec)
-            vals = inner.batch(np.arange(k), np.full(k, theta), np.full(k, lam)).tolist()
-            return [math.inf if math.isnan(v) else v for v in vals]
+            batch = _InnerObjective(x, alphas, spec).batch
+            vals = batch(np.arange(k), np.full(k, theta), np.full(k, lam), slopes=False)[0]
+            return np.where(np.isnan(vals), np.inf, vals).tolist()
 
         lo, hi = spec.theta_lo, spec.theta_hi
         _, value = _golden_min(by_alpha, lo, hi, settings.alpha_tol * (hi - lo))
@@ -814,12 +815,11 @@ def minimax_gap(
 
     # drop the anchor point (specific to the forward order)
     thetas, lams = _candidate_grid(spec.theta_hi, spec.theta_hi, spec, settings)
-    thetas, lams = thetas[:-1], lams[:-1]
-
-    def sup_side(rows: np.ndarray, ts: np.ndarray, ls: np.ndarray) -> np.ndarray:
-        return np.array([min_over_alpha(float(t), float(l)) for t, l in zip(ts, ls)])
-
-    ((sup_inf, _, _),) = _grid_then_refine(
-        sup_side, [(thetas, lams, sup_side(None, thetas, lams))], [spec.theta_hi], spec, settings
-    )
+    thetas, lams = thetas[:-1].tolist(), lams[:-1].tolist()
+    values = np.array([min_over_alpha(t, l) for t, l in zip(thetas, lams)])
+    sup_inf = float(np.nanmax(values[_starts(values, 1)]))
+    box = (spec.theta_lo, 0.0), (spec.theta_hi, float(np.nextafter(spec.lambda_hi, 0.0)))
+    for i in _starts(values, settings.nm_starts):
+        refined = _simplex_max(min_over_alpha, (thetas[i], lams[i]), *box, settings.nm_max_evals)
+        sup_inf = max(sup_inf, refined[1])
     return abs(inf_sup - sup_inf)

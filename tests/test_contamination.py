@@ -34,7 +34,7 @@ from chi2dual.contamination import (
     _golden_min,
     _grid_then_refine,
     _InnerObjective,
-    _nelder_mead,
+    _simplex_max,
 )
 from chi2dual.errors import InvalidInput, NonPositiveDensity, QuadratureFailure
 from chi2dual.rng import Stream, replicate_seed
@@ -51,7 +51,7 @@ def integrals_at(alpha, thetas, lams, spec=SPEC):
     # the model integral at one rate for every point, as model_integral
     # computes it: the objective at that rate on an empty sample
     inner = _InnerObjective(np.empty(0), [alpha], spec)
-    return inner.integrals(np.zeros(len(thetas), dtype=int), thetas, lams)
+    return inner.integrals(np.zeros(len(thetas), dtype=int), thetas, lams)[0]
 
 
 class TestModelIntegral:
@@ -173,26 +173,33 @@ NM_STARTS = [
 @pytest.mark.parametrize("max_evals", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 9, 13, 20, 60])
 @pytest.mark.parametrize("f", [_smooth, _plateau, _steps])
 def test_nelder_mead_matches_scipy(f, max_evals):
+    # minimax_gap's reverse order maximizes by _simplex_max: scipy's bounded
+    # Nelder-Mead under fixed rules (simplex tolerances 1e-4 and
+    # OBJECTIVE_TOLERANCE, the start clipped into the box, a budget, excluded
+    # points penalized), which the minimization written out here restates;
     # the maxfev values stop the search inside the initial simplex, an
-    # expansion, a contraction and a shrink; scipy's bounded Nelder-Mead is
-    # the oracle
+    # expansion, a contraction and a shrink
     options = {"xatol": 1e-4, "fatol": OBJECTIVE_TOLERANCE, "maxfev": max_evals}
     bounds = list(zip(NM_LOWER, NM_UPPER))
+
+    def objective(theta, lam):
+        # the value to maximize; _plateau's penalized region is excluded
+        calls.append((theta, lam))
+        cost = f((theta, lam))
+        return math.nan if cost >= 1e30 else -cost
+
     for start in NM_STARTS:
-        search = _nelder_mead(np.array(start), NM_LOWER, NM_UPPER, max_evals)
-        points = next(search)
-        try:
-            while True:
-                points = search.send(np.array([f(p) for p in points]))
-        except StopIteration as stop:
-            x, fun, evals = stop.value
+        calls = []
         with warnings.catch_warnings():
             # scipy warns of a start outside the box, then clips it
             warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+            x, value = _simplex_max(objective, start, NM_LOWER, NM_UPPER, max_evals)
             expected = scipy.optimize.minimize(
                 f, np.array(start), method="Nelder-Mead", bounds=bounds, options=options
             )
-        assert (x.tolist(), fun, evals) == (expected.x.tolist(), expected.fun, expected.nfev)
+        assert (x.tolist(), -value, len(calls)) == (expected.x.tolist(), expected.fun, expected.nfev)
+        assert len(calls) <= max(max_evals, 0)
+        assert all(NM_LOWER[k] <= p[k] <= NM_UPPER[k] for p in calls for k in (0, 1))
 
 
 def test_inner_objective_rows_do_not_depend_on_the_batch():
@@ -206,25 +213,32 @@ def test_inner_objective_rows_do_not_depend_on_the_batch():
     thetas = np.tile([0.5, 0.9, 2.0, 2.0, 4.0, 1.1, 2.0, 4.0], 3)
     lams = np.tile([-0.05, 0.3, 0.0, -0.2, 0.0, 0.1, 0.3, 0.2], 3)
     rates = np.random.default_rng(0).permutation(np.repeat([0, 1, 2], 8))
-    assert inner.integrals(np.zeros(1, dtype=int), thetas[4:5], lams[4:5])[0] == math.inf
+    assert inner.integrals(np.zeros(1, dtype=int), thetas[4:5], lams[4:5])[0][0] == math.inf
+    # values, gradients and Hessians
     together = inner.batch(rates, thetas, lams)
-    alone = np.concatenate(
-        [inner.batch(rates[i : i + 1], thetas[i : i + 1], lams[i : i + 1]) for i in range(24)]
-    )
+    alone = [inner.batch(rates[i : i + 1], thetas[i : i + 1], lams[i : i + 1]) for i in range(24)]
     # the objective of each rate on its own gives the same rows
-    single = np.concatenate(
-        [_InnerObjective(x, [alphas[r]], SPEC).batch(np.zeros(1, dtype=int), thetas[i : i + 1],
-                                                     lams[i : i + 1])
-         for i, r in enumerate(rates)]
-    )
-    assert together.tobytes() == alone.tobytes() == single.tobytes()
+    single = [
+        _InnerObjective(x, [alphas[r]], SPEC).batch(np.zeros(1, dtype=int), thetas[i : i + 1],
+                                                    lams[i : i + 1])
+        for i, r in enumerate(rates)
+    ]
+    for k, rows in enumerate(together):
+        assert rows.tobytes() == np.concatenate([a[k] for a in alone]).tobytes()
+        assert rows.tobytes() == np.concatenate([a[k] for a in single]).tobytes()
+    values_only = inner.batch(rates, thetas, lams, slopes=False)
+    assert values_only[0].tobytes() == together[0].tobytes()
+    assert np.isnan(values_only[1]).all() and np.isnan(values_only[2]).all()
+    # derivatives wherever the point lies in the capped box, lambda = 0 included
+    box = (lams >= 0.0) & (thetas <= np.minimum(2.0, 1.5 * np.array(alphas)[rates]))
+    assert np.array_equal(np.isfinite(together[1]).all(axis=1), box)
     # and so does the model integral at one rate for all points
     per_rate = np.concatenate(
         [integrals_at(alphas[r], thetas[i : i + 1], lams[i : i + 1]) for i, r in enumerate(rates)]
     )
-    assert inner.integrals(rates, thetas, lams).tobytes() == per_rate.tobytes()
-    assert inner.evaluations.tolist() == [16, 16, 16]  # 8 rows per rate, twice
-    at_two = _InnerObjective(x, [2.0], SPEC).batch(np.zeros(6, dtype=int), thetas[:6], lams[:6])
+    assert inner.integrals(rates, thetas, lams)[0].tobytes() == per_rate.tobytes()
+    assert inner.evaluations.tolist() == [24, 24, 24]  # 8 rows per rate, three times
+    at_two = _InnerObjective(x, [2.0], SPEC).batch(np.zeros(6, dtype=int), thetas[:6], lams[:6])[0]
     assert np.array_equal(np.isnan(at_two), [True, False, False, True, True, False])
 
 
@@ -247,7 +261,7 @@ def test_lockstep_starts_match_separate_searches():
     result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
     inner = _InnerObjective(x, [alpha], SPEC)
     thetas, lams = _candidate_grid(alpha, top, SPEC, SearchSettings())
-    values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)
+    values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)[0]
     best = None
     for theta, lam, _, _ in result.start_points:
         # a grid holding this start alone makes it the only search
@@ -277,7 +291,7 @@ def test_anchor_is_exactly_zero(kind):
     between = np.random.default_rng(2).uniform(SPEC.theta_lo, SPEC.theta_hi, 30)
     alphas = np.concatenate(([SPEC.theta_lo, SPEC.theta_hi], between))
     inner = _InnerObjective(x, alphas, SPEC)
-    values = inner.batch(np.arange(alphas.size), alphas, np.zeros(alphas.size))
+    values = inner.batch(np.arange(alphas.size), alphas, np.zeros(alphas.size))[0]
     assert values.tobytes() == np.zeros(alphas.size).tobytes()  # +0.0, not -0.0
 
 
@@ -310,7 +324,7 @@ def test_far_observation_keeps_the_zero_lambda_line():
     alpha = 1.0
     inner = _InnerObjective(x, [alpha], SPEC)
     thetas, lams = _candidate_grid(alpha, THETA_CAP * alpha, SPEC, SearchSettings())
-    values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)
+    values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)[0]
     assert values[-1] == 0.0  # the anchor (alpha, 0)
     assert np.all(np.isfinite(values[(lams == 0.0) & (thetas <= alpha)]))
 
@@ -543,7 +557,7 @@ def test_zero_lambda_line_is_unbounded_as_theta_nears_twice_the_rate():
     x = rexp(Stream(7).derive(1), 200, 1.0)
     alpha = 0.7
     inner = _InnerObjective(x, [alpha], SPEC)
-    near, edge = inner.batch(np.zeros(2, dtype=int), np.array([1.399, 2 * alpha - 1e-6]), np.zeros(2))
+    near, edge = inner.batch(np.zeros(2, dtype=int), np.array([1.399, 2 * alpha - 1e-6]), np.zeros(2))[0]
     assert near == pytest.approx(601.933, rel=1e-5)
     assert edge > 1e5
     result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
@@ -566,13 +580,13 @@ def test_sup_over_the_capped_box_is_finite():
     inner = _InnerObjective(x, alphas, SPEC)
     for lam in (0.0, 1e-12):
         thetas = THETA_CAP * np.array(alphas)
-        values = inner.batch(np.arange(len(alphas)), thetas, np.full(len(alphas), lam))
+        values = inner.batch(np.arange(len(alphas)), thetas, np.full(len(alphas), lam))[0]
         assert np.all(values <= _objective_bound(np.array(alphas), thetas, lam))
     alpha = 0.7
     top = THETA_CAP * alpha
     inner = _InnerObjective(x, [alpha], SPEC)
     thetas, lams = _candidate_grid(alpha, top, SPEC, SearchSettings())
-    grid = (thetas, lams, inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams))
+    grid = (thetas, lams, inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)[0])
     asked = []
 
     def objective(rows, ts, ls):
@@ -595,9 +609,9 @@ def test_mixing_box_narrower_than_a_fixed_margin_is_refined(monkeypatch):
     asked = []
     batch = _InnerObjective.batch
 
-    def recording_batch(self, rates, thetas, lams):
+    def recording_batch(self, rates, thetas, lams, slopes=True):
         asked.append(lams)
-        return batch(self, rates, thetas, lams)
+        return batch(self, rates, thetas, lams, slopes)
 
     monkeypatch.setattr(_InnerObjective, "batch", recording_batch)
     result = chi2_simple(Sample(x.reshape(-1, 1)), 1.0, spec)
@@ -682,7 +696,7 @@ def test_spec_layout_serves_every_rate_of_a_wide_interval(gamma, nu, monkeypatch
         for lam in (1e-12, 1e-6, 0.1, spec.lambda_hi - 1e-9)
     ]
     rates, thetas, lams = (np.array(column) for column in zip(*points))
-    got = _InnerObjective(np.empty(0), alphas, spec).integrals(rates, thetas, lams)
+    got = _InnerObjective(np.empty(0), alphas, spec).integrals(rates, thetas, lams)[0]
     for value, (rate, theta, lam) in zip(got.tolist(), points):
         expected = _dense_model_integral(alphas[rate], theta, lam, gamma, nu)
         assert abs(value - expected) <= rel_tol * max(1.0, abs(expected)), (alphas[rate], theta, lam)
@@ -707,7 +721,8 @@ def test_quad_warning_raises_quadrature_failure_naming_the_point(monkeypatch):
 
 def test_search_inside_the_box_imports_no_quadrature():
     # every point the test's search visits lies in the capped box, where the
-    # graded rule serves; scipy.integrate stays out of the start-up path
+    # graded rule serves; scipy.integrate stays out of the start-up path, and
+    # the test's projected Newton search needs no scipy.optimize
     code = """
 import sys
 from chi2dual import ContaminationSpec, Sample, contamination_test, rmixture
@@ -718,14 +733,14 @@ steep = ContaminationSpec(theta_lo=0.5, theta_hi=2.0, pareto_gamma=50.0, pareto_
 for lam, s in ((0.0, spec), (0.15, spec), (0.0, steep)):
     x = rmixture(Stream(replicate_seed(7, 0)), 200, 1.0, lam, s.pareto_gamma, s.pareto_nu)
     contamination_test(Sample(x.reshape(-1, 1)), s, 0.05)
-print("scipy.integrate" in sys.modules)
+print("scipy.integrate" in sys.modules, "scipy.optimize" in sys.modules)
 """
     src = str(Path(contamination.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize(
@@ -795,3 +810,128 @@ def test_golden_section_fails_only_on_a_point_it_uses():
                 _golden_min(failing, lo, hi, tol)
         else:
             assert _golden_min(failing, lo, hi, tol) == expected
+
+
+def _derivatives_by_differences(f, scale, at_cap):
+    """Gradient and Hessian of f(d_theta, d_lambda) at (0, 0) by differences
+    with steps in proportion to ``scale``, Richardson-extrapolated from the
+    step and its half: central, except one-sided below theta at the cap."""
+    sign = -1.0 if at_cap else 1.0
+
+    def first(k, h):
+        e = np.eye(2)[k] * h
+        if k == 0 and at_cap:
+            return (3.0 * f(0.0, 0.0) - 4.0 * f(*-e) + f(*(-2.0 * e))) / (2.0 * h)
+        return (f(*e) - f(*-e)) / (2.0 * h)
+
+    def second(k, h):
+        e = np.eye(2)[k] * h
+        if k == 0 and at_cap:
+            return (2.0 * f(0.0, 0.0) - 5.0 * f(*-e) + 4.0 * f(*(-2.0 * e)) - f(*(-3.0 * e))) / h**2
+        return (f(*e) - 2.0 * f(0.0, 0.0) + f(*-e)) / h**2
+
+    def mixed(h):
+        ht, hl = sign * h * scale[0], h * scale[1]
+        return sign * (f(ht, hl) - f(ht, -hl) - f(0.0, hl) + f(0.0, -hl)) / (2.0 * abs(ht) * hl)
+
+    def richardson(d, h, order):
+        return (2.0**order * d(h / 2.0) - d(h)) / (2.0**order - 1.0)
+
+    grad = [richardson(lambda h: first(k, h), 1e-4 * scale[k], 2) for k in (0, 1)]
+    h_tt = richardson(lambda h: second(0, h), 1e-2 * scale[0], 2)
+    h_ll = richardson(lambda h: second(1, h), 1e-2 * scale[1], 2)
+    h_tl = richardson(mixed, 1e-3, 1)
+    return np.array(grad), np.array([[h_tt, h_tl], [h_tl, h_ll]])
+
+
+def test_derivatives_match_differences_of_the_values():
+    # the gradient and Hessian batch sums on the rule's nodes and the sample,
+    # against differences of its values (theta steps 0.1 times the factor,
+    # lambda steps min(lambda, 1 - lambda) times it) at box points of three
+    # rates: theta at theta_lo, inside and at the cap, lambda near 0 and 1
+    grad_tol, hess_tol = 1e-7, 1e-4  # relative, with a floor of 1
+    x = rmixture(Stream(11), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+    alphas = [0.6, 1.0, 1.7]
+    inner = _InnerObjective(x, alphas, SPEC)
+    for rate, alpha in enumerate(alphas):
+        top = min(SPEC.theta_hi, THETA_CAP * alpha)
+        for theta in (SPEC.theta_lo + 0.01, 0.5 * (SPEC.theta_lo + top), top):
+            for lam in (1e-3, 0.05, 0.3, 0.7):
+
+                def f(d_theta, d_lam):
+                    point = np.array([theta + d_theta]), np.array([lam + d_lam])
+                    return inner.batch(np.array([rate]), *point, slopes=False)[0][0]
+
+                _, grad, hess = inner.batch(np.array([rate]), np.array([theta]), np.array([lam]))
+                expected = _derivatives_by_differences(f, (0.1, min(lam, 1.0 - lam)), theta == top)
+                where = (alpha, theta, lam)
+                assert np.all(np.abs(grad[0] - expected[0]) <= grad_tol * np.maximum(1.0, np.abs(grad[0]))), where
+                assert np.all(np.abs(hess[0] - expected[1]) <= hess_tol * np.maximum(1.0, np.abs(hess[0]))), where
+
+
+@pytest.mark.parametrize("kind", ["contam_null", "contam_alt"])
+@pytest.mark.parametrize("replicate", range(6))
+def test_reported_optimum_meets_the_kkt_conditions(kind, replicate):
+    # at the reported (theta_hat, lambda_hat) the gradient, scaled by the box
+    # width and with the coordinates a bound holds set to 0, is within the
+    # search's stop tolerance, and lambda_hat = 0 comes with d/dlambda <= 0
+    tolerance = 1e-9
+    stream = Stream(replicate_seed(7, replicate))
+    if kind == "contam_null":
+        x = rexp(stream, 200, 1.0)
+    else:
+        x = rmixture(stream, 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+    diag = contamination_test(Sample(x.reshape(-1, 1)), SPEC, 0.05).diagnostics
+    alpha, point = diag["alpha_hat"], np.array([diag["theta_hat"], diag["lambda_hat"]])
+    lower = np.array([SPEC.theta_lo, 0.0])
+    upper = np.array([min(SPEC.theta_hi, THETA_CAP * alpha), np.nextafter(SPEC.lambda_hi, 0.0)])
+    _, grad, _ = _InnerObjective(x, [alpha], SPEC).batch(np.zeros(1, dtype=int), *point[:, None])
+    grad = grad[0]
+    held = np.where(grad > 0.0, point >= upper, point <= lower)
+    assert np.abs(np.where(held, 0.0, grad * (upper - lower))).max() <= tolerance
+    if point[1] == 0.0:
+        assert grad[1] <= 0.0
+
+
+# chi2_simple values of the Nelder-Mead search this one replaced, at fixed
+# rates: (sample, alpha, value).  The last three sit near a sharp minimum of
+# the rate profile: there the supremum lies just off the lambda = 0 face,
+# which a search holding lambda = 0 does not reach
+PARENT_SUPREMA = [
+    ("null0", 0.6, 0.7302249518340641),
+    ("null0", 0.9, 0.06665163075662894),
+    ("null0", 1.1, 2.736617560131857e-05),
+    ("null0", 1.4, 0.05101106989342329),
+    ("null37", 0.6, 0.4985507255829036),
+    ("null37", 0.9, 0.0009879174254669618),
+    ("null37", 1.1, 0.023796904211127554),
+    ("null37", 1.4, 0.11414941271854877),
+    ("alt1", 0.6, 0.1357676716795256),
+    ("alt1", 0.9, 0.01946083617451125),
+    ("alt1", 1.1, 0.0736178501306231),
+    ("alt1", 1.4, 0.19972119375724534),
+    ("alt2", 0.6, 0.1395383030868247),
+    ("alt2", 0.9, 0.059942095183852254),
+    ("alt2", 1.1, 0.14140777160297618),
+    ("alt2", 1.4, 0.2896075849210011),
+    ("derived37", 0.9942902384350552, 1.1432993840572577e-05),
+    ("null37", 0.9231689581059149, 0.00019961075662249146),
+    ("null37", 0.9292669221727524, 0.00022146344754796817),
+]
+
+
+def _floor_sample(name):
+    if name == "derived37":
+        return rexp(Stream(1).derive(37), 200, 1.0)
+    stream = Stream(replicate_seed(7, int(name.lstrip("nulalt"))))
+    if name.startswith("null"):
+        return rexp(stream, 200, 1.0)
+    return rmixture(stream, 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+
+
+@pytest.mark.parametrize("name, alpha, parent", PARENT_SUPREMA)
+def test_supremum_is_no_lower_than_the_simplex_search(name, alpha, parent):
+    # the inner problem is a supremum, so a better search never ends lower
+    tolerance = 1e-9  # relative, with a floor of 1
+    value = chi2_simple(Sample(_floor_sample(name).reshape(-1, 1)), alpha, SPEC).value
+    assert value >= parent - tolerance * max(1.0, abs(parent))
