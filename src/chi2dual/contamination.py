@@ -399,7 +399,7 @@ class _InnerObjective:
         tops = np.minimum(spec.theta_hi, THETA_CAP * alphas)
         box = ~invalid & (thetas >= spec.theta_lo) & (thetas <= tops) & (lams < spec.lambda_hi)
         box = (box & (slopes | ~zero)).nonzero()[0]
-        th, lm, end = thetas[box], lams[box], None if slopes else self.fine
+        th, lm, end, r_h = thetas[box], lams[box], None if slopes else self.fine, None
         value = np.full(out.size, np.nan)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             closed = np.where(thetas >= s, np.inf, amp / (thetas * (s - thetas)) - 2.0)
@@ -421,13 +421,15 @@ class _InnerObjective:
             limit = np.maximum(0.5 * QUAD_TOLERANCE, 1e-13 * np.abs(fine))
             tail = scale[box] * np.exp(-c[box] * self.x_cut) / c[box]
             value[box] = np.where(np.abs(fine - coarse) < limit, fine, np.nan) + tail
-            r_h = self.pareto[self.split :] / h[:, self.split :] if slopes else None
+            if slopes:  # a node where weight / h underflows to 0 (or is 0 / 0) adds nothing
+                vals, r_h = vals[:, self.split :], self.pareto[self.split :] / h[:, self.split :]
+                vals, r_h = np.where(vals > 0.0, vals, 0.0), np.where(vals > 0.0, r_h, 0.0)
         # the lambda = 0 box rows take the rule for their derivatives only
         idx = (~(invalid | zero)).nonzero()[0]
         for i in idx[np.isnan(value[idx])].tolist():
             value[i] = _quad_integral(float(alphas[i]), float(thetas[i]), float(lams[i]), spec)
         out[idx] = scale[idx] * seg0[idx] + value[idx] - 2.0
-        return out, box, vals[:, self.split :], r_h
+        return out, box, vals, r_h
 
     def batch(
         self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray, slopes: bool = True
@@ -466,8 +468,7 @@ def _slopes(weight, r_h, theta, lam, x, multiplier) -> tuple[np.ndarray, np.ndar
     / h = -x (q_theta + e), h_thetalambda / h = -q_theta / (1 - lambda) and
     h_lambdalambda = 0.  ``np.einsum`` sums each row on its own (a matrix
     product would not), so no row depends on the batch."""
-    e = r_h * (-lam / theta)[:, None]
-    e += (1.0 / theta)[:, None]
+    e = (1.0 - lam[:, None] * r_h) / theta[:, None]
     q_t = e * (1.0 - np.multiply.outer(theta, x))
     q_l = r_h - (theta / (1.0 - lam))[:, None] * e
     m_weight = weight * multiplier
@@ -536,8 +537,7 @@ def _projected_newton(objective, rows, start, lower, upper, budget, radius):
     lambda = ``_PROBE`` box widths.  Returns points and values.
     """
     point, value, grad, hess = (np.array(a, dtype=float) for a in start)
-    width = upper - lower
-    unit = np.where(width > 0.0, width, 1.0)
+    width, unit = upper - lower, np.where(upper > lower, upper - lower, 1.0)
     first, radius, evals = radius, np.full(value.size, radius), np.zeros(value.size, dtype=int)
     live, probe = np.full(value.size, budget > 0), np.full(value.size, True)
     minus_one = -np.eye(2)  # the Hessian of a held coordinate

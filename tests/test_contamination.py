@@ -894,9 +894,11 @@ def test_reported_optimum_meets_the_kkt_conditions(kind, replicate):
 
 
 # chi2_simple values of the Nelder-Mead search this one replaced, at fixed
-# rates: (sample, alpha, value).  The last three sit near a sharp minimum of
-# the rate profile: there the supremum lies just off the lambda = 0 face,
-# which a search holding lambda = 0 does not reach
+# rates: (sample, alpha, value).  "derived37" and the last "null37" rows sit
+# near a sharp minimum of the rate profile: there the supremum lies just off
+# the lambda = 0 face, which a search holding lambda = 0 does not reach.  The
+# "wide" rows take the rate interval [0.1, 4], whose nodes run out to x = 1200,
+# where h at lambda = 0 underflows
 PARENT_SUPREMA = [
     ("null0", 0.6, 0.7302249518340641),
     ("null0", 0.9, 0.06665163075662894),
@@ -917,12 +919,17 @@ PARENT_SUPREMA = [
     ("derived37", 0.9942902384350552, 1.1432993840572577e-05),
     ("null37", 0.9231689581059149, 0.00019961075662249146),
     ("null37", 0.9292669221727524, 0.00022146344754796817),
+    ("wide0", 3.025, 0.9040551305124854),
+    ("wide2", 1.075, 0.0034764567627107103),
 ]
+WIDE_SPEC = ContaminationSpec(theta_lo=0.1, theta_hi=4.0)
 
 
 def _floor_sample(name):
     if name == "derived37":
         return rexp(Stream(1).derive(37), 200, 1.0)
+    if name.startswith("wide"):
+        return rexp(Stream(replicate_seed(3, int(name[4:]))), 200, 1.0)
     stream = Stream(replicate_seed(7, int(name.lstrip("nulalt"))))
     if name.startswith("null"):
         return rexp(stream, 200, 1.0)
@@ -933,5 +940,6 @@ def _floor_sample(name):
 def test_supremum_is_no_lower_than_the_simplex_search(name, alpha, parent):
     # the inner problem is a supremum, so a better search never ends lower
     tolerance = 1e-9  # relative, with a floor of 1
-    value = chi2_simple(Sample(_floor_sample(name).reshape(-1, 1)), alpha, SPEC).value
+    spec = WIDE_SPEC if name.startswith("wide") else SPEC
+    value = chi2_simple(Sample(_floor_sample(name).reshape(-1, 1)), alpha, spec).value
     assert value >= parent - tolerance * max(1.0, abs(parent))
