@@ -899,7 +899,7 @@ def test_reported_optimum_meets_the_kkt_conditions(kind, replicate):
 # the lambda = 0 face, which a search holding lambda = 0 does not reach.  The
 # "wide" rows take the rate interval [0.1, 4], whose nodes run out to x = 1200,
 # where h at lambda = 0 underflows
-PARENT_SUPREMA = [
+SIMPLEX_SUPREMA = [
     ("null0", 0.6, 0.7302249518340641),
     ("null0", 0.9, 0.06665163075662894),
     ("null0", 1.1, 2.736617560131857e-05),
@@ -936,10 +936,10 @@ def _floor_sample(name):
     return rmixture(stream, 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
 
 
-@pytest.mark.parametrize("name, alpha, parent", PARENT_SUPREMA)
-def test_supremum_is_no_lower_than_the_simplex_search(name, alpha, parent):
+@pytest.mark.parametrize("name, alpha, simplex", SIMPLEX_SUPREMA)
+def test_supremum_is_no_lower_than_the_simplex_search(name, alpha, simplex):
     # the inner problem is a supremum, so a better search never ends lower
     tolerance = 1e-9  # relative, with a floor of 1
     spec = WIDE_SPEC if name.startswith("wide") else SPEC
     value = chi2_simple(Sample(_floor_sample(name).reshape(-1, 1)), alpha, spec).value
-    assert value >= parent - tolerance * max(1.0, abs(parent))
+    assert value >= simplex - tolerance * max(1.0, abs(simplex))
