@@ -8,7 +8,6 @@ from .contamination import (
     chi2_simple,
     contamination_test,
     dual_objective_contam,
-    minimax_gap,
     model_integral,
 )
 from .core import (

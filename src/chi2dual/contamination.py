@@ -8,8 +8,8 @@ divergence estimate
     n * inf_alpha  sup_(theta, lambda)  [ int g f_alpha dx - T(g, P_n) ],
 
 with g = 2 (f_alpha / h(theta, lambda) - 1) and h the mixture density.
-The inf and sup may be nested in either order; ``minimax_gap`` verifies the
-commutation numerically.
+The inf and sup may be nested in either order; ``tests/reference.py``
+checks the commutation numerically.
 
 What the search covers: the mixing box is ``[0, lambda_hi)``, the null
 lambda = 0 on its edge (the boundary setting of Chernoff 1954 and Self &
@@ -86,9 +86,8 @@ from .linear import CHI_SQUARED, TestReport, _check_level, chi2_sf
 # Truncate the model integral where the tail bound of every point of the
 # capped box drops below this level; each point's tail is added in closed form.
 TAIL_TOLERANCE = 1e-15
-# Quadrature error target; Nelder-Mead tolerance on the simplex values (minimax_gap).
+# Quadrature error target; the inf-sup/sup-inf check keeps its own tolerance in tests/reference.py.
 QUAD_TOLERANCE = 1e-10
-OBJECTIVE_TOLERANCE = 1e-8
 # the inner search at rate alpha keeps theta <= THETA_CAP * alpha (module docstring)
 THETA_CAP = 1.5
 # Gauss-Legendre nodes and weights on [0, 1] of the two rules compared on every panel
@@ -294,10 +293,11 @@ def _require_positive_data(sample: Sample) -> np.ndarray:
 class SearchSettings:
     """Knobs for the nested optimization; defaults match the documented design.
 
-    ``inner_grid`` points per (theta, lambda) axis; refinement (projected
-    Newton, Nelder-Mead in ``minimax_gap``'s reverse order) from the
-    ``nm_starts`` best, ``nm_max_evals`` evaluations each; ``outer_coarse``
-    rate points, then golden section to ``alpha_tol`` of the rate interval.
+    ``inner_grid`` points per (theta, lambda) axis; projected Newton
+    refinement from the ``nm_starts`` best, ``nm_max_evals`` evaluations
+    each; ``outer_coarse`` rate points, then golden section to ``alpha_tol``
+    of the rate interval.  The inf-sup/sup-inf check in
+    ``tests/reference.py`` reads the same knobs for its reverse order.
     """
 
     inner_grid: int = 8
@@ -608,22 +608,6 @@ def _grid_then_refine(objective, grids, theta_tops, spec, settings) -> list[list
     return outcomes
 
 
-def _simplex_max(f, start, lower, upper, max_evals) -> tuple[np.ndarray, float]:
-    """Point and value of the maximum of ``f(theta, lam)`` on [lower, upper] by
-    scipy's bounded Nelder-Mead (imported here: the test never loads it)
-    from ``start``, ``max_evals`` calls at most, f not finite penalized."""
-    from scipy.optimize import minimize
-
-    def cost(p: np.ndarray) -> float:
-        v = f(float(p[0]), float(p[1]))
-        return -v if math.isfinite(v) else 1e30
-
-    options = {"xatol": 1e-4, "fatol": OBJECTIVE_TOLERANCE, "maxfev": max_evals}
-    result = minimize(cost, np.array(start, dtype=float), method="Nelder-Mead",
-                      bounds=list(zip(lower, upper)), options=options)
-    return result.x, -float(result.fun)
-
-
 def _chi2_lockstep(
     x: np.ndarray, alphas: list[float], spec: ContaminationSpec, settings: SearchSettings
 ) -> list[Chi2SimpleResult]:
@@ -757,8 +741,8 @@ def contamination_test(
 
     Statistic: n times the profile minimum over the null rate of the
     supremum divergence; chi-square(1) upper-tail p-value.  Diagnostics
-    carry the profiled rate and the best mixture parameters;
-    ``minimax_gap`` checks the order of the inf and sup separately.
+    carry the profiled rate and the best mixture parameters; the order of
+    the inf and sup is checked in ``tests/reference.py``.
     """
     settings = settings or SearchSettings()
     alpha_level = _check_level(alpha_level)
@@ -781,45 +765,3 @@ def contamination_test(
         reject=p_value < alpha_level,
         diagnostics=diagnostics,
     )
-
-
-def minimax_gap(
-    sample: Sample,
-    spec: ContaminationSpec,
-    settings: SearchSettings | None = None,
-) -> float:
-    """|inf-sup - sup-inf| of the dual objective, computed numerically.
-
-    The two nested orders should agree (the objective has a saddle over the
-    compact rate interval and the admissible mixture set); this quantifies
-    the agreement with the same tolerances the test itself uses.
-    """
-    settings = settings or SearchSettings()
-    x = _require_positive_data(sample)
-    inf_sup = _inf_sup(x, spec, settings)[1].value
-
-    # reversed order: for each point of the uncapped box, profile the rate
-    # over the whole interval (+inf where lambda = 0 and theta >= 2 alpha),
-    # then take the supremum; rates cut to theta <= 1.5 alpha per point
-    # would couple the rate to the point and the orders would not agree
-    def min_over_alpha(theta: float, lam: float) -> float:
-        def by_alpha(alphas: list[float]) -> list[float]:
-            k = len(alphas)
-            batch = _InnerObjective(x, alphas, spec).batch
-            vals = batch(np.arange(k), np.full(k, theta), np.full(k, lam), slopes=False)[0]
-            return np.where(np.isnan(vals), np.inf, vals).tolist()
-
-        lo, hi = spec.theta_lo, spec.theta_hi
-        _, value = _golden_min(by_alpha, lo, hi, settings.alpha_tol * (hi - lo))
-        return value if math.isfinite(value) else math.nan
-
-    # drop the anchor point (specific to the forward order)
-    thetas, lams = _candidate_grid(spec.theta_hi, spec.theta_hi, spec, settings)
-    thetas, lams = thetas[:-1].tolist(), lams[:-1].tolist()
-    values = np.array([min_over_alpha(t, l) for t, l in zip(thetas, lams)])
-    sup_inf = float(np.nanmax(values[_starts(values, 1)]))
-    box = (spec.theta_lo, 0.0), (spec.theta_hi, float(np.nextafter(spec.lambda_hi, 0.0)))
-    for i in _starts(values, settings.nm_starts):
-        refined = _simplex_max(min_over_alpha, (thetas[i], lams[i]), *box, settings.nm_max_evals)
-        sup_inf = max(sup_inf, refined[1])
-    return abs(inf_sup - sup_inf)

@@ -16,7 +16,11 @@ dual chi-square estimate in a second, independent form:
 * the standardized sieve statistic and the two growth-rate sequences of a
   family-size rule k(n);
 * golden-section minimization one point at a time, the section that the
-  contamination profile runs with a one-step look-ahead.
+  contamination profile runs with a one-step look-ahead;
+* the contamination statistic's inf-sup against its sup-inf
+  (``minimax_gap``): the forward order is the package's own, the reverse
+  order profiles the rate by ``golden_min`` at each mixture point and
+  raises the best grid points by scipy's bounded Nelder-Mead.
 """
 
 from __future__ import annotations
@@ -25,15 +29,23 @@ import math
 from functools import partial
 
 import numpy as np
+from scipy.optimize import minimize
 
 from chi2dual import (
     ConstraintFamily,
+    ContaminationSpec,
     DualSolution,
     Sample,
+    SearchSettings,
     chi2_quadratic,
+    contamination_test,
     default_m,
     moment_vectors,
 )
+from chi2dual.contamination import _candidate_grid, _InnerObjective, _starts
+
+# Nelder-Mead tolerance on the simplex values of ``_simplex_max``
+OBJECTIVE_TOLERANCE = 1e-8
 
 
 def dual_objective(f_vals: np.ndarray, target_integral: float) -> float:
@@ -192,3 +204,63 @@ def golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             if f2 < best_f:
                 best_x, best_f = x2, f2
     return best_x, best_f
+
+
+# ---------------------------------------------------------------------------
+# Contamination: the two orders of the inf over the rate and the sup over
+# the mixture parameters
+
+def _simplex_max(f, start, lower, upper, max_evals) -> tuple[np.ndarray, float]:
+    """Point and value of the maximum of ``f(theta, lam)`` on [lower, upper] by
+    scipy's bounded Nelder-Mead from ``start``, ``max_evals`` calls at most,
+    f not finite penalized."""
+
+    def cost(p: np.ndarray) -> float:
+        v = f(float(p[0]), float(p[1]))
+        return -v if math.isfinite(v) else 1e30
+
+    options = {"xatol": 1e-4, "fatol": OBJECTIVE_TOLERANCE, "maxfev": max_evals}
+    result = minimize(cost, np.array(start, dtype=float), method="Nelder-Mead",
+                      bounds=list(zip(lower, upper)), options=options)
+    return result.x, -float(result.fun)
+
+
+def minimax_gap(
+    sample: Sample, spec: ContaminationSpec, settings: SearchSettings | None = None
+) -> float:
+    """|inf-sup - sup-inf| of the dual objective, computed numerically.
+
+    The two nested orders should agree (the objective has a saddle over the
+    compact rate interval and the admissible mixture set); this quantifies
+    the agreement with the same tolerances the test itself uses.  The
+    inf-sup is the statistic's ``chi2_value``.
+    """
+    settings = settings or SearchSettings()
+    inf_sup = contamination_test(sample, spec, 0.05, settings).diagnostics["chi2_value"]
+    x = sample.data[:, 0]
+
+    # reversed order: for each point of the uncapped box, profile the rate
+    # over the whole interval (+inf where lambda = 0 and theta >= 2 alpha),
+    # then take the supremum; rates cut to theta <= 1.5 alpha per point
+    # would couple the rate to the point and the orders would not agree
+    def min_over_alpha(theta: float, lam: float) -> float:
+        def at_alpha(alpha: float) -> float:
+            inner = _InnerObjective(x, [alpha], spec)
+            value = inner.batch(np.zeros(1, dtype=int), np.array([theta]), np.array([lam]),
+                                slopes=False)[0][0]
+            return math.inf if np.isnan(value) else float(value)
+
+        lo, hi = spec.theta_lo, spec.theta_hi
+        _, value = golden_min(at_alpha, lo, hi, settings.alpha_tol * (hi - lo))
+        return value if math.isfinite(value) else math.nan
+
+    # drop the anchor point (specific to the forward order)
+    thetas, lams = _candidate_grid(spec.theta_hi, spec.theta_hi, spec, settings)
+    thetas, lams = thetas[:-1].tolist(), lams[:-1].tolist()
+    values = np.array([min_over_alpha(t, l) for t, l in zip(thetas, lams)])
+    sup_inf = float(np.nanmax(values[_starts(values, 1)]))
+    box = (spec.theta_lo, 0.0), (spec.theta_hi, float(np.nextafter(spec.lambda_hi, 0.0)))
+    for i in _starts(values, settings.nm_starts):
+        refined = _simplex_max(min_over_alpha, (thetas[i], lams[i]), *box, settings.nm_max_evals)
+        sup_inf = max(sup_inf, refined[1])
+    return abs(inf_sup - sup_inf)

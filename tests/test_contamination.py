@@ -1,5 +1,9 @@
-"""Contamination test: model quadrature, the inner supremum, minimax gap."""
+"""Contamination test: model quadrature, the inner supremum, minimax gap.
 
+The minimax gap and the Nelder-Mead that its reverse order runs are
+``reference.minimax_gap`` and ``reference._simplex_max``."""
+
+import functools
 import math
 import os
 import subprocess
@@ -21,24 +25,21 @@ from chi2dual import (
     contamination,
     contamination_test,
     dual_objective_contam,
-    minimax_gap,
     model_integral,
     rexp,
     rmixture,
 )
 from chi2dual.contamination import (
-    OBJECTIVE_TOLERANCE,
     THETA_CAP,
     _candidate_grid,
     _chi2_lockstep,
     _golden_min,
     _grid_then_refine,
     _InnerObjective,
-    _simplex_max,
 )
 from chi2dual.errors import InvalidInput, NonPositiveDensity, QuadratureFailure
 from chi2dual.rng import Stream, replicate_seed
-from reference import golden_min
+from reference import OBJECTIVE_TOLERANCE, _simplex_max, golden_min, minimax_gap
 
 SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
 
@@ -173,10 +174,10 @@ NM_STARTS = [
 @pytest.mark.parametrize("max_evals", [-1, 0, 1, 2, 3, 4, 5, 6, 7, 9, 13, 20, 60])
 @pytest.mark.parametrize("f", [_smooth, _plateau, _steps])
 def test_nelder_mead_matches_scipy(f, max_evals):
-    # minimax_gap's reverse order maximizes by _simplex_max: scipy's bounded
-    # Nelder-Mead under fixed rules (simplex tolerances 1e-4 and
-    # OBJECTIVE_TOLERANCE, the start clipped into the box, a budget, excluded
-    # points penalized), which the minimization written out here restates;
+    # reference.minimax_gap's reverse order maximizes by _simplex_max:
+    # scipy's bounded Nelder-Mead under fixed rules (simplex tolerances 1e-4
+    # and OBJECTIVE_TOLERANCE, the start clipped into the box, a budget,
+    # excluded points penalized), which the minimization written out here restates;
     # the maxfev values stop the search inside the initial simplex, an
     # expansion, a contraction and a shrink
     options = {"xatol": 1e-4, "fatol": OBJECTIVE_TOLERANCE, "maxfev": max_evals}
@@ -336,6 +337,7 @@ REF_PANELS, REF_BASE_ORDER, REF_LEVELS = 16, 8, 8
 REF_TAIL, REF_TOLERANCE = 1e-15, 1e-10
 
 
+@functools.lru_cache(maxsize=None)
 def _ref_gl_rule(order):
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return (nodes + 1.0) / 2.0, weights / 2.0

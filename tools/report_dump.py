@@ -4,15 +4,16 @@ Usage (from the repository root):
 
     PYTHONPATH=src python3 tools/report_dump.py OUT
 
-Run it on two checkouts and compare the two OUT files with ``cmp``: a
-change that must keep every report byte-identical leaves them equal.  Where
-floats may move, ``tools/report_diff.py`` says by how much.  Each line is
-``key<TAB>JSON``; floats are written by ``repr``, so a value that moves in
-its last bit shows up.  The inputs are generated from fixed seeds
-and the script uses only the package's public API, so the same file runs on
-any tree that has it.  It writes no file other than OUT (the CLI inputs go
-to a temporary directory that is removed afterwards).  It takes about 7 s
-on a 2-vCPU host.
+To compare two trees, run each tree's own script on its own checkout and
+compare the two OUT files with ``cmp``: a change that must keep every
+report byte-identical leaves them equal.  Where floats may move,
+``tools/report_diff.py`` says by how much.  Each line is ``key<TAB>JSON``;
+floats are written by ``repr``, so a value that moves in its last bit shows
+up.  The inputs are generated from fixed seeds.  The ``minimax_gap`` rows
+come from ``tests/reference.py``, which the script puts on ``sys.path``.
+It writes no file other than OUT (the CLI inputs go to a temporary
+directory that is removed afterwards).  It takes about 2 s on a 2-vCPU
+host.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from chi2dual import (
     chi2_simple,
     contamination_test,
     marginal_test,
-    minimax_gap,
     model_integral,
     replicate_seed,
     rexp,
@@ -53,6 +53,9 @@ from chi2dual.cli import main as cli_main
 from chi2dual.exprparse import ExprError, compile_expression
 from chi2dual.montecarlo import SCENARIOS
 from chi2dual.reportio import emit_json
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import minimax_gap  # noqa: E402
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
