@@ -19,7 +19,6 @@ from .core import (
     dual_coefficients,
     dual_function_values,
     h1_variance,
-    legendre_transform,
     moment_vectors,
 )
 from .errors import (

@@ -42,8 +42,8 @@ rates.  Other points go to ``scipy.integrate.quad``, imported on first use.
 lambda outside [0, 1) or theta <= 0 is refused by rule, and a divergent
 integral (lambda = 0, theta >= 2 alpha) is outside the dual class.  On the
 sample, ``_density_ratio`` divides alpha by h e^(alpha x) term by term, so
-that a far observation does not give 0 / 0.  The search and
-``dual_objective_contam`` share it and the conjugate: n *
+that a far observation does not give 0 / 0.  ``model_integral`` and
+``dual_objective_contam`` are one-row calls of the search's objective: n *
 dual_objective_contam at the reported optimum is the statistic exactly.
 
 Search: at each profiled alpha a grid (with the lambda = 0 line and the
@@ -73,7 +73,7 @@ from typing import Callable, ClassVar, Iterable
 
 import numpy as np
 
-from .core import Sample, legendre_batch, legendre_transform
+from .core import Sample, legendre_batch
 from .errors import (
     InvalidInput,
     InvalidSpec,
@@ -165,11 +165,9 @@ def _density_ratio(
 
 @dataclass(frozen=True)
 class DualGFunction:
-    """Dual candidate g = 2 (f_alpha / h(theta, lambda) - 1).
-
-    The numerator is the exponential density at the null rate ``alpha``
-    being profiled.
-    """
+    """Dual candidate g = 2 (f_alpha / h(theta, lambda) - 1), f_alpha the
+    exponential density at the profiled null rate ``alpha``: the point that
+    ``model_integral`` and ``dual_objective_contam`` evaluate."""
 
     alpha: float
     theta: float
@@ -184,15 +182,6 @@ class DualGFunction:
                 raise InvalidInput(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0.0:
             raise InvalidInput(f"alpha must be > 0, got {self.alpha}")
-
-    def values(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r_x = pareto_pdf(x, self.spec.pareto_gamma, self.spec.pareto_nu)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            e_x = np.exp(self.alpha * x)
-            ratio = _density_ratio(x, self.alpha, self.theta, self.lam, r_x, e_x)
-        # f_alpha and h both vanish for x < 0, where g is undefined
-        return np.where(x >= 0.0, 2.0 * (ratio - 1.0), np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +236,11 @@ def _quad_integral(alpha: float, theta: float, lam: float, spec: ContaminationSp
             ) from exc
 
 
+def _row(g: DualGFunction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g's point as the one row of an ``_InnerObjective`` at the rate g.alpha."""
+    return np.zeros(1, dtype=int), np.array([g.theta]), np.array([g.lam])
+
+
 def model_integral(g: DualGFunction) -> float:
     """int g(x) f_alpha(x) dx over (0, inf).
 
@@ -259,8 +253,7 @@ def model_integral(g: DualGFunction) -> float:
     ``scipy.integrate.quad``, which takes the points outside the capped box,
     warns that it missed the error target.
     """
-    inner = _InnerObjective(np.empty(0), [g.alpha], g.spec)
-    value = inner.integrals(np.zeros(1, dtype=int), np.array([g.theta]), np.array([g.lam]))[0][0]
+    value = _InnerObjective(np.empty(0), [g.alpha], g.spec).integrals(*_row(g))[0][0]
     if np.isnan(value):
         raise NonPositiveDensity(
             f"mixture density not positive on (0, inf) at theta={g.theta}, lambda={g.lam}"
@@ -269,12 +262,21 @@ def model_integral(g: DualGFunction) -> float:
 
 
 def dual_objective_contam(g: DualGFunction, sample: Sample) -> float:
-    """Dual objective: model integral minus the sample conjugate value of g."""
-    _require_positive_data(sample)
-    integral = model_integral(g)
-    if not math.isfinite(integral):
+    """Dual objective: model integral minus the sample conjugate value of g,
+    by the search's objective at the one rate alpha on the sample.  +inf and
+    errors as ``model_integral``; InvalidInput where mean(g + g^2 / 4) is not
+    finite (h underflows against f_alpha at a far observation)."""
+    x = _require_positive_data(sample)
+    value = _InnerObjective(x, [g.alpha], g.spec).batch(*_row(g), slopes=False)[0][0]
+    if np.isnan(value):  # the objective maps every non-finite value to NaN
+        integral = model_integral(g)
+        if math.isfinite(integral):
+            raise InvalidInput(
+                f"dual objective not finite on the sample at alpha={g.alpha}, "
+                f"theta={g.theta}, lambda={g.lam}: h underflows against f_alpha"
+            )
         return integral
-    return integral - legendre_transform(g.values(sample.data[:, 0]))
+    return float(value)
 
 
 def _require_positive_data(sample: Sample) -> np.ndarray:
@@ -347,8 +349,7 @@ def _spec_layout(spec: ContaminationSpec) -> tuple:
     rules = [((lo + width * t).ravel(), (width * w).ravel()) for t, w in _GL_RULES]
     rules.append((nu * _GL_RULES[1][0], nu * _GL_RULES[1][1]))
     nodes, weights = (np.concatenate(column) for column in zip(*rules))
-    pareto = gamma * nu**gamma * nodes ** -(gamma + 1.0)
-    pareto[-rules[-1][0].size :] = 0.0
+    pareto = pareto_pdf(nodes, gamma, nu)
     for a in (nodes, weights, pareto):
         a.flags.writeable = False
     return x_cut, rules[0][0].size, nodes.size - rules[-1][0].size, nodes, weights, pareto

@@ -136,28 +136,12 @@ class DualSolution:
 
 
 def legendre_batch(f_vals: np.ndarray) -> np.ndarray:
-    """``legendre_transform`` over the last axis, without its input checks.
-
-    ``sum / n`` is what ``np.mean`` computes, bit for bit, without its
-    Python-level wrapper.
-    """
+    """mean(f) + mean(f^2)/4 over the last axis: the convex conjugate of the
+    squared-distance functional at f on the sample, the dual objective's
+    sample term.  ``sum / n`` is ``np.mean`` bit for bit (pairwise summation)
+    without its Python-level wrapper; the caller checks the input."""
     n = f_vals.shape[-1]
     return f_vals.sum(axis=-1) / n + 0.25 * ((f_vals * f_vals).sum(axis=-1) / n)
-
-
-def legendre_transform(f_vals: np.ndarray) -> float:
-    """Convex-conjugate value of the squared-distance functional at f.
-
-    For f evaluated on the sample this is mean(f) + mean(f^2)/4.  Means use
-    numpy's pairwise summation, which keeps 1e-10 comparisons meaningful up
-    to n ~ 1e6.
-    """
-    vals = np.asarray(f_vals, dtype=float).reshape(-1)
-    if vals.size == 0:
-        raise InvalidInput("empty evaluation vector")
-    if not np.all(np.isfinite(vals)):
-        raise InvalidInput("non-finite values in legendre_transform input")
-    return float(legendre_batch(vals))
 
 
 def moment_vectors(sample: Sample, fam: ConstraintFamily) -> MomentVectors:

@@ -17,6 +17,9 @@ dual chi-square estimate in a second, independent form:
   family-size rule k(n);
 * golden-section minimization one point at a time, the section that the
   contamination profile runs with a one-step look-ahead;
+* the contamination dual objective at a point, from the closed forms of
+  f_alpha and h alone: the model integral by ``scipy.integrate.quad``, and
+  mean(g) + mean(g^2)/4 on the sample in plain numpy;
 * the contamination statistic's inf-sup against its sup-inf
   (``minimax_gap``): the forward order is the package's own, the reverse
   order profiles the rate by ``golden_min`` at each mixture point and
@@ -29,6 +32,7 @@ import math
 from functools import partial
 
 import numpy as np
+import scipy.integrate
 from scipy.optimize import minimize
 
 from chi2dual import (
@@ -204,6 +208,39 @@ def golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
             if f2 < best_f:
                 best_x, best_f = x2, f2
     return best_x, best_f
+
+
+# ---------------------------------------------------------------------------
+# Contamination: the dual objective at a point from the closed forms
+
+def quad_model_integral(alpha, theta, lam, gamma, nu):
+    """int g f_alpha over (0, inf) by scipy.integrate.quad on the closed form
+    of h, split at the Pareto onset nu."""
+
+    def integrand(x):
+        num = 2.0 * alpha * alpha * math.exp(-2.0 * alpha * x)
+        den = (1.0 - lam) * theta * math.exp(-theta * x)
+        if x > nu:
+            den += lam * gamma * nu**gamma * x ** (-(gamma + 1.0))
+        return num / den if num > 0.0 else 0.0
+
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
+    low = scipy.integrate.quad(integrand, 0.0, nu, **opts)[0]
+    high = scipy.integrate.quad(integrand, nu, math.inf, **opts)[0]
+    return low + high - 2.0
+
+
+def contamination_objective(x, alpha, theta, lam, spec: ContaminationSpec) -> float:
+    """int g f_alpha dx - mean(g) - mean(g^2)/4 on the sample x, with g = 2
+    (f_alpha / h - 1), f_alpha = alpha e^(-alpha x) and h = (1 - lambda) theta
+    e^(-theta x) + lambda gamma nu^gamma x^(-gamma - 1) 1{x > nu}."""
+    gamma, nu = spec.pareto_gamma, spec.pareto_nu
+    x = np.asarray(x, dtype=float)
+    pareto = np.where(x > nu, gamma * nu**gamma * x ** (-(gamma + 1.0)), 0.0)
+    h = (1.0 - lam) * theta * np.exp(-theta * x) + lam * pareto
+    g = 2.0 * (alpha * np.exp(-alpha * x) / h - 1.0)
+    integral = quad_model_integral(alpha, theta, lam, gamma, nu)
+    return integral - (np.mean(g) + 0.25 * np.mean(g * g))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,14 @@ from chi2dual.contamination import (
 )
 from chi2dual.errors import InvalidInput, NonPositiveDensity, QuadratureFailure
 from chi2dual.rng import Stream, replicate_seed
-from reference import OBJECTIVE_TOLERANCE, _simplex_max, golden_min, minimax_gap
+from reference import (
+    OBJECTIVE_TOLERANCE,
+    _simplex_max,
+    contamination_objective,
+    golden_min,
+    minimax_gap,
+    quad_model_integral,
+)
 
 SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0)
 
@@ -104,14 +111,57 @@ class TestChi2Simple:
 
 @pytest.mark.parametrize("lam", [0.0, 0.15])
 def test_statistic_is_n_times_public_dual_objective(lam):
-    # the search and dual_objective_contam share h and the conjugate, so the
-    # identity holds bit for bit, not just to rounding
+    # dual_objective_contam is a one-row call of the search's objective, so
+    # the identity that the benchmark's oracle checks holds bit for bit
     x = rmixture(Stream(1), 200, 1.0, lam, SPEC.pareto_gamma, SPEC.pareto_nu)
     sample = Sample(x.reshape(-1, 1))
     report = contamination_test(sample, SPEC, 0.05)
     diag = report.diagnostics
     g = DualGFunction(diag["alpha_hat"], diag["theta_hat"], diag["lambda_hat"], SPEC)
     assert report.statistic == sample.n * max(dual_objective_contam(g, sample), 0.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.15], ids=["null", "alt"])
+@pytest.mark.parametrize("replicate", range(6))
+def test_statistic_matches_the_reference_objective(lam, replicate):
+    # the objective at the reported optimum from the closed forms alone (quad
+    # and plain numpy); the first six seed-7 samples of contam_null and
+    # contam_alt (n = 200) read at most 4.9e-16
+    x = rmixture(Stream(replicate_seed(7, replicate)), 200, 1.0, lam, SPEC.pareto_gamma,
+                 SPEC.pareto_nu)
+    report = contamination_test(Sample(x.reshape(-1, 1)), SPEC, 0.05)
+    diag = report.diagnostics
+    reference = contamination_objective(
+        x, diag["alpha_hat"], diag["theta_hat"], diag["lambda_hat"], SPEC
+    )
+    assert abs(report.statistic / x.size - max(reference, 0.0)) <= 1e-12
+
+
+def test_theta_derivative_at_the_anchor_is_the_closed_form():
+    # at (theta, lambda) = (alpha, 0), rho = f_alpha / h = 1 on the sample and
+    # d/dtheta of the model integral is 0, so dJ/dtheta = -mean(d rho^2 /
+    # dtheta) = 2 / alpha - 2 mean(x); the rates keep clear of 1 / mean(x),
+    # where it vanishes and a relative error says nothing
+    alphas = np.array([0.5, 0.7, 1.3, 1.6, 2.0])
+    for replicate in range(10):
+        x = rexp(Stream(replicate_seed(7, replicate)), 200, 1.0)
+        grad = _InnerObjective(x, alphas, SPEC).batch(np.arange(alphas.size), alphas,
+                                                        np.zeros(alphas.size))[1]
+        expected = 2.0 / alphas - 2.0 * x.mean()
+        assert np.all(np.abs(grad[:, 0] - expected) <= 1e-12 * np.abs(expected)), replicate
+
+
+@pytest.mark.parametrize("far", [2000.0, 400.0])
+def test_objective_not_finite_on_the_sample_is_refused(far):
+    # theta = 1.9 > alpha: h e^(alpha x) underflows at x = 2000, so g is +inf
+    # there, and at x = 400 g is finite but g^2 overflows; the model integral
+    # is finite (lambda = 0, theta < 2 alpha) in both cases
+    x = rexp(Stream(101), 200, 1.0)
+    x[0] = far
+    g = DualGFunction(1.0, 1.9, 0.0, SPEC)
+    assert math.isfinite(model_integral(g))
+    with pytest.raises(InvalidInput, match=r"alpha=1\.0, theta=1\.9, lambda=0\.0"):
+        dual_objective_contam(g, Sample(x.reshape(-1, 1)))
 
 
 def test_minimax_gap_finite_and_nonnegative():
@@ -509,23 +559,6 @@ def test_quadrature_matches_level_by_level_reference():
     assert value == pytest.approx(6.0238e16, rel=1e-4)
 
 
-def _quad_model_integral(alpha, theta, lam, gamma, nu):
-    """int g f_alpha over (0, inf) by scipy.integrate.quad on the closed form
-    of h, split at the Pareto onset nu."""
-
-    def integrand(x):
-        num = 2.0 * alpha * alpha * math.exp(-2.0 * alpha * x)
-        den = (1.0 - lam) * theta * math.exp(-theta * x)
-        if x > nu:
-            den += lam * gamma * nu**gamma * x ** (-(gamma + 1.0))
-        return num / den if num > 0.0 else 0.0
-
-    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
-    low = scipy.integrate.quad(integrand, 0.0, nu, **opts)[0]
-    high = scipy.integrate.quad(integrand, nu, math.inf, **opts)[0]
-    return low + high - 2.0
-
-
 PARETO_PAIRS = [(2.0, 1.5), (5.0, 1.2), (20.0, 1.1), (50.0, 1.2), (1.1, 3.0)]
 
 
@@ -548,7 +581,7 @@ def test_rate_rule_matches_quad_across_the_capped_box(gamma, nu, monkeypatch):
         lams[:2] = 1e-12, spec.lambda_hi - 1e-9
         got = integrals_at(alpha, thetas, lams, spec)
         for value, theta, lam in zip(got.tolist(), thetas.tolist(), lams.tolist()):
-            expected = _quad_model_integral(alpha, theta, lam, gamma, nu)
+            expected = quad_model_integral(alpha, theta, lam, gamma, nu)
             assert abs(value - expected) <= rel_tol * max(1.0, abs(expected)), (alpha, theta, lam)
 
 

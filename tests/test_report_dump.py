@@ -23,4 +23,11 @@ def test_report_dump_writes_unique_keys_with_the_minimax_gap_rows(tmp_path):
     keys = [line.split("\t", 1)[0] for line in out.read_text(encoding="utf-8").splitlines()]
     assert len(keys) == len(set(keys))
     assert {"minimax_gap.104", "minimax_gap.105", "minimax_gap.7.2.default"} <= set(keys)
+    dual_keys = {key for key in keys if key.startswith("dual_objective_contam.")}
+    assert dual_keys == {
+        "dual_objective_contam.101", "dual_objective_contam.102", "dual_objective_contam.103",
+        "dual_objective_contam.far_point.0.6.1.5.0.0",
+        "dual_objective_contam.far_point.2.0.0.5.-0.05",
+        "dual_objective_contam.far_point.1.0.1.9.0.0",
+    }
     assert list(tmp_path.iterdir()) == [out]

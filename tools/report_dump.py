@@ -6,7 +6,9 @@ Usage (from the repository root):
 
 To compare two trees, run each tree's own script on its own checkout and
 compare the two OUT files with ``cmp``: a change that must keep every
-report byte-identical leaves them equal.  Where floats may move,
+report byte-identical leaves them equal.  A change that adds rows runs
+its own script twice instead, with ``PYTHONPATH`` set to each tree's
+``src/`` in turn.  Where floats may move,
 ``tools/report_diff.py`` says by how much.  Each line is ``key<TAB>JSON``;
 floats are written by ``repr``, so a value that moves in its last bit shows
 up.  The inputs are generated from fixed seeds.  The ``minimax_gap`` rows
@@ -41,6 +43,7 @@ from chi2dual import (
     Stream,
     chi2_simple,
     contamination_test,
+    dual_objective_contam,
     marginal_test,
     model_integral,
     replicate_seed,
@@ -79,6 +82,10 @@ DEFAULT_GAP_SAMPLE = (7, 2, 0.15)
 # one observation so far out that f_alpha and the exponential part of the
 # mixture density both underflow at alpha = 1
 FAR_POINT = 2000.0
+# (alpha, theta, lambda) of dual_objective_contam on the far-point sample:
+# +inf (lambda = 0, theta >= 2 alpha), refused by rule (lambda < 0), and
+# finite model integral but g not finite at the far observation
+FAR_POINT_DUAL_POINTS = ((0.6, 1.5, 0.0), (2.0, 0.5, -0.05), (1.0, 1.9, 0.0))
 # (alpha, theta, lambda); the third point has lambda < 0 and is refused by
 # rule, and the last has theta >= 2 alpha, where the Pareto floor of the
 # mixture density bounds the tail
@@ -207,6 +214,15 @@ def plan_lines() -> list[str]:
     return lines
 
 
+def _dual_objective(alpha: float, theta: float, lam: float, sample: Sample) -> str:
+    """repr of dual_objective_contam, or its error's class (the message may
+    differ between trees)."""
+    try:
+        return repr(dual_objective_contam(DualGFunction(alpha, theta, lam, SPEC), sample))
+    except Chi2DualError as exc:
+        return type(exc).__name__
+
+
 def contamination_lines() -> list[str]:
     lines = []
     for seed, lam in CONTAM_SAMPLES:
@@ -214,6 +230,8 @@ def contamination_lines() -> list[str]:
         sample = Sample(x.reshape(-1, 1))
         report = contamination_test(sample, SPEC, 0.05)
         lines.append(_line(f"contamination_test.{seed}", emit_json(report.to_json_dict())))
+        optimum = (report.diagnostics[k] for k in ("alpha_hat", "theta_hat", "lambda_hat"))
+        lines.append(_line(f"dual_objective_contam.{seed}", _dual_objective(*optimum, sample)))
         if lam == 0.0:
             report = contamination_test(sample, SPEC, 0.05, settings=FINE_RATE_SETTINGS)
             payload = emit_json(report.to_json_dict())
@@ -241,6 +259,9 @@ def contamination_lines() -> list[str]:
     except Chi2DualError as exc:
         outcome = type(exc).__name__
     lines.append(_line("chi2_simple.far_point", outcome))
+    for alpha, theta, lam in FAR_POINT_DUAL_POINTS:
+        value = _dual_objective(alpha, theta, lam, Sample(x.reshape(-1, 1)))
+        lines.append(_line(f"dual_objective_contam.far_point.{alpha}.{theta}.{lam}", value))
     x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
     result = chi2_simple(Sample(x.reshape(-1, 1)), 1.0, NARROW_LAMBDA_SPEC)
     outcome = {
