@@ -15,8 +15,8 @@ dual chi-square estimate in a second, independent form:
   multipliers to the dual coefficients;
 * the standardized sieve statistic and the two growth-rate sequences of a
   family-size rule k(n);
-* golden-section minimization one point at a time, the section that the
-  contamination profile runs with a one-step look-ahead;
+* golden-section minimization one point at a time, which profiles the
+  rate in the reverse order of ``minimax_gap``;
 * the contamination dual objective at a point, from the closed forms of
   f_alpha and h alone: the model integral by ``scipy.integrate.quad``, and
   mean(g) + mean(g^2)/4 on the sample in plain numpy;

@@ -33,7 +33,6 @@ from chi2dual.contamination import (
     THETA_CAP,
     _candidate_grid,
     _chi2_lockstep,
-    _golden_min,
     _grid_then_refine,
     _InnerObjective,
 )
@@ -43,7 +42,6 @@ from reference import (
     OBJECTIVE_TOLERANCE,
     _simplex_max,
     contamination_objective,
-    golden_min,
     minimax_gap,
     quad_model_integral,
 )
@@ -793,58 +791,78 @@ def test_null_statistic_at_a_rate_below_half_the_interval_top(theta_lo, rate, re
     assert report.statistic <= statistic_bound
 
 
-def _unimodal(a):
-    return (a - 1.13) ** 2
-
-
-GOLDEN_CASES = {
-    "unimodal": (_unimodal, 0.5, 2.0, 3e-3),
-    "infinite": (lambda a: math.inf if not 0.9 < a < 1.7 else abs(a - 1.2), 0.5, 2.0, 1e-4),
-    "constant": (lambda a: 0.25, 0.5, 2.0, 1e-3),
-    "two_minima": (lambda a: math.cos(9.0 * a), 0.5, 2.0, 2e-5),
-    "empty": (_unimodal, 1.0, 1.0, 1e-3),
-    "reversed": (_unimodal, 1.5, 1.0, 1e-3),
-    "wide_tol": (_unimodal, 0.5, 2.0, 5.0),
-}
-
-
-@pytest.mark.parametrize("case", GOLDEN_CASES)
-def test_golden_section_looks_ahead_on_the_sequential_path(case):
-    f, lo, hi, tol = GOLDEN_CASES[case]
-    path = []
-    expected = golden_min(lambda a: path.append(a) or f(a), lo, hi, tol)
+def _profiled(monkeypatch, x, spec, settings):
+    """contamination_test on x with every lockstep call recorded: the report,
+    [[(rate, value), ...] per call] and the evaluated rates (a, alpha_hat,
+    b) around alpha_hat."""
     calls = []
-    got = _golden_min(lambda points: calls.append(points) or [f(p) for p in points], lo, hi, tol)
-    assert got == expected
-    evaluated = [p for points in calls for p in points]
-    remaining = iter(evaluated)
-    assert all(p in remaining for p in path)  # the same points in the same order
-    assert len(set(evaluated)) == len(evaluated)
-    # one call per two steps, each wasting at most one look-ahead point
-    assert len(calls) <= len(path) // 2 + 1
-    assert len(evaluated) - len(path) <= len(calls)
+
+    def recording(x, alphas, spec, settings):
+        results = _chi2_lockstep(x, alphas, spec, settings)
+        calls.append([(alpha, result.value) for alpha, result in zip(alphas, results)])
+        return results
+
+    monkeypatch.setattr(contamination, "_chi2_lockstep", recording)
+    report = contamination_test(Sample(x.reshape(-1, 1)), spec, 0.05, settings)
+    rates = sorted(rate for call in calls for rate, _ in call)
+    i = rates.index(report.diagnostics["alpha_hat"])
+    return report, calls, (rates[max(i - 1, 0)], rates[i], rates[min(i + 1, len(rates) - 1)])
 
 
-def test_golden_section_fails_only_on_a_point_it_uses():
-    lo, hi, tol = 0.5, 2.0, 3e-3
-    path = []
-    expected = golden_min(lambda a: path.append(a) or _unimodal(a), lo, hi, tol)
-    evaluated = []
-    _golden_min(lambda points: evaluated.extend(points) or [_unimodal(p) for p in points],
-                lo, hi, tol)
-    unused = [p for p in evaluated if p not in path]
-    for planted in (unused[0], unused[-1], path[5]):
+@pytest.mark.parametrize(("lam", "replicate"), [(0.0, 0), (0.0, 3), (0.15, 0), (0.15, 1)])
+def test_rate_profile_bisects_around_the_best_rate(lam, replicate, monkeypatch):
+    # seed-7 contam_null and contam_alt samples (n = 200); the first null
+    # replicate ends at the atom 1/mean(x), the other three bisect
+    settings = SearchSettings()
+    x = rmixture(Stream(replicate_seed(7, replicate)), 200, 1.0, lam, SPEC.pareto_gamma,
+                 SPEC.pareto_nu)
+    report, calls, (a, alpha_hat, b) = _profiled(monkeypatch, x, SPEC, settings)
+    assert len(calls[0]) <= settings.outer_coarse + 1
+    assert all(len(call) <= 2 for call in calls[1:])
+    values = dict(pair for call in calls for pair in call)
+    assert len(values) == sum(map(len, calls))  # no rate evaluated twice
+    chi2_value = report.diagnostics["chi2_value"]
+    assert chi2_value == values[alpha_hat] == min(values.values())
+    assert chi2_value == 0.0 or b - a <= settings.alpha_tol * (SPEC.theta_hi - SPEC.theta_lo)
+    assert (len(calls) == 1) == (chi2_value == 0.0) == (replicate == 0 and lam == 0.0)
 
-        def failing(points):
-            if planted in points:
-                raise QuadratureFailure("planted")
-            return [_unimodal(p) for p in points]
 
-        if planted in path:
-            with pytest.raises(QuadratureFailure, match="planted"):
-                _golden_min(failing, lo, hi, tol)
-        else:
-            assert _golden_min(failing, lo, hi, tol) == expected
+@pytest.mark.parametrize("case", ["three_ulp_interval", "tiny_tolerance"])
+def test_rate_profile_stops_when_no_midpoint_is_new(case, monkeypatch):
+    # neither the bracket test nor a zero stops these searches: the loop
+    # ends once both midpoints round onto rates already evaluated
+    x = rexp(Stream(replicate_seed(7, 3)), 200, 1.0)
+    spec, settings = SPEC, SearchSettings(alpha_tol=1e-300)
+    if case == "three_ulp_interval":
+        top = 1.0
+        for _ in range(3):
+            top = math.nextafter(top, math.inf)
+        spec, settings = ContaminationSpec(theta_lo=1.0, theta_hi=top), SearchSettings()
+    report, calls, (a, best, b) = _profiled(monkeypatch, x, spec, settings)
+    values = dict(pair for call in calls for pair in call)
+    assert report.diagnostics["chi2_value"] > 0.0
+    assert (a + best) / 2.0 in values and (best + b) / 2.0 in values
+    assert len(calls) <= 60  # about one round per bit of the bracket
+
+
+def test_statistic_is_exactly_zero_where_the_mle_anchor_wins():
+    # seed-7 contam_null replicates 0-39 (n = 200): where the sup at the
+    # MLE rate clip(1/mean(x)) is exactly 0, so is the inf over the rate,
+    # reached at the anchor (alpha, alpha, 0) of that rate
+    settings, hits = SearchSettings(), 0
+    for replicate in range(40):
+        x = rexp(Stream(replicate_seed(7, replicate)), 200, 1.0)
+        mle = min(max(1.0 / float(np.mean(x)), SPEC.theta_lo), SPEC.theta_hi)
+        if _chi2_lockstep(x, [mle], SPEC, settings)[0].value != 0.0:
+            continue
+        hits += 1
+        report = contamination_test(Sample(x.reshape(-1, 1)), SPEC, 0.05, settings)
+        diagnostics = report.diagnostics
+        assert report.statistic == 0.0
+        assert diagnostics["alpha_hat"] == mle
+        assert diagnostics["theta_hat"] == diagnostics["alpha_hat"]
+        assert diagnostics["lambda_hat"] == 0.0
+    assert hits >= 20  # 23 of the 40 when this test was written
 
 
 def _derivatives_by_differences(f, scale, at_cap):
