@@ -53,12 +53,12 @@ On the lambda = 0 face d/dlambda is -inf wherever theta > alpha, so a
 search there moves theta alone while d/dlambda <= 0.  The anchor (alpha, 0)
 is exactly 0 (f_alpha / h = 1 on the sample, model integral 2 alpha^2 /
 alpha^2 - 2), so the statistic is >= 0 with no clamp, and exactly 0 when
-the anchor wins at the MLE 1/mean(x).  The inf over alpha bisects around
-the best rate: a coarse grid of rates and the MLE first, then the two
-midpoints beside the best rate, until the best value is 0 or the bracket
-is within ``alpha_tol``.  Rates evaluated together are searched in
-lockstep: one objective call per rate's grid, one for all their starts and
-one per Newton round.
+the anchor wins at the MLE 1/mean(x).  The inf over alpha takes a coarse
+grid of rates and the MLE, then safeguarded parabolic steps around the
+best rate (midpoints where the parabola misleads) until the best value is
+0 but for rounding or the bracket is within ``alpha_tol``.  Rates
+evaluated together are searched in lockstep: one objective call per
+rate's grid, one for all their starts and one per Newton round.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
@@ -299,10 +299,10 @@ class SearchSettings:
 
     ``inner_grid`` points per (theta, lambda) axis; projected Newton
     refinement from the ``nm_starts`` best, ``nm_max_evals`` evaluations
-    each; ``outer_coarse`` rate points and the MLE, then bisection around
-    the best rate to ``alpha_tol`` of the rate interval.  The inf-sup/sup-inf
-    check in ``tests/reference.py`` reads the same knobs for its reverse
-    order.
+    each; ``outer_coarse`` rate points and the MLE, then safeguarded
+    parabolic steps around the best rate to ``alpha_tol`` of the rate
+    interval.  The inf-sup/sup-inf check in ``tests/reference.py`` reads the
+    same knobs for its reverse order.
     """
 
     inner_grid: int = 8
@@ -313,7 +313,7 @@ class SearchSettings:
 
     def __post_init__(self) -> None:
         # a coarse grid of one rate profiles theta_lo alone, and a
-        # tolerance that is not positive bisects down to adjacent floats
+        # tolerance that is not positive steps down to adjacent floats
         for name, least in (
             ("inner_grid", 1), ("nm_starts", 0), ("nm_max_evals", 0), ("outer_coarse", 2)
         ):
@@ -661,21 +661,40 @@ def _inf_sup(
 ) -> tuple[float, Chi2SimpleResult]:
     """The profiled rate alpha_hat and ``chi2_simple`` there: the inf over the
     rate interval of the sup over the mixture parameters.  One lockstep call
-    takes ``outer_coarse`` rates and the MLE, each next one the midpoints
-    between the best rate and its neighbours, none twice.  It stops at a
-    best value of 0 (the profile is >= 0), a bracket within ``alpha_tol`` of
-    the interval, or midpoints that round onto rates already evaluated."""
+    takes ``outer_coarse`` rates and the MLE; each next one the vertex u of
+    the parabola through the best rate and its neighbours a < best < b,
+    clamped into [a + tol/2, b - tol/2], with u -/+ tol/2, so that a winning
+    u leaves a bracket of tol.  Where the parabola is not convex (best at an
+    end, or flat), the last call did not halve the bracket (a kinked or
+    jagged profile) or none of these rates is new, it takes the midpoints of
+    [a, best] and [best, b].  It stops at a best value of 0 but for rounding
+    (the profile is >= 0), a bracket within ``alpha_tol`` of the interval,
+    or no new rate."""
     lo, hi = spec.theta_lo, spec.theta_hi
+    tol = settings.alpha_tol * (hi - lo)
+    half = max(tol / 2.0 - math.ulp(hi), 0.0)  # u -/+ half stay within tol once rounded
     mle = min(max(1.0 / float(np.mean(x)), lo), hi)
     evaluated: dict[float, Chi2SimpleResult] = {}
     new = sorted({float(rate) for rate in np.linspace(lo, hi, settings.outer_coarse)} | {mle})
+    width = math.inf
     while True:
         evaluated.update(zip(new, _chi2_lockstep(x, new, spec, settings)))
         rates = sorted(evaluated)
         i = min(range(len(rates)), key=lambda k: evaluated[rates[k]].value)
         a, best, b = rates[max(i - 1, 0)], rates[i], rates[min(i + 1, len(rates) - 1)]
-        new = [rate for rate in ((a + best) / 2.0, (best + b) / 2.0) if rate not in evaluated]
-        if evaluated[best].value == 0.0 or b - a <= settings.alpha_tol * (hi - lo) or not new:
+        fa, fm, fb = (evaluated[rate].value for rate in (a, best, b))
+        # r <= 0 <= q, and r < q (convex) puts the vertex inside (a, b)
+        r, q = (best - a) * (fm - fb), (best - b) * (fm - fa)
+        new = []
+        if r < q and b - a <= width / 2.0:
+            u = best - ((best - a) * r - (best - b) * q) / (2.0 * (r - q))
+            u = min(max(u, a + half), b - half)
+            new = [rate for rate in (u - half, u, u + half) if a < rate < b]
+        new = [rate for rate in new if rate not in evaluated] or [
+            rate for rate in ((a + best) / 2.0, (best + b) / 2.0) if rate not in evaluated
+        ]
+        width = b - a
+        if fm <= _ROUNDING or width <= tol or not new:
             return best, evaluated[best]
 
 

@@ -30,10 +30,13 @@ from chi2dual import (
     rmixture,
 )
 from chi2dual.contamination import (
+    _ROUNDING,
     THETA_CAP,
+    Chi2SimpleResult,
     _candidate_grid,
     _chi2_lockstep,
     _grid_then_refine,
+    _inf_sup,
     _InnerObjective,
 )
 from chi2dual.errors import InvalidInput, NonPositiveDensity, QuadratureFailure
@@ -791,6 +794,15 @@ def test_null_statistic_at_a_rate_below_half_the_interval_top(theta_lo, rate, re
     assert report.statistic <= statistic_bound
 
 
+def _bracket(pairs):
+    """The evaluated rates (a, best, b) around the one of least value in
+    the (rate, value) pairs."""
+    values = dict(pairs)
+    rates = sorted(values)
+    i = rates.index(min(rates, key=values.__getitem__))
+    return rates[max(i - 1, 0)], rates[i], rates[min(i + 1, len(rates) - 1)]
+
+
 def _profiled(monkeypatch, x, spec, settings):
     """contamination_test on x with every lockstep call recorded: the report,
     [[(rate, value), ...] per call] and the evaluated rates (a, alpha_hat,
@@ -804,27 +816,77 @@ def _profiled(monkeypatch, x, spec, settings):
 
     monkeypatch.setattr(contamination, "_chi2_lockstep", recording)
     report = contamination_test(Sample(x.reshape(-1, 1)), spec, 0.05, settings)
-    rates = sorted(rate for call in calls for rate, _ in call)
-    i = rates.index(report.diagnostics["alpha_hat"])
-    return report, calls, (rates[max(i - 1, 0)], rates[i], rates[min(i + 1, len(rates) - 1)])
+    return report, calls, _bracket(pair for call in calls for pair in call)
 
 
 @pytest.mark.parametrize(("lam", "replicate"), [(0.0, 0), (0.0, 3), (0.15, 0), (0.15, 1)])
 def test_rate_profile_bisects_around_the_best_rate(lam, replicate, monkeypatch):
     # seed-7 contam_null and contam_alt samples (n = 200); the first null
-    # replicate ends at the atom 1/mean(x), the other three bisect
+    # replicate ends at the atom 1/mean(x), the other three step inside the
+    # bracket, by the parabola's vertex or by its two midpoints
     settings = SearchSettings()
+    tol = settings.alpha_tol * (SPEC.theta_hi - SPEC.theta_lo)
     x = rmixture(Stream(replicate_seed(7, replicate)), 200, 1.0, lam, SPEC.pareto_gamma,
                  SPEC.pareto_nu)
     report, calls, (a, alpha_hat, b) = _profiled(monkeypatch, x, SPEC, settings)
     assert len(calls[0]) <= settings.outer_coarse + 1
-    assert all(len(call) <= 2 for call in calls[1:])
+    assert all(len(call) <= 3 for call in calls[1:])
+    for k in range(1, len(calls)):
+        lower, _, upper = _bracket(pair for call in calls[:k] for pair in call)
+        assert all(lower < rate < upper for rate, _ in calls[k])
     values = dict(pair for call in calls for pair in call)
     assert len(values) == sum(map(len, calls))  # no rate evaluated twice
     chi2_value = report.diagnostics["chi2_value"]
     assert chi2_value == values[alpha_hat] == min(values.values())
-    assert chi2_value == 0.0 or b - a <= settings.alpha_tol * (SPEC.theta_hi - SPEC.theta_lo)
-    assert (len(calls) == 1) == (chi2_value == 0.0) == (replicate == 0 and lam == 0.0)
+    at_atom = chi2_value <= _ROUNDING
+    assert at_atom or b - a <= tol
+    assert (len(calls) == 1) == at_atom == (replicate == 0 and lam == 0.0)
+
+
+def _synthetic_profile(monkeypatch, profile):
+    """_inf_sup at the default settings on a sample with 1/mean(x) = 1.23,
+    with the sup at rate alpha replaced by profile(alpha): the recorded
+    [[rate, ...] per call] and the bracket (a, alpha_hat, b) at the stop."""
+    calls = []
+
+    def prescribed(x, alphas, spec, settings):
+        calls.append(list(alphas))
+        return [Chi2SimpleResult(profile(alpha), alpha, 0.0, (), 0) for alpha in alphas]
+
+    monkeypatch.setattr(contamination, "_chi2_lockstep", prescribed)
+    alpha_hat, at_min = _inf_sup(np.full(200, 1.0 / 1.23), SPEC, SearchSettings())
+    bracket = _bracket((rate, profile(rate)) for call in calls for rate in call)
+    assert bracket[1] == alpha_hat and at_min.value == profile(alpha_hat)
+    return calls, bracket
+
+
+def test_rate_profile_on_a_smooth_minimum_takes_a_parabola_step(monkeypatch):
+    # one vertex step lands on the minimum of a quadratic, and its two
+    # neighbours at tol / 2 close the bracket
+    centre = 1.0471
+    calls, (a, alpha_hat, b) = _synthetic_profile(
+        monkeypatch, lambda alpha: 0.01 + (alpha - centre) ** 2
+    )
+    tol = SearchSettings().alpha_tol * (SPEC.theta_hi - SPEC.theta_lo)
+    assert len(calls) <= 3
+    assert b - a <= tol and abs(alpha_hat - centre) <= tol / 2.0
+
+
+@pytest.mark.parametrize("shape", ["kink", "sawtooth"])
+def test_rate_profile_converges_where_the_parabola_misleads(shape, monkeypatch):
+    # a kink with slopes -1 and 100 either side of c, and a quadratic with a
+    # 1e-5 sawtooth of period 7e-3 (about two brackets of tol).  On the
+    # kink the vertex steps creep up on c from one side, each cutting the
+    # bracket by little: without the fallback to midpoints after a step
+    # that does not halve the bracket the search took 72 calls, with it 13
+    centre = 1.0471
+    profiles = {
+        "kink": lambda alpha: 0.01 + max(centre - alpha, 100.0 * (alpha - centre)),
+        "sawtooth": lambda alpha: 0.01 + (alpha - centre) ** 2 + 1e-5 * (alpha / 7e-3 % 1.0),
+    }
+    calls, (a, alpha_hat, b) = _synthetic_profile(monkeypatch, profiles[shape])
+    assert b - a <= SearchSettings().alpha_tol * (SPEC.theta_hi - SPEC.theta_lo)
+    assert len(calls) <= 60
 
 
 @pytest.mark.parametrize("case", ["three_ulp_interval", "tiny_tolerance"])
@@ -863,6 +925,25 @@ def test_statistic_is_exactly_zero_where_the_mle_anchor_wins():
         assert diagnostics["theta_hat"] == diagnostics["alpha_hat"]
         assert diagnostics["lambda_hat"] == 0.0
     assert hits >= 20  # 23 of the 40 when this test was written
+
+
+def test_rate_profile_stops_at_a_sup_that_is_zero_but_for_rounding(monkeypatch):
+    # seed-7 contam_null replicates 0-39 (n = 200) whose sup at the MLE rate
+    # is reached a few ulps from the anchor, at about 1e-17 rather than 0:
+    # the profile ends with its first call, at that rate, as at an exact 0
+    settings, hits = SearchSettings(), 0
+    for replicate in range(40):
+        x = rexp(Stream(replicate_seed(7, replicate)), 200, 1.0)
+        mle = min(max(1.0 / float(np.mean(x)), SPEC.theta_lo), SPEC.theta_hi)
+        value = _chi2_lockstep(x, [mle], SPEC, settings)[0].value
+        if not 0.0 < value <= _ROUNDING:
+            continue
+        hits += 1
+        report, calls, _ = _profiled(monkeypatch, x, SPEC, settings)
+        assert len(calls) == 1
+        assert report.diagnostics["alpha_hat"] == mle
+        assert report.diagnostics["chi2_value"] == value
+    assert hits >= 1  # replicate 14 when this test was written
 
 
 def _derivatives_by_differences(f, scale, at_cap):

@@ -13,8 +13,14 @@ tree's ``BENCHMARK.json`` the script prints each side's median and
 quartiles, the change's relative change of the median, the number of
 pairs the change won (ties count for neither side) and whether the
 change's median is worse than the parent's by more than the metric's
-``bound`` (a fraction of the parent's median).  The last line names every
-metric past its bound, or says that none is; the exit status stays 0.
+``bound`` (a fraction of the parent's median).  Two more columns apply
+the rule for claiming a gain and for reading a metric at all: ``gain``
+holds when the change won at least nine tenths of the pairs and
+its median is better than the parent's by more than the parent's q3 - q1;
+``unresolved`` holds when the parent's q3 - q1 exceeds ``bound`` times
+its median and not every change run is better than every parent run.
+The last line names every metric past its bound, or says that none is;
+the exit status stays 0.
 
 With ``--out`` it writes ``{"W_seedS": {"runs": [...], "summary": {...}}}``,
 the layout of the ``pairs`` entries of ``BENCH_*.json``; an existing FILE
@@ -78,14 +84,14 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarise(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
     """Per metric: each side's quartiles, the relative change of the median,
-    the change's wins and ``past_bound``; ``metrics`` maps a name to its
-    (better, bound)."""
+    the change's wins, ``past_bound``, ``gain`` and ``unresolved``;
+    ``metrics`` maps a name to its (better, bound)."""
     summary = {}
     for name, (direction, bound) in metrics.items():
+        sign = 1.0 if direction == "lower" else -1.0  # sign * value: lower is better
         side_values = {side: [run[side][name] for run in runs] for side in SIDES}
         wins = sum(
-            (c < p) if direction == "lower" else (c > p)
-            for p, c in zip(side_values["parent"], side_values["change"])
+            sign * c < sign * p for p, c in zip(side_values["parent"], side_values["change"])
         )
         entry = {}
         for side in SIDES:
@@ -93,8 +99,14 @@ def summarise(runs: list[dict], metrics: dict[str, tuple[str, float]]) -> dict:
             entry.update({f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3})
         entry["change_wins"] = f"{wins}/{len(runs)}"
         entry["relative_change"] = entry["change_median"] / entry["parent_median"] - 1.0
-        worse_by = entry["relative_change"] * (1.0 if direction == "lower" else -1.0)
-        entry["past_bound"] = worse_by > bound
+        entry["past_bound"] = sign * entry["relative_change"] > bound
+        spread = entry["parent_q3"] - entry["parent_q1"]
+        better_by = sign * (entry["parent_median"] - entry["change_median"])
+        entry["gain"] = wins >= 0.9 * len(runs) and better_by > spread
+        entry["unresolved"] = spread > bound * abs(entry["parent_median"]) and (
+            max(sign * v for v in side_values["change"])
+            >= min(sign * v for v in side_values["parent"])
+        )
         summary[name] = entry
     return summary
 
@@ -130,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = summarise(runs, metrics)
     print(f"{'metric':<18} {'parent median [q1, q3]':>36} {'change median [q1, q3]':>36} "
-          f"{'change':>8} {'wins':>6} {'bound':>6} {'past':>5}")
+          f"{'change':>8} {'wins':>6} {'bound':>6} {'past':>5} {'gain':>5} {'unres':>5}")
     for name, entry in summary.items():
         sides = [
             f"{entry[f'{side}_median']:.6g} [{entry[f'{side}_q1']:.6g}, {entry[f'{side}_q3']:.6g}]"
@@ -138,7 +150,9 @@ def main(argv: list[str] | None = None) -> int:
         ]
         print(f"{name:<18} {sides[0]:>36} {sides[1]:>36} "
               f"{entry['relative_change']:>+8.1%} {entry['change_wins']:>6} "
-              f"{metrics[name][1]:>6.0%} {'yes' if entry['past_bound'] else 'no':>5}")
+              f"{metrics[name][1]:>6.0%} "
+              + " ".join(f"{'yes' if entry[key] else 'no':>5}"
+                         for key in ("past_bound", "gain", "unresolved")))
     past = [name for name, entry in summary.items() if entry["past_bound"]]
     print(f"past bound: {', '.join(past) if past else 'none'}")
     if args.out:

@@ -69,8 +69,8 @@ PROFILE_ALPHAS = (0.7, 1.0, 1.6)
 # the Pareto regime within a short stretch above nu, tested on the null
 # sample of seed 101
 STEEP_SPEC = ContaminationSpec(theta_lo=0.5, theta_hi=2.0, pareto_gamma=50.0, pareto_nu=1.2)
-# a rate resolution 100 times finer than the default, about seven more
-# bisection rounds; the null sample is also tested at it
+# a rate resolution 100 times finer than the default, three or four more
+# rounds of the rate search; the null sample is also tested at it
 FINE_RATE_SETTINGS = SearchSettings(alpha_tol=2e-5)
 # (seed, contamination weight) of the n = 100 minimax_gap samples, searched
 # with a reduced SearchSettings (two lockstep starts) to keep the dump quick
