@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -139,10 +140,15 @@ def read_constraints(path: str, d: int) -> ConstraintFamily:
     functions, targets, names = [], [], []
     for i, entry in enumerate(entries):
         try:
-            expr = str(entry["f"])
-            target = float(entry["target"])
-        except (KeyError, TypeError, ValueError) as exc:
+            expr, given = str(entry["f"]), entry["target"]
+        except (KeyError, TypeError) as exc:
             raise CliError(f"{path}: constraint {i}: need fields 'f' and 'target'") from exc
+        try:  # float() reads True as 1.0 and "1e999" as inf
+            target = math.nan if isinstance(given, bool) else float(given)
+        except (TypeError, ValueError):
+            target = math.nan
+        if not math.isfinite(target):
+            raise CliError(f"{path}: constraint {i}: target must be a finite number, got {given!r}")
         try:
             functions.append(compile_expression(expr, d))
         except ExprError as exc:
@@ -199,14 +205,13 @@ def cmd_marginal_test(args: argparse.Namespace) -> int:
 def cmd_contam_test(args: argparse.Namespace) -> int:
     sample = read_csv_sample(args.data)
     theta_lo, theta_hi = _parse_pair(args.theta_range, "--theta-range", ":", "LO:HI")
-    gamma, nu = _parse_pair(args.pareto, "--pareto", ",", "G,NU")
-    spec = ContaminationSpec(
-        theta_lo=theta_lo,
-        theta_hi=theta_hi,
-        lambda_hi=args.lambda_max,
-        pareto_gamma=gamma,
-        pareto_nu=nu,
-    )
+    given = {}  # options left out take ContaminationSpec's defaults
+    if args.lambda_max is not None:
+        given["lambda_hi"] = args.lambda_max
+    if args.pareto is not None:
+        gamma_nu = _parse_pair(args.pareto, "--pareto", ",", "G,NU")
+        given["pareto_gamma"], given["pareto_nu"] = gamma_nu
+    spec = ContaminationSpec(theta_lo=theta_lo, theta_hi=theta_hi, **given)
     report = contamination_test(sample, spec, args.alpha)
     return _emit_report(report, args.json)
 
@@ -266,10 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     contam = command("contam-test", cmd_contam_test, "test exponentiality against contamination")
     contam.add_argument("--data", required=True)
     contam.add_argument("--theta-range", required=True, help="rate interval LO:HI, 0 < LO <= HI")
-    contam.add_argument(
-        "--lambda-max", type=float, default=0.75, help="mixing interval [0, HI), 0 < HI < 1"
-    )
-    contam.add_argument("--pareto", default="2.0,1.5", help="contaminant parameters G,NU")
+    contam.add_argument("--lambda-max", type=float, help="mixing interval [0, HI), 0 < HI < 1")
+    contam.add_argument("--pareto", help="contaminant parameters G,NU")
     contam.add_argument("--alpha", type=float, default=0.05)
     contam.add_argument("--json")
 

@@ -62,22 +62,41 @@ def normal_quantile(p: float) -> float:
     return float(scipy.special.ndtri(p))
 
 
+# reference law -> (CDF, upper tail), each at (value, df); the standard
+# normal ignores df, which it reports as its standard deviation 1.0
+_LAWS = {
+    CHI_SQUARED: (chi2_cdf, chi2_sf),
+    STD_NORMAL: (lambda z, _: normal_cdf(z), lambda z, _: 1.0 - normal_cdf(z)),
+}
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Outcome of one hypothesis test.
 
-    ``df_or_sd`` is the degrees of freedom for chi-square reference laws and
-    the standard deviation (1.0) for the standard normal law.  ``reject`` is
-    always the strict comparison p_value < alpha.
+    Built from the statistic, a reference law named in ``_LAWS`` and its
+    ``df_or_sd`` (degrees of freedom of a chi-square law, standard deviation
+    1.0 of the standard normal).  ``p_value`` is that law's upper tail at the
+    statistic, ``reject`` the strict comparison p_value < alpha, and ``cdf``
+    the law's CDF, which calibration measures many statistics against.
     """
 
     statistic: float
-    df_or_sd: float
     reference_law: str
-    p_value: float
+    df_or_sd: float
     alpha: float
-    reject: bool
     diagnostics: dict = field(default_factory=dict)
+    p_value: float = field(init=False)
+    reject: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        p_value = _LAWS[self.reference_law][1](self.statistic, self.df_or_sd)
+        object.__setattr__(self, "p_value", p_value)
+        object.__setattr__(self, "reject", p_value < self.alpha)
+
+    def cdf(self, value: float) -> float:
+        """CDF of the report's reference law at ``value``."""
+        return _LAWS[self.reference_law][0](value, self.df_or_sd)
 
     def to_json_dict(self) -> dict:
         """Wire format with the documented field names and order."""
@@ -110,7 +129,6 @@ def test_linear(sample: Sample, fam: ConstraintFamily, alpha: float) -> TestRepo
     mv = moment_vectors(sample, fam)
     dual = dual_coefficients(mv)
     statistic = sample.n * dual.chi2_value
-    p_value = chi2_sf(statistic, fam.k)
     variance = h1_variance(sample, dual, fam)
     half_width = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(
         max(variance, 0.0) / sample.n
@@ -124,12 +142,4 @@ def test_linear(sample: Sample, fam: ConstraintFamily, alpha: float) -> TestRepo
         "h1_ci_low": dual.chi2_value - half_width,
         "h1_ci_high": dual.chi2_value + half_width,
     }
-    return TestReport(
-        statistic=float(statistic),
-        df_or_sd=float(fam.k),
-        reference_law=CHI_SQUARED,
-        p_value=p_value,
-        alpha=alpha,
-        reject=p_value < alpha,
-        diagnostics=diagnostics,
-    )
+    return TestReport(float(statistic), CHI_SQUARED, float(fam.k), alpha, diagnostics)

@@ -17,7 +17,7 @@ table-minimum that equals n * chi2_n live in ``tests/reference.py``.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -273,9 +273,7 @@ def marginal_test(
             DegenerateCellsWarning,
             stacklevel=2,
         )
-    report = _sieve_report(_table_moment_vectors(table, grid, pit.n), alpha)
-    diagnostics = dict(report.diagnostics)
-    diagnostics["m"] = float(m_eff)
-    diagnostics["d"] = float(sample.d)
-    diagnostics["empty_marginal_cells"] = float(degenerate)
-    return replace(report, diagnostics=diagnostics)
+    return _sieve_report(
+        _table_moment_vectors(table, grid, pit.n), alpha,
+        m=float(m_eff), d=float(sample.d), empty_marginal_cells=float(degenerate),
+    )

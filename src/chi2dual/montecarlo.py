@@ -6,8 +6,8 @@ seed.  Replicate r draws from the counter-based stream seeded with
 base_seed + r (wrapping 64-bit addition), so results are independent of
 execution order and bit-reproducible across runs.  The report carries the
 rejection rate at the nominal level, the exact one-sample KS distance
-between the replicate statistics and the scenario's reference law, and the
-raw statistics.
+between the replicate statistics and the reference law their test reports
+name (``TestReport.cdf``), and the raw statistics.
 
 Individual replicate failures (for example a singular constraint
 covariance on a degenerate draw) are counted rather than fatal, up to a 1%
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from typing import Callable
 
@@ -27,7 +27,7 @@ import numpy as np
 from .contamination import ContaminationSpec, SearchSettings, contamination_test
 from .core import ConstraintFamily, Sample
 from .errors import Chi2DualError, InvalidInput, InvalidParameter, InvalidSpec, PlanFailure
-from .linear import TestReport, chi2_cdf, normal_cdf, test_linear
+from .linear import TestReport, test_linear
 from .marginal import MarginalSpec, marginal_test
 from .rng import Stream, replicate_seed
 
@@ -115,7 +115,7 @@ class ReplicationPlan:
             raise InvalidInput(
                 f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}"
             )
-        keys = _SCENARIO_TABLE[self.scenario][2]
+        keys = _SCENARIO_TABLE[self.scenario][1]
         unread = [key for key in self.params if key not in keys]
         if unread:
             raise InvalidInput(f"scenario {self.scenario!r} reads no params key {unread[0]!r}")
@@ -148,12 +148,12 @@ class ReplicationPlan:
         """Plan from its wire format; InvalidInput names a missing or malformed field."""
         values = {"alpha": 0.05, "params": {}, **payload}
         kinds = dict(scenario=str, n=int, replicates=int, base_seed=int, alpha=float, params=dict)
-        fields = {}
+        checked = {}
         for name, kind in kinds.items():
             if name not in values:
                 raise InvalidInput(f"missing field {name!r}")
-            fields[name] = _as_kind(f"field {name!r}", values[name], kind)
-        return cls(**fields)
+            checked[name] = _as_kind(f"field {name!r}", values[name], kind)
+        return cls(**checked)
 
 
 def _as_kind(label: str, value, kind: type):
@@ -236,7 +236,6 @@ def _mean_quarter_family() -> ConstraintFamily:
     )
 
 
-_CONTAM_SPEC_KEYS = ("theta_lo", "theta_hi", "lambda_hi", "pareto_gamma", "pareto_nu")
 # params key -> (kind, comparison, lower bound)
 _POSITIVE = (float, ">", 0.0)
 _CONTAM_KEYS = dict(
@@ -250,7 +249,8 @@ _MARGINAL_KEYS = {"d": (int, ">=", 1), "m": (int, ">=", 1)}
 
 def _contam_spec(params: dict) -> ContaminationSpec:
     """The plan's spec; keys it leaves out take ``ContaminationSpec``'s defaults."""
-    given = {key: float(params[key]) for key in _CONTAM_SPEC_KEYS if key in params}
+    keys = (spec_field.name for spec_field in fields(ContaminationSpec))
+    given = {key: float(params[key]) for key in keys if key in params}
     return ContaminationSpec(**{"theta_lo": 0.5, "theta_hi": 2.0, **given})
 
 
@@ -288,15 +288,15 @@ def _contam_replicate(plan: ReplicationPlan, stream: Stream, contaminated: bool)
     return contamination_test(Sample(data.reshape(-1, 1)), spec, plan.alpha, settings=settings)
 
 
-_chi2_1 = partial(chi2_cdf, k=1)
-# scenario -> (one replicate on its stream, reference-law CDF, params keys it reads)
+# scenario -> (one replicate on its stream, params keys it reads); the
+# reference law is the one the replicates' reports name
 _SCENARIO_TABLE = {
-    "linear_null": (_linear_null, lambda v: chi2_cdf(v, 3), {}),
-    "linear_alt": (_linear_alt, _chi2_1, {}),
-    "marginal_null": (partial(_marginal_replicate, beta_first=False), normal_cdf, _MARGINAL_KEYS),
-    "marginal_alt": (partial(_marginal_replicate, beta_first=True), normal_cdf, _MARGINAL_KEYS),
-    "contam_null": (partial(_contam_replicate, contaminated=False), _chi2_1, _CONTAM_KEYS),
-    "contam_alt": (partial(_contam_replicate, contaminated=True), _chi2_1, _CONTAM_ALT_KEYS),
+    "linear_null": (_linear_null, {}),
+    "linear_alt": (_linear_alt, {}),
+    "marginal_null": (partial(_marginal_replicate, beta_first=False), _MARGINAL_KEYS),
+    "marginal_alt": (partial(_marginal_replicate, beta_first=True), _MARGINAL_KEYS),
+    "contam_null": (partial(_contam_replicate, contaminated=False), _CONTAM_KEYS),
+    "contam_alt": (partial(_contam_replicate, contaminated=True), _CONTAM_ALT_KEYS),
 }
 SCENARIOS = tuple(_SCENARIO_TABLE)
 
@@ -308,7 +308,7 @@ def run_plan(plan: ReplicationPlan) -> CalibrationReport:
     recorded and tolerated up to 1% of the replicate count.
     """
     start = time.perf_counter()
-    replicate, reference_cdf, _ = _SCENARIO_TABLE[plan.scenario]
+    replicate, _ = _SCENARIO_TABLE[plan.scenario]
     statistics: list[float] = []
     rejections = 0
     failed: list[int] = []
@@ -326,6 +326,7 @@ def run_plan(plan: ReplicationPlan) -> CalibrationReport:
             continue
         statistics.append(report.statistic)
         rejections += int(report.reject)
+        reference_cdf = report.cdf  # one law for every replicate of a scenario
     if not statistics:
         raise PlanFailure("all replicates failed")
     succeeded = len(statistics)

@@ -24,7 +24,7 @@ import math
 
 from .core import ConstraintFamily, MomentVectors, Sample, chi2_quadratic, moment_vectors
 from .errors import InvalidInput
-from .linear import STD_NORMAL, TestReport, _check_level, normal_cdf
+from .linear import STD_NORMAL, TestReport, _check_level
 
 
 def default_m(n: int) -> int:
@@ -44,23 +44,16 @@ def sieve_test(sample: Sample, fam: ConstraintFamily, alpha: float) -> TestRepor
     return _sieve_report(moment_vectors(sample, fam), alpha)
 
 
-def _sieve_report(mv: MomentVectors, alpha: float) -> TestReport:
-    """One-sided report on (n * chi2_n - k) / sqrt(2k) at a checked level ``alpha``."""
+def _sieve_report(mv: MomentVectors, alpha: float, **extra: float) -> TestReport:
+    """One-sided report on (n * chi2_n - k) / sqrt(2k) at a checked level ``alpha``;
+    ``extra`` diagnostics follow the sieve's own."""
     chi2 = chi2_quadratic(mv)
     statistic = (mv.n * chi2 - mv.k) / math.sqrt(2.0 * mv.k)
-    p_value = 1.0 - normal_cdf(statistic)
     diagnostics = {
         "k": float(mv.k),
         "n": float(mv.n),
         "chi2_value": chi2,
         "scaled_statistic": float(mv.n * chi2),
+        **extra,
     }
-    return TestReport(
-        statistic=float(statistic),
-        df_or_sd=1.0,
-        reference_law=STD_NORMAL,
-        p_value=p_value,
-        alpha=alpha,
-        reject=p_value < alpha,
-        diagnostics=diagnostics,
-    )
+    return TestReport(float(statistic), STD_NORMAL, 1.0, alpha, diagnostics)

@@ -284,6 +284,38 @@ class TestLinearCommand:
         assert exc.value.code == 2
         assert "--constraints" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "target, shown",
+        [
+            ("NaN", "nan"),
+            ("Infinity", "inf"),
+            ("1e999", "inf"),
+            ('"1e999"', "'1e999'"),
+            ("true", "True"),
+            ('"x"', "'x'"),
+            ("null", "None"),
+        ],
+        ids=["nan", "infinity", "overflow", "overflow_string", "bool", "word", "null"],
+    )
+    def test_bad_target_names_file_and_constraint(self, tmp_path, capsys, target, shown):
+        data = tmp_path / "d.csv"
+        write_csv(data, [[0.1], [0.9], [0.4]])
+        constraints = tmp_path / "c.json"
+        constraints.write_text(
+            '{"constraints": [{"f": "x1", "target": 0.5}, {"f": "2*x1", "target": %s}]}' % target
+        )
+        code = main(["linear-test", "--data", str(data), "--constraints", str(constraints)])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {constraints}: constraint 1: target must be a finite number, got {shown}\n"
+        )
+
+    def test_numeric_string_target_still_reads(self, tmp_path):
+        constraints = tmp_path / "c.json"
+        constraints.write_text('{"constraints": [{"f": "x1", "target": "0.5"}]}')
+        family = cli.read_constraints(str(constraints), 1)
+        assert family.targets.tolist() == [0.5]
+
 
 class TestMarginalCommand:
     def test_null_accepts(self, tmp_path):
@@ -406,13 +438,13 @@ class TestContamCommand:
     )
     def test_lambda_max_sets_the_mixing_interval(self, tmp_path, monkeypatch, option, lambda_hi):
         import chi2dual.cli as cli
-        from chi2dual.linear import TestReport
+        from chi2dual.linear import CHI_SQUARED, TestReport
 
         seen = []
 
         def fake_test(sample, spec, alpha):
             seen.append(spec)
-            return TestReport(0.0, 1.0, "chi2", 1.0, alpha, False)
+            return TestReport(0.0, CHI_SQUARED, 1.0, alpha)
 
         monkeypatch.setattr(cli, "contamination_test", fake_test)
         data = tmp_path / "c.csv"

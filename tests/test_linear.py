@@ -15,6 +15,7 @@ from chi2dual import (
     normal_cdf,
 )
 from chi2dual import test_linear as run_linear_test
+from chi2dual.linear import CHI_SQUARED, STD_NORMAL, TestReport
 from chi2dual.montecarlo import rnormal
 from chi2dual.reportio import emit_json
 from chi2dual.rng import Stream
@@ -135,3 +136,44 @@ class TestReportSerialization:
             "reject",
             "diagnostics",
         ]
+
+
+class TestReportLaw:
+    """The constructor derives the p-value and the decision from the named law."""
+
+    CHI2_GRID = (0.0, 1e-12, 0.3, 1.0, 2.706, 3.841459, 7.81, 25.0, 80.0)
+    NORMAL_GRID = (-6.0, -1.3, -1e-9, 0.0, 0.5, 1.6448536269514722, 3.0, 8.0)
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_chi_squared_p_value_is_the_upper_tail(self, k):
+        for t in self.CHI2_GRID:
+            for alpha in (0.01, 0.05, 0.5):
+                report = TestReport(t, CHI_SQUARED, float(k), alpha)
+                assert report.p_value == chi2_sf(t, k)  # bit for bit
+                assert report.reject == (report.p_value < alpha)
+                assert abs(report.cdf(t) + report.p_value - 1.0) <= 1e-12
+
+    def test_std_normal_p_value_is_the_upper_tail(self):
+        for z in self.NORMAL_GRID:
+            for alpha in (0.01, 0.05, 0.5):
+                report = TestReport(z, STD_NORMAL, 1.0, alpha)
+                assert report.p_value == 1.0 - normal_cdf(z)  # bit for bit
+                assert report.reject == (report.p_value < alpha)
+                assert abs(report.cdf(z) + report.p_value - 1.0) <= 1e-12
+
+    def test_decision_at_the_level_is_strict(self):
+        report = TestReport(3.841459, CHI_SQUARED, 1.0, 0.5)
+        assert not TestReport(3.841459, CHI_SQUARED, 1.0, report.p_value).reject
+
+    def test_cdf_is_the_named_law(self):
+        assert TestReport(0.0, CHI_SQUARED, 3.0, 0.05).cdf(7.81) == chi2_cdf(7.81, 3)
+        assert TestReport(0.0, STD_NORMAL, 1.0, 0.05).cdf(1.3) == normal_cdf(1.3)
+
+    def test_test_linear_report_rebuilds_from_its_own_fields(self):
+        data = np.array([[0.2], [0.8], [0.5], [0.9]])
+        report = run_linear_test(Sample(data), mean_family(0.4), 0.05)
+        rebuilt = TestReport(
+            report.statistic, report.reference_law, report.df_or_sd, report.alpha,
+            report.diagnostics,
+        )
+        assert rebuilt == report

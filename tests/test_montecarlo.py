@@ -114,6 +114,39 @@ class TestGenerators:
         assert d == pytest.approx(0.25, abs=1e-12)
 
 
+def _ks_samples(seed):
+    """Seeded samples of size 1, 7 and 200, some with ties and exact zeros."""
+    gen = np.random.default_rng(seed)
+    tied = np.round(gen.chisquare(2, 200), 1)  # rounding makes ties, some at 0.0
+    tied[:5] = 0.0
+    return [
+        np.array([0.0]),
+        gen.chisquare(1, 1),
+        np.array([0.0, 0.0, 0.4, 0.4, 0.4, 1.7, 3.2]),
+        gen.normal(size=7),
+        tied,
+        gen.chisquare(3, 200),
+    ]
+
+
+class TestKsOracle:
+    """``ks_one_sample`` against scipy's one-sample KS statistic."""
+
+    @pytest.mark.parametrize("law", ["chi2_1", "chi2_3", "normal"])
+    @pytest.mark.parametrize("seed", [3, 31])
+    def test_matches_scipy_kstest(self, law, seed):
+        import scipy.stats
+
+        cdf = {
+            "chi2_1": scipy.stats.chi2(1).cdf,
+            "chi2_3": scipy.stats.chi2(3).cdf,
+            "normal": scipy.stats.norm.cdf,
+        }[law]
+        for values in _ks_samples(seed):
+            want = scipy.stats.kstest(values, cdf).statistic
+            assert ks_one_sample(values, cdf) == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
 # scenario, n, replicates, reference law; small n for linear_alt keeps its
 # statistics where chi2(1) and chi2(3) still differ
 REFERENCE_LAW_CASES = [
