@@ -13,10 +13,10 @@ paths accept the same inputs.
 ``--theta-range`` takes the rate interval as ``LO:HI``; ``--lambda-max``
 takes the open upper end HI of the mixing interval [0, HI), whose lower end
 is 0 by rule.  Option names must be spelled in full.
-Reports print as JSON (17 significant digits, locale-independent) and depend
-only on the inputs and the seed.  Exit codes: 0 = no rejection,
-3 = rejection, 1 = error, 2 = usage error (argparse: a missing, unknown or
-malformed option).
+Reports print as JSON, floats by ``repr``, the shortest text that reads back
+the same float, and depend only on the inputs and the seed.  Exit codes:
+0 = no rejection, 3 = rejection, 1 = error, 2 = usage error (argparse: a
+missing, unknown or malformed option).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .exprparse import ExprError, compile_expression
 from .linear import TestReport, test_linear
 from .marginal import marginal_test, parse_marginal_spec
 from .montecarlo import ReplicationPlan, run_plan
-from .reportio import emit_json
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -158,6 +157,11 @@ def read_constraints(path: str, d: int) -> ConstraintFamily:
     return ConstraintFamily(tuple(functions), np.array(targets), names=tuple(names))
 
 
+def emit_json(payload) -> str:
+    """The report as indented JSON; a non-finite float raises ValueError."""
+    return json.dumps(payload, indent=2, ensure_ascii=False, allow_nan=False)
+
+
 def _write_report(payload: dict, json_path: str | None) -> None:
     text = emit_json(payload)
     print(text)
@@ -188,6 +192,8 @@ def cmd_linear_test(args: argparse.Namespace) -> int:
     fam = read_constraints(args.constraints, sample.d)
     try:
         report = test_linear(sample, fam, args.alpha)
+    except InvalidInput as exc:  # only evaluating the constraints raises it here
+        raise CliError(f"{args.constraints}: {exc}") from exc
     except SingularCovariance as exc:
         raise CliError(
             f"{exc} (hint: drop linearly dependent constraints or add data)"

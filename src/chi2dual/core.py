@@ -92,18 +92,21 @@ class ConstraintFamily:
         return len(self.functions)
 
     def evaluate(self, sample: Sample) -> np.ndarray:
-        """Return the (n, k) matrix F with F[i, j] = f_j(X_i)."""
-        cols = []
-        for j, f in enumerate(self.functions):
-            vals = np.asarray(f(sample.data), dtype=float).reshape(-1)
+        """Return the (n, k) matrix F with F[i, j] = f_j(X_i).  numpy's
+        floating-point warnings are silenced: a non-finite value raises
+        InvalidInput naming the function and the first such observation."""
+        with np.errstate(all="ignore"):
+            cols = [np.asarray(f(sample.data), dtype=float).reshape(-1) for f in self.functions]
+        for j, vals in enumerate(cols):
+            label = f"constraint function {j}" + (f" {self.names[j]!r}" if self.names else "")
             if vals.shape[0] != sample.n:
                 raise InvalidInput(
-                    f"constraint function {j} returned {vals.shape[0]} values "
-                    f"for {sample.n} observations"
+                    f"{label} returned {vals.shape[0]} values for {sample.n} observations"
                 )
-            if not np.all(np.isfinite(vals)):
-                raise InvalidInput(f"constraint function {j} produced non-finite values")
-            cols.append(vals)
+            finite = np.isfinite(vals)
+            if not finite.all():
+                i = int(np.argmin(finite))  # the first non-finite value
+                raise InvalidInput(f"{label} is {vals[i]} at observation {i + 1}")
         return np.column_stack(cols)
 
 

@@ -160,9 +160,12 @@ def _as_kind(label: str, value, kind: type):
     """``kind(value)``; InvalidInput names ``label`` when ``value`` is not a ``kind``.
 
     Neither an int nor a float may be a bool; an int must equal its integer
-    value, and a float must be a finite number.
+    value, a float must be a finite number, and a str or a dict must be one
+    already.
     """
     try:
+        if kind in (str, dict) and not isinstance(value, kind):
+            raise TypeError
         if kind in (int, float) and isinstance(value, bool):
             raise ValueError
         if kind is int and value != int(value):

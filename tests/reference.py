@@ -20,6 +20,8 @@ dual chi-square estimate in a second, independent form:
 * the contamination dual objective at a point, from the closed forms of
   f_alpha and h alone: the model integral by ``scipy.integrate.quad``, and
   mean(g) + mean(g^2)/4 on the sample in plain numpy;
+* the contamination lambda-score s(alpha) = mean(r(x) e^(alpha x) / alpha - 1)
+  at the anchor (alpha, 0), in plain numpy from the closed form of r;
 * the contamination statistic's inf-sup against its sup-inf
   (``minimax_gap``): the forward order is the package's own, the reverse
   order profiles the rate by ``golden_min`` at each mixture point and
@@ -241,6 +243,18 @@ def contamination_objective(x, alpha, theta, lam, spec: ContaminationSpec) -> fl
     g = 2.0 * (alpha * np.exp(-alpha * x) / h - 1.0)
     integral = quad_model_integral(alpha, theta, lam, gamma, nu)
     return integral - (np.mean(g) + 0.25 * np.mean(g * g))
+
+
+def contamination_score(x, alpha, spec: ContaminationSpec) -> float:
+    """mean(r(x) / f_alpha(x) - 1) with r(x) = gamma nu^gamma x^(-gamma - 1)
+    1{x > nu}: half of dJ/dlambda at the anchor (alpha, 0).  lambda >= 0 is a
+    bound, so a statistic of exactly 0 at alpha_hat needs s(alpha_hat) <= 0;
+    a far observation may make s overflow to +inf, which is its sign."""
+    gamma, nu = spec.pareto_gamma, spec.pareto_nu
+    x = np.asarray(x, dtype=float)
+    r = np.where(x > nu, gamma * nu**gamma * x ** (-(gamma + 1.0)), 0.0)
+    with np.errstate(over="ignore"):
+        return float(np.mean(r * np.exp(alpha * x) / alpha - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chi2dual import cli
-from chi2dual.cli import EXIT_ERROR, EXIT_OK, EXIT_REJECT, CliError, main, read_csv_sample
-from chi2dual.reportio import emit_json, format_float
+from chi2dual.cli import (
+    EXIT_ERROR,
+    EXIT_OK,
+    EXIT_REJECT,
+    CliError,
+    emit_json,
+    main,
+    read_csv_sample,
+)
 from chi2dual.rng import Stream
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -275,6 +283,26 @@ class TestLinearCommand:
         )
         assert code == EXIT_ERROR
         assert "dependent" in capsys.readouterr().err
+
+    def test_non_finite_constraint_names_file_expression_and_observation(
+        self, tmp_path, capsys
+    ):
+        data = tmp_path / "d.csv"
+        write_csv(data, [[1.0], [0.0], [2.0]])
+        constraints = tmp_path / "c.json"
+        constraints.write_text(
+            json.dumps({"constraints": [{"f": "x1", "target": 1.0}, {"f": "log(x1)", "target": 0.0}]})
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["linear-test", "--data", str(data), "--constraints", str(constraints)])
+        err = capsys.readouterr().err
+        assert code == EXIT_ERROR
+        assert err == (
+            f"error: {constraints}: constraint function 1 'log(x1)' is -inf at observation 2\n"
+        )
+        assert not caught
+        assert "RuntimeWarning" not in err and "Traceback" not in err
 
     def test_missing_constraints_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "c.csv"
@@ -573,6 +601,11 @@ class TestCalibrateCommand:
               "params": {"lambda_lo": -0.25}}, "scenario 'contam_null' reads no params key 'lambda_lo'"),
             ({"scenario": "contam_null", "n": 60, "replicates": 4, "base_seed": 1,
               "params": {"pareto_gamma": 1e300}}, "gamma=1e+300, nu=1.5"),
+            # dict() would read a list of pairs as a mapping
+            ({"scenario": "marginal_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "params": [["d", 3]]}, "field 'params' must be dict"),
+            ({"scenario": 5, "n": 60, "replicates": 4, "base_seed": 1},
+             "field 'scenario' must be str, got 5"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):
@@ -598,8 +631,46 @@ class TestCalibrateCommand:
 class TestReportIo:
     def test_float_formatting_full_precision(self):
         value = 0.1234567890123456789
-        assert float(format_float(value)) == value
-        assert format_float(2.0) == "2.0"
+        assert float(emit_json(value)) == value
+        assert emit_json(2.0) == "2.0"
+        assert emit_json(0.05) == "0.05"
+
+    def test_large_integral_float_reads_back_as_float(self):
+        for value in (1e16, 5e16, 1e17, -1e16):
+            parsed = json.loads(emit_json(value))
+            assert isinstance(parsed, float) and parsed == value
+
+    def test_fixed_payload_text(self):
+        payload = {
+            "statistic": 2.5,
+            "p_value": 0.05,
+            "reject": True,
+            "df": 3,
+            "law": "chi2_k",
+            "note": "µ ≤ 1",
+            "missing": None,
+            "empty": {},
+            "none": [],
+            "values": [1e-05, 1e16, -0.0],
+        }
+        assert emit_json(payload) == (
+            "{\n"
+            '  "statistic": 2.5,\n'
+            '  "p_value": 0.05,\n'
+            '  "reject": true,\n'
+            '  "df": 3,\n'
+            '  "law": "chi2_k",\n'
+            '  "note": "µ ≤ 1",\n'
+            '  "missing": null,\n'
+            '  "empty": {},\n'
+            '  "none": [],\n'
+            '  "values": [\n'
+            "    1e-05,\n"
+            "    1e+16,\n"
+            "    -0.0\n"
+            "  ]\n"
+            "}"
+        )
 
     def test_emit_json_round_trips(self):
         obj = {

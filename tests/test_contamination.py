@@ -45,6 +45,7 @@ from reference import (
     OBJECTIVE_TOLERANCE,
     _simplex_max,
     contamination_objective,
+    contamination_score,
     minimax_gap,
     quad_model_integral,
 )
@@ -925,6 +926,45 @@ def test_statistic_is_exactly_zero_where_the_mle_anchor_wins():
         assert diagnostics["theta_hat"] == diagnostics["alpha_hat"]
         assert diagnostics["lambda_hat"] == 0.0
     assert hits >= 20  # 23 of the 40 when this test was written
+
+
+def _zeros_with_positive_score(samples):
+    """(count of statistics exactly 0, those of them with s(alpha_hat) > 0)."""
+    zeros, positive = 0, []
+    for i, x in enumerate(samples):
+        report = contamination_test(Sample(x.reshape(-1, 1)), SPEC, 0.05)
+        if report.statistic == 0.0:
+            zeros += 1
+            if contamination_score(x, report.diagnostics["alpha_hat"], SPEC) > 0.0:
+                positive.append(i)
+    return zeros, positive
+
+
+def test_zero_statistic_has_a_nonpositive_score_on_seed_7_nulls():
+    # the certificate: a statistic of 0 means the anchor (alpha_hat, 0) is the
+    # sup, which lambda >= 0 allows only where dJ/dlambda = 2 s(alpha_hat) <= 0;
+    # seed-7 contam_null replicates 0-99 at n = 200, 44 zeros and none with
+    # s > 0 when this test was written
+    samples = [rexp(Stream(replicate_seed(7, r)), 200, 1.0) for r in range(100)]
+    zeros, positive = _zeros_with_positive_score(samples)
+    assert positive == []
+    assert zeros >= 40
+
+
+def test_zero_statistic_has_a_nonpositive_score_on_a_mixed_pool():
+    # 48 samples of n = 200 from Stream(1).derive(i + 1), exponential at even
+    # i and 15 % Pareto-contaminated at odd i; 13 zeros and none with s > 0
+    # when this test was written
+    master, samples = Stream(1), []
+    for i in range(48):
+        stream = master.derive(i + 1)
+        if i % 2 == 0:
+            samples.append(rexp(stream, 200, 1.0))
+        else:
+            samples.append(rmixture(stream, 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu))
+    zeros, positive = _zeros_with_positive_score(samples)
+    assert positive == []
+    assert zeros >= 10
 
 
 def test_rate_profile_stops_at_a_sup_that_is_zero_but_for_rounding(monkeypatch):

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -245,6 +246,21 @@ class TestSampleValidation:
         s = Sample(np.array([1.0, 2.0]))
         assert s.data.shape == (2, 1)
         assert s.n == 2 and s.d == 1
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize(
+        "names, label",
+        [(None, "constraint function 1"), (("x", "1/x"), "constraint function 1 '1/x'")],
+    )
+    def test_non_finite_value_names_function_and_observation(self, names, label):
+        fam = ConstraintFamily((lambda x: x[:, 0], lambda x: 1.0 / x[:, 0]), np.zeros(2), names)
+        sample = Sample(np.array([[2.0], [1.0], [0.0], [0.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the finiteness check speaks, not numpy
+            with pytest.raises(InvalidInput) as exc:
+                fam.evaluate(sample)
+        assert str(exc.value) == f"{label} is inf at observation 3"
 
 
 def test_import_loads_no_optimize_integrate_or_stats():

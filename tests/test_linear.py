@@ -15,9 +15,9 @@ from chi2dual import (
     normal_cdf,
 )
 from chi2dual import test_linear as run_linear_test
+from chi2dual.cli import emit_json
 from chi2dual.linear import CHI_SQUARED, STD_NORMAL, TestReport
 from chi2dual.montecarlo import rnormal
-from chi2dual.reportio import emit_json
 from chi2dual.rng import Stream
 
 
@@ -120,7 +120,7 @@ class TestReportSerialization:
         data = np.array([[0.2], [0.8], [0.5]])
         report = run_linear_test(Sample(data), mean_family(0.4), 0.05)
         wire = report.to_json_dict()
-        # 17 significant digits carry every float through the text exactly
+        # floats go out by repr, the shortest text that reads back the same float
         assert json.loads(emit_json(wire)) == wire
 
     def test_wire_field_names(self):

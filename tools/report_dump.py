@@ -51,11 +51,10 @@ from chi2dual import (
     rmixture,
     run_plan,
 )
-from chi2dual.cli import CliError, read_csv_sample
+from chi2dual.cli import CliError, emit_json, read_csv_sample
 from chi2dual.cli import main as cli_main
 from chi2dual.exprparse import ExprError, compile_expression
 from chi2dual.montecarlo import SCENARIOS
-from chi2dual.reportio import emit_json
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from reference import minimax_gap  # noqa: E402
