@@ -37,7 +37,6 @@ from .errors import (
 )
 from .linear import TestReport, chi2_cdf, chi2_sf, normal_cdf, test_linear
 from .marginal import (
-    Grid,
     MarginalSpec,
     build_indicator_family,
     marginal_test,

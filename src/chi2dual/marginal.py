@@ -3,12 +3,12 @@
 The hypothesized marginal CDFs are applied coordinate-wise (probability
 integral transform), reducing the problem to testing uniform marginals on
 [0,1]^d.  Uniformity of every marginal is expressed through countably many
-indicator constraints; a finite grid of cut points yields the sieve family
-actually tested: the cell indicators 1{u_(i-1) < x_j <= u_i} with targets
-p_i = u_i - u_(i-1).  ``marginal_test`` puts m = ``default_m(n)`` cuts per
-coordinate unless told otherwise (k = d * m constraints) and reads that
-family's moments off cell counts alone; ``build_indicator_family`` is the
-function form, and ``sieve_test`` on it is the reference the counts are
+indicator constraints; the uniform grid of m cuts u_i = i / (m + 1) yields
+the sieve family actually tested: the cell indicators 1{u_(i-1) < x_j <= u_i},
+i = 1..m, with targets p_i = 1 / (m + 1).  ``marginal_test`` takes
+m = ``default_m(n)`` unless told otherwise (k = d * m constraints) and reads
+that family's moments off cell counts alone; ``build_indicator_family`` is
+the function form, and ``sieve_test`` on it is the reference the counts are
 checked against.  The cumulative form 1{x_j <= u_i} (a unit-triangular change
 of basis with the same quadratic form) and, for d = 2, the Pearson
 table-minimum that equals n * chi2_n live in ``tests/reference.py``.
@@ -16,6 +16,7 @@ table-minimum that equals n * chi2_n live in ``tests/reference.py``.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -29,54 +30,6 @@ from .errors import DegenerateCellsWarning, InvalidInput, InvalidSpec, SmallSamp
 from .linear import TestReport, _check_level
 # sieve_test stays importable here because the benchmark tracer wraps marginal.sieve_test
 from .sieve import _sieve_report, default_m, sieve_test  # noqa: F401
-
-# Widest admissible spread of cell widths: the statistic's covariance
-# eigenvalues degrade with min p_i, so cells must not shrink too unevenly.
-MAX_CELL_RATIO = 10.0
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Increasing cut points 0 < u_1 < ... < u_m < 1 partitioning [0, 1]."""
-
-    cuts: np.ndarray
-
-    def __post_init__(self) -> None:
-        cuts = np.asarray(self.cuts, dtype=float).reshape(-1)
-        if cuts.size < 1:
-            raise InvalidInput("grid needs at least one cut point")
-        if not np.all(np.isfinite(cuts)):
-            raise InvalidInput("grid cuts must be finite")
-        if cuts[0] <= 0.0 or cuts[-1] >= 1.0 or np.any(np.diff(cuts) <= 0.0):
-            raise InvalidInput("grid cuts must satisfy 0 < u_1 < ... < u_m < 1")
-        widths = np.diff(np.concatenate(([0.0], cuts, [1.0])))
-        ratio = widths.max() / widths.min()
-        if ratio > MAX_CELL_RATIO * (1.0 + 1e-12):
-            raise InvalidInput(
-                f"cell width ratio {ratio:.3f} exceeds {MAX_CELL_RATIO}; "
-                "cells shrink too unevenly"
-            )
-        object.__setattr__(self, "cuts", cuts)
-
-    @classmethod
-    def uniform(cls, m: int) -> "Grid":
-        """Equal-width grid u_i = i / (m + 1)."""
-        if m < 1:
-            raise InvalidInput(f"grid size must be >= 1, got {m}")
-        return cls(np.arange(1, m + 1) / (m + 1.0))
-
-    @property
-    def m(self) -> int:
-        return self.cuts.shape[0]
-
-    @property
-    def cell_probs(self) -> np.ndarray:
-        """All m + 1 cell widths, last one 1 - u_m."""
-        return np.diff(np.concatenate(([0.0], self.cuts, [1.0])))
-
-    def cell_index(self, values: np.ndarray) -> np.ndarray:
-        """Cell number in 0..m for each value; cell i is (u_i, u_(i+1)]."""
-        return np.searchsorted(self.cuts, values, side="left")
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +143,20 @@ def _cell_indicator(x: np.ndarray, j: int, lo: float, hi: float) -> np.ndarray:
     return ((xj > lo) & (xj <= hi)).astype(float)
 
 
-def build_indicator_family(grid: Grid, d: int) -> ConstraintFamily:
-    """Cell-indicator constraints for all d marginals on the given grid.
+def _uniform_cells(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m cuts u_i = i / (m + 1) and all m + 1 cell widths, last one 1 - u_m."""
+    try:
+        m = operator.index(m)
+    except TypeError:
+        raise InvalidInput(f"grid size m must be an integer, got {m!r}") from None
+    if m < 1:
+        raise InvalidInput(f"grid size m must be >= 1, got {m}")
+    cuts = np.arange(1, m + 1) / (m + 1.0)
+    return cuts, np.diff(np.concatenate(([0.0], cuts, [1.0])))
+
+
+def build_indicator_family(m: int, d: int) -> ConstraintFamily:
+    """Cell-indicator constraints for all d marginals on the uniform grid of m cuts.
 
     Ordering is coordinate-major: the m cells (u_(i-1), u_i] of coordinate 1,
     then coordinate 2, and so on (k = d * m total), with the cell widths as
@@ -199,22 +164,23 @@ def build_indicator_family(grid: Grid, d: int) -> ConstraintFamily:
     """
     if d < 1:
         raise InvalidInput(f"dimension must be >= 1, got {d}")
-    edges = np.concatenate(([0.0], grid.cuts))
+    cuts, widths = _uniform_cells(m)
+    edges = np.concatenate(([0.0], cuts))
     functions = tuple(
         partial(_cell_indicator, j=j, lo=lo, hi=hi)
         for j in range(d)
-        for lo, hi in zip(edges, grid.cuts)
+        for lo, hi in zip(edges, cuts)
     )
-    return ConstraintFamily(functions, np.tile(grid.cell_probs[: grid.m], d))
+    return ConstraintFamily(functions, np.tile(widths[:-1], d))
 
 
 # ---------------------------------------------------------------------------
 # The marginal test
 
-def _cell_table(pit: Sample, grid: Grid) -> np.ndarray:
+def _cell_table(pit: Sample, cuts: np.ndarray) -> np.ndarray:
     """Counts of all (coordinate, cell) pairs; block (j, l) is their two-way table."""
-    size = grid.m + 1
-    cells = [grid.cell_index(pit.data[:, j]) for j in range(pit.d)]
+    size = cuts.size + 1
+    cells = [np.searchsorted(cuts, pit.data[:, j], side="left") for j in range(pit.d)]
     table = np.empty((pit.d, size, pit.d, size))
     for j in range(pit.d):
         for l in range(j, pit.d):  # one bincount per pair: O(n) extra memory
@@ -224,12 +190,13 @@ def _cell_table(pit: Sample, grid: Grid) -> np.ndarray:
     return table.reshape(pit.d * size, pit.d * size)
 
 
-def _table_moment_vectors(table: np.ndarray, grid: Grid, n: int) -> MomentVectors:
-    """``moment_vectors`` of ``build_indicator_family(grid, d)`` read off the table."""
-    keep = np.arange(table.shape[0]) % (grid.m + 1) < grid.m  # first m cells of each coordinate
+def _table_moment_vectors(table: np.ndarray, widths: np.ndarray, n: int) -> MomentVectors:
+    """``moment_vectors`` of ``build_indicator_family(m, d)`` read off the table."""
+    size = widths.size
+    keep = np.arange(table.shape[0]) % size < size - 1  # first m cells of each coordinate
     joint = table[np.ix_(keep, keep)] / n
     means = np.diag(joint)
-    nu_n = np.tile(grid.cell_probs[: grid.m], table.shape[0] // (grid.m + 1)) - means
+    nu_n = np.tile(widths[:-1], table.shape[0] // size) - means
     return MomentVectors(nu_n=nu_n, s_n=joint - np.outer(means, means), empirical_means=means, n=n)
 
 
@@ -253,19 +220,16 @@ def marginal_test(
     """
     alpha = _check_level(alpha)
     pit = pit_transform(sample, spec)
-    m_eff = m if m is not None else default_m(sample.n)
-    if m_eff < 1:
-        raise InvalidInput(f"grid size must be >= 1, got {m_eff}")
-    recommended = 4 * (m_eff + 1) ** sample.d
+    cuts, widths = _uniform_cells(m if m is not None else default_m(sample.n))
+    m = cuts.size
+    recommended = 4 * (m + 1) ** sample.d
     if sample.n < recommended:
         warnings.warn(
-            f"n={sample.n} is below the recommended {recommended} for "
-            f"m={m_eff}, d={sample.d}",
+            f"n={sample.n} is below the recommended {recommended} for m={m}, d={sample.d}",
             SmallSampleWarning,
             stacklevel=2,
         )
-    grid = Grid.uniform(m_eff)
-    table = _cell_table(pit, grid)
+    table = _cell_table(pit, cuts)
     degenerate = int(np.count_nonzero(np.diag(table) == 0.0))
     if degenerate > 0:
         warnings.warn(
@@ -274,6 +238,6 @@ def marginal_test(
             stacklevel=2,
         )
     return _sieve_report(
-        _table_moment_vectors(table, grid, pit.n), alpha,
-        m=float(m_eff), d=float(sample.d), empty_marginal_cells=float(degenerate),
+        _table_moment_vectors(table, widths, pit.n), alpha,
+        m=float(m), d=float(sample.d), empty_marginal_cells=float(degenerate),
     )

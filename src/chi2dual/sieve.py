@@ -28,10 +28,10 @@ from .linear import STD_NORMAL, TestReport, _check_level
 
 
 def default_m(n: int) -> int:
-    """Default per-coordinate family size: max(2, ceil(n^(1/4)))."""
+    """Default per-coordinate family size: max(2, ceil(n^(1/4))), in exact integers."""
     if n < 1:
         raise InvalidInput(f"sample size must be >= 1, got {n}")
-    return max(2, math.ceil(n ** 0.25 - 1e-9))
+    return max(2, math.isqrt(math.isqrt(n - 1)) + 1)  # floor((n-1)^(1/4)) + 1 = ceil(n^(1/4))
 
 
 def sieve_test(sample: Sample, fam: ConstraintFamily, alpha: float) -> TestReport:

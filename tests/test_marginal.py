@@ -10,7 +10,6 @@ import pytest
 
 from chi2dual import (
     DegenerateCellsWarning,
-    Grid,
     InvalidInput,
     InvalidSpec,
     MarginalSpec,
@@ -32,6 +31,7 @@ from chi2dual.marginal import (
     UniformCDF,
     _cell_table,
     _table_moment_vectors,
+    _uniform_cells,
 )
 from chi2dual.rng import Stream
 from reference import (
@@ -45,11 +45,10 @@ from reference import (
 )
 
 
-def random_grid(rng, m):
-    # widths in [1, 10] keep the cell-ratio condition satisfied
+def random_cell_probs(rng, m):
+    """m + 1 cell probabilities of widths drawn within a factor of 10 of each other."""
     widths = 1.0 + 9.0 * rng.random(m + 1)
-    cuts = np.cumsum(widths)[:-1] / widths.sum()
-    return Grid(cuts)
+    return widths / widths.sum()
 
 
 def exact_covariance(f_matrix):
@@ -65,26 +64,20 @@ def exact_covariance(f_matrix):
 
 class TestGrid:
     def test_uniform_grid(self):
-        g = Grid.uniform(3)
-        assert g.cuts == pytest.approx([0.25, 0.5, 0.75])
-        assert g.cell_probs == pytest.approx([0.25] * 4)
+        cuts, widths = _uniform_cells(3)
+        assert cuts == pytest.approx([0.25, 0.5, 0.75])
+        assert widths == pytest.approx([0.25] * 4)
 
-    def test_rejects_unsorted_and_out_of_range(self):
-        with pytest.raises(InvalidInput):
-            Grid(np.array([0.5, 0.3]))
-        with pytest.raises(InvalidInput):
-            Grid(np.array([0.0, 0.5]))
-        with pytest.raises(InvalidInput):
-            Grid(np.array([0.5, 1.0]))
-
-    def test_rejects_extreme_cell_ratio(self):
-        with pytest.raises(InvalidInput):
-            Grid(np.array([0.001, 0.5]))
+    @pytest.mark.parametrize("m", [2.5, 3.0, np.float64(3.0), "3", 0, -1])
+    def test_m_must_be_a_positive_integer(self, m):
+        with pytest.raises(InvalidInput, match="grid size m must be"):
+            _uniform_cells(m)
 
     def test_cell_index_half_open_convention(self):
-        g = Grid(np.array([0.25, 0.5]))
-        idx = g.cell_index(np.array([0.0, 0.25, 0.26, 0.5, 0.51, 1.0]))
-        assert list(idx) == [0, 0, 1, 1, 2, 2]
+        cuts, _ = _uniform_cells(3)
+        for value, cell in ((0.0, 0), (0.25, 0), (0.26, 1), (0.5, 1), (0.51, 2), (1.0, 3)):
+            counts = np.diag(_cell_table(Sample(np.array([[value]])), cuts))
+            assert list(counts) == [float(i == cell) for i in range(4)]
 
 
 class TestPitTransform:
@@ -127,7 +120,7 @@ class TestIndicatorFamilies:
         assert list(vals[:, 0]) == [1.0, 1.0, 0.0]
 
     def test_uniform_delta_targets(self):
-        fam = build_indicator_family(Grid.uniform(3), 1)
+        fam = build_indicator_family(3, 1)
         assert fam.targets == pytest.approx([0.25, 0.25, 0.25])
 
     def test_delta_and_cumulative_statistics_agree(self):
@@ -137,23 +130,23 @@ class TestIndicatorFamilies:
             d = int(rng.integers(1, 4))
             m = int(rng.integers(1, 7))
             n = int(rng.integers(150, 400))
-            grid = random_grid(rng, m)
+            cuts, widths = _uniform_cells(m)
             data = stream.uniforms(n * d).reshape(n, d)
             if trial % 3 == 0:
                 data = data**1.3  # push away from the null too
             sample = Sample(data)
-            dense = moment_vectors(sample, build_indicator_family(grid, d))
+            dense = moment_vectors(sample, build_indicator_family(m, d))
             chi_delta = chi2_quadratic(dense)
-            cumulative = cumulative_indicator_family(grid.cuts, d)
+            cumulative = cumulative_indicator_family(cuts, d)
             chi_cum = chi2_quadratic(moment_vectors(sample, cumulative))
             assert abs(chi_delta - chi_cum) <= 1e-10
             # the cell-count path used by marginal_test
-            counted = _table_moment_vectors(_cell_table(sample, grid), grid, n)
+            counted = _table_moment_vectors(_cell_table(sample, cuts), widths, n)
             assert np.array_equal(counted.nu_n, dense.nu_n)
             assert np.array_equal(counted.empirical_means, dense.empirical_means)
             eps = np.finfo(float).eps
             # three roundings of values below 1 per entry of the counted S
-            exact = exact_covariance(build_indicator_family(grid, d).evaluate(sample))
+            exact = exact_covariance(build_indicator_family(m, d).evaluate(sample))
             assert np.abs(counted.s_n - exact).max() <= 2 * eps
             # the dense product's a-priori bound: n-term sums of terms below 1, over n
             assert np.abs(counted.s_n - dense.s_n).max() <= n * eps
@@ -164,9 +157,9 @@ class TestIndicatorFamilies:
 
 class TestNullCovariance:
     def test_scalar_case(self):
-        g = Grid(np.array([0.5]))
-        assert np.allclose(s0_matrix(g.cell_probs[:1], 1), [[0.25]], atol=1e-15)
-        eigs, lower, upper = null_eigen_envelope(g.cell_probs, 1)
+        p = np.array([0.5, 0.5])
+        assert np.allclose(s0_matrix(p[:1], 1), [[0.25]], atol=1e-15)
+        eigs, lower, upper = null_eigen_envelope(p, 1)
         assert lower - 1e-10 <= eigs[0] and eigs[-1] <= upper + 1e-10
         assert lower == pytest.approx(0.25)
         assert upper == pytest.approx(0.5)
@@ -174,8 +167,7 @@ class TestNullCovariance:
     def test_u_matrix_spectrum(self):
         rng = np.random.default_rng(5)
         for m in (1, 2, 5, 17, 50):
-            g = random_grid(rng, m)
-            p = g.cell_probs
+            p = random_cell_probs(rng, m)
             u = u_matrix(p[:m])
             eigs = np.sort(np.linalg.eigvalsh(u))
             assert eigs[-1] == pytest.approx(1.0 - p[-1], abs=1e-10)
@@ -185,9 +177,9 @@ class TestNullCovariance:
     def test_rank_one_identities(self):
         rng = np.random.default_rng(6)
         for m in (1, 3, 12, 50):
-            g = random_grid(rng, m)
-            u = u_matrix(g.cell_probs[:m])
-            p_last = g.cell_probs[-1]
+            p = random_cell_probs(rng, m)
+            u = u_matrix(p[:m])
+            p_last = p[-1]
             eye = np.eye(m)
             assert np.abs(u @ u - (1.0 - p_last) * u).max() <= 1e-12
             residual = (eye - u) @ (eye + u / p_last) - eye
@@ -198,14 +190,13 @@ class TestNullCovariance:
         for _ in range(30):
             m = int(rng.integers(1, 51))
             d = int(rng.integers(1, 4))
-            g = random_grid(rng, m)
-            eigs, lower, upper = null_eigen_envelope(g.cell_probs, d)
+            eigs, lower, upper = null_eigen_envelope(random_cell_probs(rng, m), d)
             assert lower - 1e-10 <= eigs[0] and eigs[-1] <= upper + 1e-10
 
 
 class TestPearsonMinForm:
     def test_counts_proportional_to_targets(self):
-        p = Grid.uniform(2).cell_probs
+        _, p = _uniform_cells(2)
         value, _, _ = pearson_min_form(900.0 * np.outer(p, p), p)
         assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -214,19 +205,18 @@ class TestPearsonMinForm:
         stream = Stream(414)
         for trial in range(15):
             m = int(rng.integers(1, 5))
-            grid = random_grid(rng, m)
+            cuts, p = _uniform_cells(m)
             n = int(rng.integers(250, 600))
             data = stream.uniforms(2 * n).reshape(n, 2)
             sample = Sample(data)
-            counts = cell_counts_2d(data, grid.cuts)
+            counts = cell_counts_2d(data, cuts)
             if np.any(counts == 0.0):
                 continue
-            p = grid.cell_probs
             value, a, b = pearson_min_form(counts, p)
-            fam = build_indicator_family(grid, 2)
+            fam = build_indicator_family(m, 2)
             assert value == pytest.approx(n * chi2_quadratic(moment_vectors(sample, fam)), abs=1e-8)
             # the cell-count path of marginal_test
-            counted = _table_moment_vectors(_cell_table(sample, grid), grid, n)
+            counted = _table_moment_vectors(_cell_table(sample, cuts), p, n)
             assert value == pytest.approx(n * chi2_quadratic(counted), abs=1e-8)
             q = counts * (1.0 + a[:, None] + b[None, :]) / n
             assert np.abs(q.sum(axis=1) - p).max() <= 1e-8
@@ -234,14 +224,14 @@ class TestPearsonMinForm:
 
     def test_multiplier_map_reproduces_dual_coefficients(self):
         stream = Stream(2718)
-        grid = Grid.uniform(2)
+        cuts, p = _uniform_cells(2)
         data = stream.uniforms(2 * 500).reshape(500, 2)
         sample = Sample(data)
-        counts = cell_counts_2d(data, grid.cuts)
+        counts = cell_counts_2d(data, cuts)
         assert np.all(counts > 0)
-        value, a, b = pearson_min_form(counts, grid.cell_probs)
+        value, a, b = pearson_min_form(counts, p)
         intercept, coeffs = table_coefficients_to_dual(a, b)
-        dual = dual_coefficients(moment_vectors(sample, build_indicator_family(grid, 2)))
+        dual = dual_coefficients(moment_vectors(sample, build_indicator_family(2, 2)))
         assert coeffs == pytest.approx(dual.a, abs=1e-8)
         assert intercept == pytest.approx(dual.a0, abs=1e-8)
         report = marginal_test(sample, MarginalSpec.all_uniform(2), 0.05, m=2)
@@ -305,12 +295,22 @@ class TestMarginalTest:
         sample = Sample(stream.uniforms(3000 * d).reshape(-1, d) ** 1.2)
         spec = MarginalSpec.all_uniform(d)
         counted = marginal_test(sample, spec, 0.05)
-        fam = build_indicator_family(Grid.uniform(default_m(sample.n)), d)
+        fam = build_indicator_family(default_m(sample.n), d)
         generic = sieve_test(pit_transform(sample, spec), fam, 0.05)
         assert counted.statistic == pytest.approx(generic.statistic, rel=1e-12)
         for key in ("chi2_value", "scaled_statistic"):
             assert counted.diagnostics[key] == pytest.approx(generic.diagnostics[key], rel=1e-12)
         assert counted.diagnostics["k"] == generic.diagnostics["k"] == 8.0 * d
+
+    def test_m_is_taken_as_an_integer(self):
+        # m counts cuts: a fractional m is refused, not rounded into some other grid
+        sample = Sample(Stream(91).uniforms(2000).reshape(-1, 2))
+        spec = MarginalSpec.all_uniform(2)
+        with pytest.raises(InvalidInput, match="grid size m must be an integer, got 2.5"):
+            marginal_test(sample, spec, 0.05, m=2.5)
+        report = marginal_test(sample, spec, 0.05, m=np.int64(3))
+        assert report.to_json_dict() == marginal_test(sample, spec, 0.05, m=3).to_json_dict()
+        assert (report.diagnostics["m"], report.diagnostics["k"]) == (3.0, 6.0)
 
     def test_small_sample_warning(self):
         stream = Stream(77)

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from chi2dual import ConstraintFamily, Sample, default_m, sieve_test
-from chi2dual.marginal import build_indicator_family, Grid
+from chi2dual.marginal import build_indicator_family
 from chi2dual.rng import Stream
 from reference import decreasing, marginal_plan_sequences, rate_sequences, standardized_statistic
 
 
 def indicator_family(n, d=1):
     """The marginal test's family at sample size n: k = d * default_m(n)."""
-    return build_indicator_family(Grid.uniform(default_m(n)), d)
+    return build_indicator_family(default_m(n), d)
 
 
 class TestDefaultGrowth:
@@ -24,6 +24,10 @@ class TestDefaultGrowth:
         assert default_m(10_000) == 10
         assert default_m(100_000) == 18
 
+    def test_exact_at_a_fourth_power(self):
+        # exact at and beside a fourth power, where n ** 0.25 rounds
+        assert [default_m(630**4 + e) for e in (-1, 0, 1)] == [630, 630, 631]
+
     def test_nondecreasing(self):
         values = [default_m(n) for n in range(1, 3000, 7)]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -31,9 +35,9 @@ class TestDefaultGrowth:
 
 class TestStandardizedStatistic:
     def test_exactly_satisfied_k2(self):
-        # both cell constraints hold exactly: statistic forced to -1
-        data = np.array([[0.1], [0.4], [0.6], [0.9]])
-        fam = build_indicator_family(Grid(np.array([0.25, 0.5])), 1)
+        # both cell constraints of the m = 2 grid hold exactly: statistic forced to -1
+        data = np.array([[0.1], [0.2], [0.4], [0.6], [0.8], [0.9]])
+        fam = build_indicator_family(2, 1)
         value = standardized_statistic(Sample(data), fam)
         assert value == pytest.approx(-1.0, abs=1e-12)
 
