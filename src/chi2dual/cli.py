@@ -66,9 +66,8 @@ def read_csv_sample(path: str) -> Sample:
 def _parse_csv_fast(lines: list[str]) -> np.ndarray | None:
     """All rows in one C-level parse, or None to leave the file to
     ``_parse_csv_lines``.  numpy converts each cell with the parser that
-    float() uses but accepts less (no ``_``, no non-ASCII digits), so whatever
-    it accepts it reads as float() does.  A refused file is tried once more
-    without its whitespace-only lines, which the line parser skips."""
+    float() uses but accepts less (no ``_``, no non-ASCII digits, no
+    whitespace-only line), so whatever it accepts it reads as float() does."""
     start = next((i for i, raw in enumerate(lines) if raw.strip()), None)
     if start is None:
         return None
@@ -82,8 +81,7 @@ def _parse_csv_fast(lines: list[str]) -> np.ndarray | None:
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=float)
     except ValueError:
-        kept = [raw for raw in lines if raw.strip()]
-        return _parse_csv_fast(kept) if len(kept) < len(lines) else None
+        return None
     return data if np.isfinite(data).all() else None
 
 

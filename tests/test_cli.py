@@ -173,20 +173,6 @@ class TestCsvIngestion:
         data = read_csv_sample(str(path)).data
         assert data.shape == rows.shape and data.tobytes() == rows.tobytes()
 
-    def test_whitespace_only_line_takes_fast_path(self, tmp_path, monkeypatch):
-        def refuse(path, lines):
-            raise AssertionError("per-line parser called on a file with a whitespace-only line")
-
-        monkeypatch.setattr(cli, "_parse_csv_lines", refuse)
-        rows = Stream(13).uniforms(2000).reshape(-1, 2)
-        path = tmp_path / "d.csv"
-        write_csv(path, rows, header="x1,x2")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[500:500] = ["  ", "", "\t\xa0 "]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        data = read_csv_sample(str(path)).data
-        assert data.shape == rows.shape and data.tobytes() == rows.tobytes()
-
     def test_utf8_bom_is_not_a_header(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
