@@ -35,7 +35,7 @@ from .errors import (
     SingularCovariance,
     SmallSampleWarning,
 )
-from .linear import TestReport, chi2_cdf, chi2_sf, normal_cdf, test_linear
+from .linear import TestReport, test_linear
 from .marginal import (
     MarginalSpec,
     build_indicator_family,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -42,8 +41,6 @@ from .montecarlo import ReplicationPlan, run_plan
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 3
-
-SEED_ENV_VAR = "CHI2DUAL_SEED"
 
 
 class CliError(Exception):
@@ -226,12 +223,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     payload = _read_json(args.plan)
     if not isinstance(payload, dict):
         raise CliError(f"{args.plan}: expected a JSON object of plan fields")
-    if "base_seed" not in payload:
-        seed = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            payload["base_seed"] = int(seed)
-        except ValueError:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {seed!r}") from None
     try:
         plan = ReplicationPlan.from_json_dict(payload)
     except InvalidInput as exc:

@@ -1,4 +1,5 @@
-"""Hypothesis test for a finite set of linear moment constraints.
+"""Hypothesis test for a finite set of linear moment constraints, and the
+report and reference laws that all three tests share.
 
 Under the null (all constraint moments correct) n * chi2_n follows a
 chi-square law with k degrees of freedom, so the test rejects for large
@@ -6,6 +7,11 @@ values of the scaled quadratic form.  Away from the null the estimate is
 asymptotically normal around the population divergence; that normal
 confidence interval is attached as a diagnostic, never used for the
 decision.
+
+``TestReport`` is the outcome of all three tests.  Its p-value and its CDF
+come from ``_LAWS``, which holds each reference law as a (CDF, upper tail)
+pair: chi-square(k) for the linear test, chi-square(1) for the
+contamination test, and the standard normal for the marginal sieve test.
 """
 
 from __future__ import annotations
@@ -22,51 +28,25 @@ from .core import (
     h1_variance,
     moment_vectors,
 )
-from .errors import InvalidInput, InvalidLevel
+from .errors import InvalidLevel
 
 CHI_SQUARED = "chi_squared"
 STD_NORMAL = "std_normal"
 
 
-def chi2_cdf(x: float, k: int) -> float:
-    """Chi-square CDF via the regularized lower incomplete gamma function."""
-    if k < 1:
-        raise InvalidInput(f"degrees of freedom must be >= 1, got {k}")
-    if not np.isfinite(x):
-        raise InvalidInput("chi2_cdf argument must be finite")
-    if x <= 0.0:
-        return 0.0
-    return float(scipy.special.gammainc(k / 2.0, x / 2.0))
-
-
-def chi2_sf(x: float, k: int) -> float:
-    """Upper tail of the chi-square law (complement computed directly)."""
-    if k < 1:
-        raise InvalidInput(f"degrees of freedom must be >= 1, got {k}")
-    if x <= 0.0:
-        return 1.0
-    return float(scipy.special.gammaincc(k / 2.0, x / 2.0))
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the error function."""
-    if not np.isfinite(z):
-        raise InvalidInput("normal_cdf argument must be finite")
-    return float(scipy.special.ndtr(z))
-
-
-def normal_quantile(p: float) -> float:
-    """Standard normal quantile (inverse of normal_cdf)."""
-    if not 0.0 < p < 1.0:
-        raise InvalidInput(f"quantile probability must be in (0, 1), got {p}")
-    return float(scipy.special.ndtri(p))
-
-
 # reference law -> (CDF, upper tail), each at (value, df); the standard
-# normal ignores df, which it reports as its standard deviation 1.0
+# normal ignores df, which it reports as its standard deviation 1.0.  The
+# chi-square pair reads t < 0 as 0, where gammainc and gammaincc are exactly
+# 0 and 1; below 0 they return nan
 _LAWS = {
-    CHI_SQUARED: (chi2_cdf, chi2_sf),
-    STD_NORMAL: (lambda z, _: normal_cdf(z), lambda z, _: 1.0 - normal_cdf(z)),
+    CHI_SQUARED: (
+        lambda t, k: scipy.special.gammainc(k / 2.0, max(t, 0.0) / 2.0),
+        lambda t, k: scipy.special.gammaincc(k / 2.0, max(t, 0.0) / 2.0),
+    ),
+    STD_NORMAL: (
+        lambda z, _: scipy.special.ndtr(z),
+        lambda z, _: 1.0 - scipy.special.ndtr(z),
+    ),
 }
 
 
@@ -90,13 +70,13 @@ class TestReport:
     reject: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        p_value = _LAWS[self.reference_law][1](self.statistic, self.df_or_sd)
+        p_value = float(_LAWS[self.reference_law][1](self.statistic, self.df_or_sd))
         object.__setattr__(self, "p_value", p_value)
         object.__setattr__(self, "reject", p_value < self.alpha)
 
     def cdf(self, value: float) -> float:
         """CDF of the report's reference law at ``value``."""
-        return _LAWS[self.reference_law][0](value, self.df_or_sd)
+        return float(_LAWS[self.reference_law][0](value, self.df_or_sd))
 
     def to_json_dict(self) -> dict:
         """Wire format with the documented field names and order."""
@@ -130,7 +110,7 @@ def test_linear(sample: Sample, fam: ConstraintFamily, alpha: float) -> TestRepo
     dual = dual_coefficients(mv)
     statistic = sample.n * dual.chi2_value
     variance = h1_variance(sample, dual, fam)
-    half_width = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(
+    half_width = scipy.special.ndtri(1.0 - alpha / 2.0) * np.sqrt(
         max(variance, 0.0) / sample.n
     )
     diagnostics = {

@@ -145,9 +145,12 @@ class ReplicationPlan:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ReplicationPlan":
-        """Plan from its wire format; InvalidInput names a missing or malformed field."""
+        """Plan from its wire format; InvalidInput names a missing, malformed or unknown field."""
         values = {"alpha": 0.05, "params": {}, **payload}
         kinds = dict(scenario=str, n=int, replicates=int, base_seed=int, alpha=float, params=dict)
+        for name in values:
+            if name not in kinds:
+                raise InvalidInput(f"unknown field {name!r}")
         checked = {}
         for name, kind in kinds.items():
             if name not in values:

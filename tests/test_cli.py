@@ -545,23 +545,6 @@ class TestCalibrateCommand:
         assert 0.0 <= payload["rejection_rate"] <= 1.0
         assert len(payload["statistics"]) == 25
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        plan = tmp_path / "plan.json"
-        plan.write_text(
-            json.dumps(
-                {"scenario": "linear_null", "n": 60, "replicates": 4, "alpha": 0.05}
-            )
-        )
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        monkeypatch.setenv("CHI2DUAL_SEED", "12345")
-        main(["calibrate", "--plan", str(plan), "--json", str(out_a)])
-        monkeypatch.setenv("CHI2DUAL_SEED", "54321")
-        main(["calibrate", "--plan", str(plan), "--json", str(out_b)])
-        assert out_a.read_bytes() != out_b.read_bytes()
-        assert json.loads(out_a.read_text())["plan"]["base_seed"] == 12345
-
-
     @pytest.mark.parametrize(
         "payload, field",
         [
@@ -606,6 +589,11 @@ class TestCalibrateCommand:
               "params": [["d", 3]]}, "field 'params' must be dict"),
             ({"scenario": 5, "n": 60, "replicates": 4, "base_seed": 1},
              "field 'scenario' must be str, got 5"),
+            # a misspelt field is refused, not dropped for its default
+            ({"scenario": "linear_null", "n": 60, "replicates": 4, "base_seed": 1,
+              "aplha": 0.01}, "unknown field 'aplha'"),
+            # the seed comes from the plan alone
+            ({"scenario": "linear_null", "n": 60, "replicates": 4}, "missing field 'base_seed'"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):
@@ -615,16 +603,6 @@ class TestCalibrateCommand:
         err = capsys.readouterr().err
         assert code == EXIT_ERROR
         assert err.startswith(f"error: {plan}: ") and field in err
-        assert "Traceback" not in err
-
-    def test_non_integer_env_seed_names_variable(self, tmp_path, capsys, monkeypatch):
-        plan = tmp_path / "plan.json"
-        plan.write_text(json.dumps({"scenario": "linear_null", "n": 60, "replicates": 4}))
-        monkeypatch.setenv("CHI2DUAL_SEED", "abc")
-        code = main(["calibrate", "--plan", str(plan)])
-        err = capsys.readouterr().err
-        assert code == EXIT_ERROR
-        assert "error: CHI2DUAL_SEED must be an integer, got 'abc'" in err
         assert "Traceback" not in err
 
 

@@ -5,15 +5,9 @@ import json
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
-from chi2dual import (
-    ConstraintFamily,
-    InvalidLevel,
-    Sample,
-    chi2_cdf,
-    chi2_sf,
-    normal_cdf,
-)
+from chi2dual import ConstraintFamily, InvalidLevel, Sample
 from chi2dual import test_linear as run_linear_test
 from chi2dual.cli import emit_json
 from chi2dual.linear import CHI_SQUARED, STD_NORMAL, TestReport
@@ -25,10 +19,28 @@ def mean_family(target):
     return ConstraintFamily((lambda x: x[:, 0],), np.array([target]))
 
 
+def chi2_cdf(x, k):
+    return TestReport(0.0, CHI_SQUARED, float(k), 0.05).cdf(x)
+
+
+def chi2_sf(x, k):
+    return TestReport(x, CHI_SQUARED, float(k), 0.05).p_value
+
+
+def normal_cdf(z):
+    return TestReport(0.0, STD_NORMAL, 1.0, 0.05).cdf(z)
+
+
 class TestReferenceLaws:
+    """The laws as a report reads them: ``TestReport.cdf`` and ``p_value``."""
+
     def test_chi2_cdf_at_zero(self):
+        # gammainc(a, 0) and gammaincc(a, 0) are exactly 0 and 1; below 0 the
+        # law reads as at 0, where gammainc itself would give nan
         for k in (1, 2, 5, 10):
-            assert chi2_cdf(0.0, k) == 0.0
+            for t in (0.0, -0.0, -1.0):
+                assert chi2_cdf(t, k) == 0.0
+                assert chi2_sf(t, k) == 1.0
 
     def test_normal_cdf_symmetry(self):
         assert normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
@@ -57,6 +69,13 @@ class TestReferenceLaws:
         grid = np.linspace(0.1, 30.0, 40)
         values = [chi2_sf(x, 3) for x in grid]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("law, df", [(CHI_SQUARED, 3.0), (STD_NORMAL, 1.0)])
+    def test_infinite_statistic_rejects_with_cdf_one(self, law, df):
+        report = TestReport(np.inf, law, df, 0.05)
+        assert report.p_value == 0.0
+        assert report.reject is True
+        assert report.cdf(np.inf) == 1.0
 
 
 class TestLinearTest:
@@ -149,7 +168,7 @@ class TestReportLaw:
         for t in self.CHI2_GRID:
             for alpha in (0.01, 0.05, 0.5):
                 report = TestReport(t, CHI_SQUARED, float(k), alpha)
-                assert report.p_value == chi2_sf(t, k)  # bit for bit
+                assert report.p_value == scipy.special.gammaincc(k / 2.0, t / 2.0)  # bit for bit
                 assert report.reject == (report.p_value < alpha)
                 assert abs(report.cdf(t) + report.p_value - 1.0) <= 1e-12
 
@@ -157,7 +176,7 @@ class TestReportLaw:
         for z in self.NORMAL_GRID:
             for alpha in (0.01, 0.05, 0.5):
                 report = TestReport(z, STD_NORMAL, 1.0, alpha)
-                assert report.p_value == 1.0 - normal_cdf(z)  # bit for bit
+                assert report.p_value == 1.0 - scipy.special.ndtr(z)  # bit for bit
                 assert report.reject == (report.p_value < alpha)
                 assert abs(report.cdf(z) + report.p_value - 1.0) <= 1e-12
 
@@ -166,8 +185,9 @@ class TestReportLaw:
         assert not TestReport(3.841459, CHI_SQUARED, 1.0, report.p_value).reject
 
     def test_cdf_is_the_named_law(self):
-        assert TestReport(0.0, CHI_SQUARED, 3.0, 0.05).cdf(7.81) == chi2_cdf(7.81, 3)
-        assert TestReport(0.0, STD_NORMAL, 1.0, 0.05).cdf(1.3) == normal_cdf(1.3)
+        chi2 = TestReport(0.0, CHI_SQUARED, 3.0, 0.05).cdf(7.81)
+        assert chi2 == scipy.special.gammainc(1.5, 7.81 / 2.0)
+        assert TestReport(0.0, STD_NORMAL, 1.0, 0.05).cdf(1.3) == scipy.special.ndtr(1.3)
 
     def test_test_linear_report_rebuilds_from_its_own_fields(self):
         data = np.array([[0.2], [0.8], [0.5], [0.9]])

@@ -17,7 +17,6 @@ from chi2dual import (
     run_plan,
     runif_d,
 )
-from chi2dual.linear import chi2_cdf, normal_cdf
 from chi2dual.rng import MASK64, Stream, mix64, replicate_seed
 
 
