@@ -46,19 +46,21 @@ that a far observation does not give 0 / 0.  ``model_integral`` and
 ``dual_objective_contam`` are one-row calls of the search's objective: n *
 dual_objective_contam at the reported optimum is the statistic exactly.
 
-Search: at each profiled alpha a grid (with the lambda = 0 line and the
-null point adjoined) seeds projected Newton ascent from its best points,
-the derivatives summed on the rule's nodes and the sample (``_slopes``).
-On the lambda = 0 face d/dlambda is -inf wherever theta > alpha, so a
-search there moves theta alone while d/dlambda <= 0.  The anchor (alpha, 0)
-is exactly 0 (f_alpha / h = 1 on the sample, model integral 2 alpha^2 /
-alpha^2 - 2), so the statistic is >= 0 with no clamp, and exactly 0 when
-the anchor wins at the MLE 1/mean(x).  The inf over alpha takes a coarse
-grid of rates and the MLE, then safeguarded parabolic steps around the
-best rate (midpoints where the parabola misleads) until the best value is
-0 but for rounding or the bracket is within ``alpha_tol``.  Rates
-evaluated together are searched in lockstep: one objective call per
-rate's grid, one for all their starts and one per Newton round.
+Search: the profile's first rates take a grid (with the lambda = 0 line and
+the null point adjoined; cached with its model integrals at the coarse
+rates), later ones the optima of their nearest evaluated neighbours and the
+null point, to seed projected Newton ascent, the derivatives summed on the
+rule's nodes and the sample (``_slopes``).  On the lambda = 0 face
+d/dlambda is -inf wherever theta > alpha, so a search there moves theta
+alone while d/dlambda <= 0.  The anchor (alpha, 0) is exactly 0 (f_alpha /
+h = 1 on the sample, model integral 2 alpha^2 / alpha^2 - 2), so the
+statistic is >= 0 with no clamp, and exactly 0 when the anchor wins at the
+MLE 1/mean(x).  The inf over alpha takes a coarse grid of rates and the
+MLE, then safeguarded parabolic steps around the best rate (midpoints where
+the parabola misleads) until the best value is 0 but for rounding or the
+bracket is within ``alpha_tol``.  Rates evaluated together are searched in
+lockstep: one objective call per rate's candidates, one for all their
+starts and one per Newton round.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
@@ -268,17 +270,14 @@ def dual_objective_contam(g: DualGFunction, sample: Sample) -> float:
     by the search's objective at the one rate alpha on the sample.  +inf and
     errors as ``model_integral``; InvalidInput where mean(g + g^2 / 4) is not
     finite (h underflows against f_alpha at a far observation)."""
-    x = _require_positive_data(sample)
-    value = _InnerObjective(x, [g.alpha], g.spec).batch(*_row(g), slopes=False)[0][0]
-    if np.isnan(value):  # the objective maps every non-finite value to NaN
-        integral = model_integral(g)
-        if math.isfinite(integral):
-            raise InvalidInput(
-                f"dual objective not finite on the sample at alpha={g.alpha}, "
-                f"theta={g.theta}, lambda={g.lam}: h underflows against f_alpha"
-            )
-        return integral
-    return float(value)
+    x, integral = _require_positive_data(sample), model_integral(g)
+    value = _InnerObjective(x, [g.alpha], g.spec).values(*_row(g), np.array([integral]))[0][0]
+    if np.isnan(value) and math.isfinite(integral):  # the objective maps non-finite values to NaN
+        raise InvalidInput(
+            f"dual objective not finite on the sample at alpha={g.alpha}, "
+            f"theta={g.theta}, lambda={g.lam}: h underflows against f_alpha"
+        )
+    return float(value) if math.isfinite(integral) else integral
 
 
 def _require_positive_data(sample: Sample) -> np.ndarray:
@@ -297,12 +296,12 @@ def _require_positive_data(sample: Sample) -> np.ndarray:
 class SearchSettings:
     """Knobs for the nested optimization; defaults match the documented design.
 
-    ``inner_grid`` points per (theta, lambda) axis; projected Newton
-    refinement from the ``nm_starts`` best, ``nm_max_evals`` evaluations
-    each; ``outer_coarse`` rate points and the MLE, then safeguarded
-    parabolic steps around the best rate to ``alpha_tol`` of the rate
-    interval.  The inf-sup/sup-inf check in ``tests/reference.py`` reads the
-    same knobs for its reverse order.
+    ``inner_grid`` points per (theta, lambda) axis and projected Newton
+    refinement from the ``nm_starts`` best (in ``chi2_simple`` and at the
+    profile's first rates), ``nm_max_evals`` evaluations each;
+    ``outer_coarse`` rate points and the MLE, then safeguarded parabolic
+    steps around the best rate to ``alpha_tol`` of the rate interval.  The
+    inf-sup/sup-inf check in ``tests/reference.py`` reads the same knobs.
     """
 
     inner_grid: int = 8
@@ -435,31 +434,35 @@ class _InnerObjective:
         out[idx] = scale[idx] * seg0[idx] + value[idx] - 2.0
         return out, box, vals, r_h
 
+    def values(self, rates, thetas, lams, integrals=None) -> tuple[np.ndarray, np.ndarray]:
+        """Values at (alphas[rates], thetas, lams), NaN outside the dual class,
+        from the rows' model ``integrals`` if given, and f_alpha / h on the sample."""
+        integrals = self.integrals(rates, thetas, lams)[0] if integrals is None else integrals
+        self.evaluations += np.bincount(rates, minlength=self.alphas.size)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            ratio = _density_ratio(self.x, self.alphas[rates, None], thetas[:, None],
+                                   lams[:, None], self.r_x, self.e_x[rates])
+            values = integrals - legendre_batch(2.0 * (ratio - 1.0))
+        values[~np.isfinite(values)] = np.nan
+        return values, ratio
+
     def batch(
         self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray, slopes: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Values at (alphas[rates], thetas, lams), NaN outside the dual
-        class, and with ``slopes`` gradients and Hessians in (theta, lambda),
-        NaN outside the capped box.  The sample term mean(rho^2), rho =
-        f_alpha / h, has r / h = rho r e^(alpha x) / alpha (0 where rho is)."""
-        self.evaluations += np.bincount(rates, minlength=self.alphas.size)
-        alpha = self.alphas[rates]
+        """``values``, and with ``slopes`` gradients and Hessians in (theta, lambda), NaN
+        outside the capped box; on the sample r / h = rho r e^(alpha x) / alpha."""
         integrals, box, v_h, r_h = self.integrals(rates, thetas, lams, slopes)
+        values, ratio = self.values(rates, thetas, lams, integrals)
         grad, hess = np.full((thetas.size, 2), np.nan), np.full((thetas.size, 2, 2), np.nan)
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            ratio = _density_ratio(
-                self.x, alpha[:, None], thetas[:, None], lams[:, None], self.r_x, self.e_x[rates]
-            )
-            values = integrals - legendre_batch(2.0 * (ratio - 1.0))
-            if slopes:
-                ratio = ratio[box]
+        if slopes:
+            ratio, alpha = ratio[box], self.alphas[rates[box], None]
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 weight = np.concatenate((v_h, ratio * ratio * (-2.0 / self.x.size)), axis=1)
-                sample = self.p_x[rates[box]] * (ratio / alpha[box, None])
+                sample = self.p_x[rates[box]] * (ratio / alpha)
                 sample[ratio == 0.0] = 0.0
                 r_h = np.concatenate((r_h, sample), axis=1)
                 grad[box], hess[box] = _slopes(weight, r_h, thetas[box], lams[box], self.columns,
                                                self.multiplier)
-        values[~np.isfinite(values)] = np.nan
         return values, grad, hess
 
 
@@ -489,9 +492,9 @@ def _slopes(weight, r_h, theta, lam, x, multiplier) -> tuple[np.ndarray, np.ndar
 class Chi2SimpleResult:
     """Supremum of the dual objective over the mixture parameters.
 
-    ``start_points`` records the refinement starts as (theta, lambda, alpha,
-    objective) tuples: the search certificate.  Slot 2 always holds the
-    fixed null rate alpha.
+    ``start_points`` records the refinement starts (at a later rate of the
+    profile, its neighbours' optima) as (theta, lambda, alpha, objective)
+    tuples: the search certificate.  Slot 2 always holds the fixed rate.
     """
 
     value: float
@@ -510,10 +513,8 @@ def _candidate_grid(
     # where the closed form is exact and the null optimum lives
     lams = np.append(spec.lambda_hi / g * (np.arange(g) + 0.5), 0.0)
     t_grid, l_grid = np.meshgrid(thetas, lams, indexing="ij")
-    # anchor: the exactly-null candidate (theta = alpha, lambda = 0)
-    t_flat = np.concatenate((t_grid.ravel(), [alpha]))
-    l_flat = np.concatenate((l_grid.ravel(), [0.0]))
-    return t_flat, l_flat
+    # and the anchor: the exactly-null candidate (theta = alpha, lambda = 0)
+    return np.append(t_grid, alpha), np.append(l_grid, 0.0)
 
 
 def _starts(values: np.ndarray, count: int) -> np.ndarray:
@@ -584,16 +585,17 @@ def _projected_newton(objective, rows, start, lower, upper, budget, radius):
             point[up], value[up], grad[up], hess[up] = trial[up], *(a[rise] for a in new)
 
 
-def _grid_then_refine(objective, grids, theta_tops, spec, settings) -> list[list]:
+def _grid_then_refine(objective, grids, theta_tops, spec, settings, seeds=None) -> list[list]:
     """Raise the best point of each grid (thetas, lams, values; NaN excluded)
-    by ``_projected_newton`` from its ``nm_starts`` best, in the box
-    [theta_lo, theta_top] x [0, lambda_hi), all in lockstep.  Returns [value,
-    (theta, lambda), start indices] per grid; a search replaces its grid's
-    optimum only when it ends strictly higher, earlier starts winning ties."""
+    by ``_projected_newton`` from its rows ``seeds[g]`` (else its ``nm_starts``
+    best) in the box [theta_lo, theta_top] x [0, lambda_hi), all in lockstep.
+    Returns [value, (theta, lambda), start rows] per grid; a search replaces
+    its optimum only when it ends strictly higher, earlier starts first."""
     lam_top = float(np.nextafter(spec.lambda_hi, 0.0))  # below the open upper end
     outcomes, rows, starts, uppers = [], [], [], []
     for g, ((thetas, lams, values), theta_top) in enumerate(zip(grids, theta_tops)):
-        top, best = _starts(values, 1)[0], _starts(values, settings.nm_starts)
+        top = _starts(values, 1)[0]
+        best = seeds[g] if seeds else _starts(values, settings.nm_starts)
         outcomes.append([float(values[top]), (float(thetas[top]), float(lams[top])), best])
         rows += [g] * best.size
         uppers += [(theta_top, lam_top)] * best.size
@@ -612,17 +614,40 @@ def _grid_then_refine(objective, grids, theta_tops, spec, settings) -> list[list
     return outcomes
 
 
+@functools.lru_cache(maxsize=8)
+def _coarse_grids(spec: ContaminationSpec, settings: SearchSettings) -> dict:
+    """rate -> (thetas, lams, model integrals) of each ``outer_coarse`` rate's
+    candidate grid: the same for every sample, so computed once, read-only."""
+    grids = {}
+    for alpha in map(float, np.linspace(spec.theta_lo, spec.theta_hi, settings.outer_coarse)):
+        ts, ls = _candidate_grid(alpha, min(spec.theta_hi, THETA_CAP * alpha), spec, settings)
+        inner = _InnerObjective(np.empty(0), [alpha], spec)
+        grids[alpha] = ts, ls, inner.integrals(np.zeros(ts.size, dtype=int), ts, ls)[0]
+        for a in grids[alpha]:
+            a.flags.writeable = False
+    return grids
+
+
 def _chi2_lockstep(
-    x: np.ndarray, alphas: list[float], spec: ContaminationSpec, settings: SearchSettings
+    x: np.ndarray, alphas: list[float], spec: ContaminationSpec, settings: SearchSettings,
+    evaluated: dict[float, Chi2SimpleResult] | None = None,
 ) -> list[Chi2SimpleResult]:
-    """``chi2_simple`` at each rate of ``alphas``, searched in lockstep; no
-    objective call holds more than one rate's grid."""
+    """``chi2_simple`` at each rate of ``alphas`` in lockstep (no objective call holds more
+    than one rate's grid), warm-started from ``evaluated`` (rate -> result) if given."""
     inner = _InnerObjective(x, alphas, spec)
     tops = [min(spec.theta_hi, THETA_CAP * alpha) for alpha in alphas]
-    grids = [_candidate_grid(alpha, top, spec, settings) for alpha, top in zip(alphas, tops)]
-    grids = [(ts, ls, inner.batch(np.full(ts.size, i), ts, ls, slopes=False)[0])
-             for i, (ts, ls) in enumerate(grids)]
-    refined = _grid_then_refine(inner.batch, grids, tops, spec, settings)
+    cache, known, grids = _coarse_grids(spec, settings), sorted(evaluated or ()), []
+    for i, (alpha, top) in enumerate(zip(alphas, tops)):
+        if known:
+            k = np.searchsorted(known, alpha, side="right")
+            near = [evaluated[rate] for rate in known[max(k - 1, 0) : k + 1]]
+            points = [(min(r.theta_hat, top), r.lambda_hat) for r in near] + [(alpha, 0.0)]
+            ts, ls, model = *np.array(points).T, None
+        else:
+            ts, ls, model = cache.get(alpha) or (*_candidate_grid(alpha, top, spec, settings), None)
+        grids.append((ts, ls, inner.values(np.full(ts.size, i), ts, ls, model)[0]))
+    seeds = [np.flatnonzero(np.isfinite(values[:-1])) for _, _, values in grids] if known else None
+    refined = _grid_then_refine(inner.batch, grids, tops, spec, settings, seeds)
     results = []
     for alpha, (thetas, lams, values), (value, point, starts), evaluations in zip(
         alphas, grids, refined, inner.evaluations.tolist()
@@ -675,10 +700,10 @@ def _inf_sup(
     half = max(tol / 2.0 - math.ulp(hi), 0.0)  # u -/+ half stay within tol once rounded
     mle = min(max(1.0 / float(np.mean(x)), lo), hi)
     evaluated: dict[float, Chi2SimpleResult] = {}
-    new = sorted({float(rate) for rate in np.linspace(lo, hi, settings.outer_coarse)} | {mle})
+    new = sorted(set(_coarse_grids(spec, settings)) | {mle})
     width = math.inf
     while True:
-        evaluated.update(zip(new, _chi2_lockstep(x, new, spec, settings)))
+        evaluated.update(zip(new, _chi2_lockstep(x, new, spec, settings, evaluated)))
         rates = sorted(evaluated)
         i = min(range(len(rates)), key=lambda k: evaluated[rates[k]].value)
         a, best, b = rates[max(i - 1, 0)], rates[i], rates[min(i + 1, len(rates) - 1)]

@@ -330,6 +330,44 @@ def test_lockstep_starts_match_separate_searches():
     assert (result.value, result.theta_hat, result.lambda_hat) == best
 
 
+def test_coarse_rate_grids_are_cached_read_only_per_spec(monkeypatch):
+    # the outer_coarse rates' grids and model integrals do not depend on the
+    # sample: one read-only entry per (spec, settings), bit for bit the
+    # integrals of a fresh objective at the rate
+    settings = SearchSettings()
+    grids = contamination._coarse_grids(SPEC, settings)
+    assert list(grids) == np.linspace(SPEC.theta_lo, SPEC.theta_hi, settings.outer_coarse).tolist()
+    for alpha, (thetas, lams, model) in grids.items():
+        fresh = _candidate_grid(alpha, min(SPEC.theta_hi, THETA_CAP * alpha), SPEC, settings)
+        assert thetas.tobytes() == fresh[0].tobytes() and lams.tobytes() == fresh[1].tobytes()
+        assert model.tobytes() == integrals_at(alpha, thetas, lams).tobytes()
+        assert not (thetas.flags.writeable or lams.flags.writeable or model.flags.writeable)
+    assert contamination._coarse_grids(SPEC, settings) is grids
+    other = ContaminationSpec(theta_lo=SPEC.theta_lo, theta_hi=SPEC.theta_hi, pareto_gamma=3.0)
+    other_grids = contamination._coarse_grids(other, settings)
+    assert other_grids is not grids and list(other_grids) == list(grids)
+    assert other_grids[1.25][2].tobytes() != grids[1.25][2].tobytes()
+    # a search at a coarse rate takes its grid's integrals from the cache and
+    # sees the values a fresh objective computes; one at another rate does not
+    x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+    values_only, integrals = [], _InnerObjective.integrals
+
+    def recording_integrals(self, rates, thetas, lams, slopes=False):
+        values_only.append(not slopes)
+        return integrals(self, rates, thetas, lams, slopes)
+
+    monkeypatch.setattr(_InnerObjective, "integrals", recording_integrals)
+    chi2_simple(Sample(x.reshape(-1, 1)), 1.0, SPEC)
+    assert values_only.count(True) == 1
+    values_only.clear()
+    result = chi2_simple(Sample(x.reshape(-1, 1)), 0.875, SPEC)
+    assert values_only and not any(values_only)
+    inner = _InnerObjective(x, [0.875], SPEC)
+    for theta, lam, _, value in result.start_points:
+        row = inner.batch(np.zeros(1, dtype=int), np.array([theta]), np.array([lam]), slopes=False)
+        assert row[0][0] == value
+
+
 @pytest.mark.parametrize("kind", ["null", "contaminated", "far_observation"])
 def test_anchor_is_exactly_zero(kind):
     # (alpha, alpha, 0): f_alpha / h = 1 at every observation and the
@@ -810,8 +848,8 @@ def _profiled(monkeypatch, x, spec, settings):
     b) around alpha_hat."""
     calls = []
 
-    def recording(x, alphas, spec, settings):
-        results = _chi2_lockstep(x, alphas, spec, settings)
+    def recording(x, alphas, spec, settings, evaluated):
+        results = _chi2_lockstep(x, alphas, spec, settings, evaluated)
         calls.append([(alpha, result.value) for alpha, result in zip(alphas, results)])
         return results
 
@@ -850,7 +888,7 @@ def _synthetic_profile(monkeypatch, profile):
     [[rate, ...] per call] and the bracket (a, alpha_hat, b) at the stop."""
     calls = []
 
-    def prescribed(x, alphas, spec, settings):
+    def prescribed(x, alphas, spec, settings, evaluated):
         calls.append(list(alphas))
         return [Chi2SimpleResult(profile(alpha), alpha, 0.0, (), 0) for alpha in alphas]
 
@@ -1065,6 +1103,57 @@ def test_reported_optimum_meets_the_kkt_conditions(kind, replicate):
     assert np.abs(np.where(held, 0.0, grad * (upper - lower))).max() <= tolerance
     if point[1] == 0.0:
         assert grad[1] <= 0.0
+
+
+# the first sample of the seed-101 contam_profile pool (n = 200): its sup
+# near the profiled rate lies at lambda of about 0.005, below the grid's
+# first lambda row (lambda_hi / 16); a search that stays on the lambda = 0
+# face there reads a statistic of 7.7e-5 instead of 2.595030e-3
+FIRST_POOL_SAMPLE = rexp(Stream(101).derive(1), 200, 1.0)
+
+
+def test_statistic_matches_a_finer_search_below_the_first_lambda_row():
+    sample = Sample(FIRST_POOL_SAMPLE.reshape(-1, 1))
+    finer = SearchSettings(inner_grid=24, nm_starts=12, nm_max_evals=200)
+    report = contamination_test(sample, SPEC, 0.05)
+    expected = contamination_test(sample, SPEC, 0.05, finer).statistic
+    assert expected > 2e-3
+    assert abs(report.statistic - expected) <= 1e-9 * expected
+    assert 0.0 < report.diagnostics["lambda_hat"] < SPEC.lambda_hi / 16.0
+
+
+def test_warm_started_optima_meet_the_kkt_conditions(monkeypatch):
+    # the rates after the profile's first group start from the optima of
+    # their evaluated neighbours, theta clipped into the rate's box: each
+    # reported optimum meets the conditions that
+    # test_reported_optimum_meets_the_kkt_conditions checks at alpha_hat
+    tolerance = 1e-9
+    warm = []
+
+    def recording(x, alphas, spec, settings, evaluated):
+        results = _chi2_lockstep(x, alphas, spec, settings, evaluated)
+        if evaluated:
+            warm.extend(zip(alphas, results))
+        return results
+
+    monkeypatch.setattr(contamination, "_chi2_lockstep", recording)
+    diag = contamination_test(Sample(FIRST_POOL_SAMPLE.reshape(-1, 1)), SPEC, 0.05).diagnostics
+    assert diag["alpha_hat"] in dict(warm) and len(warm) >= 3
+    lower = np.array([SPEC.theta_lo, 0.0])
+    for alpha, result in warm:
+        upper = np.array([min(SPEC.theta_hi, THETA_CAP * alpha), np.nextafter(SPEC.lambda_hi, 0.0)])
+        assert 1 <= len(result.start_points) <= 2
+        assert all(lower[0] <= theta <= upper[0] and rate == alpha
+                   for theta, _, rate, _ in result.start_points)
+        point = np.array([result.theta_hat, result.lambda_hat])
+        _, grad, _ = _InnerObjective(FIRST_POOL_SAMPLE, [alpha], SPEC).batch(
+            np.zeros(1, dtype=int), *point[:, None]
+        )
+        grad = grad[0]
+        held = np.where(grad > 0.0, point >= upper, point <= lower)
+        assert np.abs(np.where(held, 0.0, grad * (upper - lower))).max() <= tolerance, alpha
+        if point[1] == 0.0:
+            assert grad[1] <= 0.0, alpha
 
 
 # chi2_simple values of the Nelder-Mead search this one replaced, at fixed
