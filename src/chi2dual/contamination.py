@@ -58,9 +58,9 @@ statistic is >= 0 with no clamp, and exactly 0 when the anchor wins at the
 MLE 1/mean(x).  The inf over alpha takes a coarse grid of rates and the
 MLE, then safeguarded parabolic steps around the best rate (midpoints where
 the parabola misleads) until the best value is 0 but for rounding or the
-bracket is within ``alpha_tol``.  Rates evaluated together are searched in
-lockstep: one objective call per rate's candidates, one for all their
-starts and one per Newton round.
+bracket is within ``alpha_tol``.  One routine, ``_chi2_lockstep``, searches
+the rates evaluated together: one objective call per rate's candidates, one
+for all the rates' starts and one per Newton round.
 
 Standing model assumptions (identifiability of the exponential/Pareto pair,
 Glivenko-Cantelli regularity, smoothness in theta, domination near the null
@@ -92,7 +92,7 @@ from .linear import CHI_SQUARED, TestReport, _check_level
 TAIL_TOLERANCE = 1e-15
 # Quadrature error target; the inf-sup/sup-inf check keeps its own tolerance in tests/reference.py.
 QUAD_TOLERANCE = 1e-10
-# the inner search at rate alpha keeps theta <= THETA_CAP * alpha (module docstring)
+# the inner search at rate alpha keeps theta <= 1.5 alpha (module docstring)
 THETA_CAP = 1.5
 # Gauss-Legendre nodes and weights on [0, 1] of the two rules compared on every panel
 _GL_RULES = [((t + 1.0) / 2.0, w / 2.0) for t, w in map(np.polynomial.legendre.leggauss, (28, 36))]
@@ -186,6 +186,11 @@ class DualGFunction:
                 raise InvalidInput(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0.0:
             raise InvalidInput(f"alpha must be > 0, got {self.alpha}")
+
+
+def _theta_top(alpha, spec: ContaminationSpec):
+    """The top theta of the capped box at rate(s) ``alpha``: min(theta_hi, 1.5 alpha)."""
+    return np.minimum(spec.theta_hi, THETA_CAP * alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +404,8 @@ class _InnerObjective:
 
         invalid = (lams < 0.0) | (lams >= 1.0) | (thetas <= 0.0)
         zero = lams == 0.0
-        tops = np.minimum(spec.theta_hi, THETA_CAP * alphas)
-        box = ~invalid & (thetas >= spec.theta_lo) & (thetas <= tops) & (lams < spec.lambda_hi)
-        box = (box & (slopes | ~zero)).nonzero()[0]
+        box = ~invalid & (thetas >= spec.theta_lo) & (thetas <= _theta_top(alphas, spec))
+        box = (box & (lams < spec.lambda_hi) & (slopes | ~zero)).nonzero()[0]
         th, lm, end, r_h = thetas[box], lams[box], None if slopes else self.fine, None
         value = np.full(out.size, np.nan)
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
@@ -446,23 +450,20 @@ class _InnerObjective:
         values[~np.isfinite(values)] = np.nan
         return values, ratio
 
-    def batch(
-        self, rates: np.ndarray, thetas: np.ndarray, lams: np.ndarray, slopes: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``values``, and with ``slopes`` gradients and Hessians in (theta, lambda), NaN
+    def batch(self, rates, thetas, lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``values``, gradients and Hessians in (theta, lambda), the derivatives NaN
         outside the capped box; on the sample r / h = rho r e^(alpha x) / alpha."""
-        integrals, box, v_h, r_h = self.integrals(rates, thetas, lams, slopes)
+        integrals, box, v_h, r_h = self.integrals(rates, thetas, lams, slopes=True)
         values, ratio = self.values(rates, thetas, lams, integrals)
         grad, hess = np.full((thetas.size, 2), np.nan), np.full((thetas.size, 2, 2), np.nan)
-        if slopes:
-            ratio, alpha = ratio[box], self.alphas[rates[box], None]
-            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                weight = np.concatenate((v_h, ratio * ratio * (-2.0 / self.x.size)), axis=1)
-                sample = self.p_x[rates[box]] * (ratio / alpha)
-                sample[ratio == 0.0] = 0.0
-                r_h = np.concatenate((r_h, sample), axis=1)
-                grad[box], hess[box] = _slopes(weight, r_h, thetas[box], lams[box], self.columns,
-                                               self.multiplier)
+        ratio, alpha = ratio[box], self.alphas[rates[box], None]
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            weight = np.concatenate((v_h, ratio * ratio * (-2.0 / self.x.size)), axis=1)
+            sample = self.p_x[rates[box]] * (ratio / alpha)
+            sample[ratio == 0.0] = 0.0
+            r_h = np.concatenate((r_h, sample), axis=1)
+            grad[box], hess[box] = _slopes(weight, r_h, thetas[box], lams[box], self.columns,
+                                           self.multiplier)
         return values, grad, hess
 
 
@@ -539,7 +540,10 @@ def _projected_newton(objective, rows, start, lower, upper, budget, radius):
     1), else half of it.  A search stops at a projected gradient of
     ``_GRADIENT_TOLERANCE``, a step below ``_STEP_TOLERANCE``, derivatives
     not finite or ``budget`` evaluations, but on lambda = 0 it first tries
-    lambda = ``_PROBE`` box widths.  Returns points and values.
+    lambda = ``_PROBE`` box widths.  A stop on the step certifies no gradient:
+    the projected gradient may stay above ``_GRADIENT_TOLERANCE`` (1.38e-9 at
+    a warm-started rate of seed-7 ``contam_null`` replicate 4).  Returns
+    points and values.
     """
     point, value, grad, hess = (np.array(a, dtype=float) for a in start)
     width, unit = upper - lower, np.where(upper > lower, upper - lower, 1.0)
@@ -585,42 +589,13 @@ def _projected_newton(objective, rows, start, lower, upper, budget, radius):
             point[up], value[up], grad[up], hess[up] = trial[up], *(a[rise] for a in new)
 
 
-def _grid_then_refine(objective, grids, theta_tops, spec, settings, seeds=None) -> list[list]:
-    """Raise the best point of each grid (thetas, lams, values; NaN excluded)
-    by ``_projected_newton`` from its rows ``seeds[g]`` (else its ``nm_starts``
-    best) in the box [theta_lo, theta_top] x [0, lambda_hi), all in lockstep.
-    Returns [value, (theta, lambda), start rows] per grid; a search replaces
-    its optimum only when it ends strictly higher, earlier starts first."""
-    lam_top = float(np.nextafter(spec.lambda_hi, 0.0))  # below the open upper end
-    outcomes, rows, starts, uppers = [], [], [], []
-    for g, ((thetas, lams, values), theta_top) in enumerate(zip(grids, theta_tops)):
-        top = _starts(values, 1)[0]
-        best = seeds[g] if seeds else _starts(values, settings.nm_starts)
-        outcomes.append([float(values[top]), (float(thetas[top]), float(lams[top])), best])
-        rows += [g] * best.size
-        uppers += [(theta_top, lam_top)] * best.size
-        starts += [(thetas[i], lams[i]) for i in best]
-    if not rows or settings.nm_max_evals == 0:
-        return outcomes
-    rows, starts = np.array(rows), np.array(starts)
-    points, values = _projected_newton(
-        objective, rows, (starts, *objective(rows, starts[:, 0], starts[:, 1])),
-        np.array([spec.theta_lo, 0.0]), np.array(uppers), settings.nm_max_evals,
-        1.0 / settings.inner_grid,
-    )
-    for g, value, point in zip(rows.tolist(), values.tolist(), points.tolist()):
-        if value > outcomes[g][0]:
-            outcomes[g][:2] = value, tuple(point)
-    return outcomes
-
-
 @functools.lru_cache(maxsize=8)
 def _coarse_grids(spec: ContaminationSpec, settings: SearchSettings) -> dict:
     """rate -> (thetas, lams, model integrals) of each ``outer_coarse`` rate's
     candidate grid: the same for every sample, so computed once, read-only."""
     grids = {}
     for alpha in map(float, np.linspace(spec.theta_lo, spec.theta_hi, settings.outer_coarse)):
-        ts, ls = _candidate_grid(alpha, min(spec.theta_hi, THETA_CAP * alpha), spec, settings)
+        ts, ls = _candidate_grid(alpha, _theta_top(alpha, spec), spec, settings)
         inner = _InnerObjective(np.empty(0), [alpha], spec)
         grids[alpha] = ts, ls, inner.integrals(np.zeros(ts.size, dtype=int), ts, ls)[0]
         for a in grids[alpha]:
@@ -632,31 +607,47 @@ def _chi2_lockstep(
     x: np.ndarray, alphas: list[float], spec: ContaminationSpec, settings: SearchSettings,
     evaluated: dict[float, Chi2SimpleResult] | None = None,
 ) -> list[Chi2SimpleResult]:
-    """``chi2_simple`` at each rate of ``alphas`` in lockstep (no objective call holds more
-    than one rate's grid), warm-started from ``evaluated`` (rate -> result) if given."""
+    """``chi2_simple`` at each rate of ``alphas`` in lockstep.  Each rate's
+    candidates (its coarse grid, cached, or a fresh grid; with ``evaluated``,
+    rate -> result, the optima of the nearest evaluated rates, theta capped,
+    and the anchor) take one objective call and give its best value; then one
+    ``_projected_newton`` call raises all rates' starts, a grid's ``nm_starts``
+    best or the finite warm starts.  A search replaces its rate's optimum only
+    when it ends strictly higher, earlier starts first."""
     inner = _InnerObjective(x, alphas, spec)
-    tops = [min(spec.theta_hi, THETA_CAP * alpha) for alpha in alphas]
-    cache, known, grids = _coarse_grids(spec, settings), sorted(evaluated or ()), []
+    cache, known = _coarse_grids(spec, settings), sorted(evaluated or ())
+    tops, optima, start_points = _theta_top(inner.alphas, spec), [], []
     for i, (alpha, top) in enumerate(zip(alphas, tops)):
         if known:
             k = np.searchsorted(known, alpha, side="right")
             near = [evaluated[rate] for rate in known[max(k - 1, 0) : k + 1]]
-            points = [(min(r.theta_hat, top), r.lambda_hat) for r in near] + [(alpha, 0.0)]
-            ts, ls, model = *np.array(points).T, None
+            warm = [(min(r.theta_hat, top), r.lambda_hat) for r in near] + [(alpha, 0.0)]
+            ts, ls, model = *np.array(warm).T, None
         else:
             ts, ls, model = cache.get(alpha) or (*_candidate_grid(alpha, top, spec, settings), None)
-        grids.append((ts, ls, inner.values(np.full(ts.size, i), ts, ls, model)[0]))
-    seeds = [np.flatnonzero(np.isfinite(values[:-1])) for _, _, values in grids] if known else None
-    refined = _grid_then_refine(inner.batch, grids, tops, spec, settings, seeds)
-    results = []
-    for alpha, (thetas, lams, values), (value, point, starts), evaluations in zip(
-        alphas, grids, refined, inner.evaluations.tolist()
-    ):
-        start_points = tuple(
-            (float(thetas[i]), float(lams[i]), float(alpha), float(values[i])) for i in starts
+        values = inner.values(np.full(ts.size, i), ts, ls, model)[0]
+        j = _starts(values, 1)[0]
+        optima.append([float(values[j]), float(ts[j]), float(ls[j])])
+        picked = (np.flatnonzero(np.isfinite(values[:-1])) if known
+                  else _starts(values, settings.nm_starts))
+        start_points.append(tuple(
+            (float(ts[j]), float(ls[j]), float(alpha), float(values[j])) for j in picked))
+    rows = np.repeat(np.arange(len(alphas)), [len(recorded) for recorded in start_points])
+    if rows.size and settings.nm_max_evals > 0:
+        starts = np.array([start[:2] for recorded in start_points for start in recorded])
+        lam_top = np.nextafter(spec.lambda_hi, 0.0)  # below the open upper end
+        points, values = _projected_newton(
+            inner.batch, rows, (starts, *inner.batch(rows, starts[:, 0], starts[:, 1])),
+            np.array([spec.theta_lo, 0.0]), np.stack((tops[rows], np.full(rows.size, lam_top)), 1),
+            settings.nm_max_evals, 1.0 / settings.inner_grid,
         )
-        results.append(Chi2SimpleResult(value, point[0], point[1], start_points, evaluations))
-    return results
+        for i, value, point in zip(rows.tolist(), values.tolist(), points.tolist()):
+            if value > optima[i][0]:
+                optima[i] = [value, *point]
+    return [
+        Chi2SimpleResult(*optimum, recorded, evaluations)
+        for optimum, recorded, evaluations in zip(optima, start_points, inner.evaluations.tolist())
+    ]
 
 
 def chi2_simple(

@@ -297,8 +297,7 @@ def minimax_gap(
     def min_over_alpha(theta: float, lam: float) -> float:
         def at_alpha(alpha: float) -> float:
             inner = _InnerObjective(x, [alpha], spec)
-            value = inner.batch(np.zeros(1, dtype=int), np.array([theta]), np.array([lam]),
-                                slopes=False)[0][0]
+            value = inner.values(np.zeros(1, dtype=int), np.array([theta]), np.array([lam]))[0][0]
             return math.inf if np.isnan(value) else float(value)
 
         lo, hi = spec.theta_lo, spec.theta_hi

@@ -594,6 +594,10 @@ class TestCalibrateCommand:
               "aplha": 0.01}, "unknown field 'aplha'"),
             # the seed comes from the plan alone
             ({"scenario": "linear_null", "n": 60, "replicates": 4}, "missing field 'base_seed'"),
+            ({"scenario": "linear_null", "n": 60, "replicates": 0, "base_seed": 1},
+             "replicates must be >= 1, got 0"),
+            ({"scenario": "linear_null", "n": 60, "replicates": 4, "base_seed": 1, "alpha": 1.5},
+             "alpha must be in (0, 1), got 1.5"),
         ],
     )
     def test_malformed_plan_names_file_and_field(self, tmp_path, capsys, payload, field):

@@ -35,9 +35,10 @@ from chi2dual.contamination import (
     Chi2SimpleResult,
     _candidate_grid,
     _chi2_lockstep,
-    _grid_then_refine,
     _inf_sup,
     _InnerObjective,
+    _projected_newton,
+    _starts,
 )
 from chi2dual.errors import InvalidInput, NonPositiveDensity, QuadratureFailure
 from chi2dual.rng import Stream, replicate_seed
@@ -279,9 +280,7 @@ def test_inner_objective_rows_do_not_depend_on_the_batch():
     for k, rows in enumerate(together):
         assert rows.tobytes() == np.concatenate([a[k] for a in alone]).tobytes()
         assert rows.tobytes() == np.concatenate([a[k] for a in single]).tobytes()
-    values_only = inner.batch(rates, thetas, lams, slopes=False)
-    assert values_only[0].tobytes() == together[0].tobytes()
-    assert np.isnan(values_only[1]).all() and np.isnan(values_only[2]).all()
+    assert inner.values(rates, thetas, lams)[0].tobytes() == together[0].tobytes()
     # derivatives wherever the point lies in the capped box, lambda = 0 included
     box = (lams >= 0.0) & (thetas <= np.minimum(2.0, 1.5 * np.array(alphas)[rates]))
     assert np.array_equal(np.isfinite(together[1]).all(axis=1), box)
@@ -308,26 +307,63 @@ def test_rates_searched_together_match_separate_searches(lam):
 
 
 def test_lockstep_starts_match_separate_searches():
+    # the grid's maximum, raised by each start's search on its own in the
+    # order of start_points, a later search winning only when strictly higher
+    settings = SearchSettings()
     x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
     alpha = 1.0
     top = min(SPEC.theta_hi, THETA_CAP * alpha)
     result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
     inner = _InnerObjective(x, [alpha], SPEC)
-    thetas, lams = _candidate_grid(alpha, top, SPEC, SearchSettings())
-    values = inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)[0]
-    best = None
+    thetas, lams = _candidate_grid(alpha, top, SPEC, settings)
+    values = inner.values(np.zeros(thetas.size, dtype=int), thetas, lams)[0]
+    i = _starts(values, 1)[0]
+    best = (values[i], thetas[i], lams[i])
+    lower = np.array([SPEC.theta_lo, 0.0])
+    upper = np.array([[top, np.nextafter(SPEC.lambda_hi, 0.0)]])
+    row = np.zeros(1, dtype=int)
     for theta, lam, _, _ in result.start_points:
-        # a grid holding this start alone makes it the only search
-        i = np.flatnonzero((thetas == theta) & (lams == lam))[0]
-        only = np.full_like(values, np.nan)
-        only[i] = values[i]
-        ((value, point, _),) = _grid_then_refine(
-            inner.batch, [(thetas, lams, only)], [top], SPEC, SearchSettings(nm_starts=1)
+        start = np.array([[theta, lam]])
+        (point,), (value,) = _projected_newton(
+            inner.batch, row, (start, *inner.batch(row, start[:, 0], start[:, 1])), lower, upper,
+            settings.nm_max_evals, 1.0 / settings.inner_grid,
         )
-        if best is None or value > best[0]:
+        if value > best[0]:
             best = (value, *point)
     assert len(result.start_points) == 3
+    assert result.value > values[i]  # the searches raise the grid's maximum
     assert (result.value, result.theta_hat, result.lambda_hat) == best
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.25])  # a fresh grid and a cached coarse one
+@pytest.mark.parametrize("settings", [SearchSettings(nm_max_evals=0), SearchSettings(nm_starts=0)])
+def test_search_without_newton_returns_the_grid_maximum(alpha, settings):
+    # no Newton budget, or no start: the search ends on the grid's best
+    # candidate after one objective call per grid point
+    x = rmixture(Stream(3), 200, 1.0, 0.15, SPEC.pareto_gamma, SPEC.pareto_nu)
+    result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC, settings)
+    thetas, lams = _candidate_grid(alpha, min(SPEC.theta_hi, THETA_CAP * alpha), SPEC, settings)
+    inner = _InnerObjective(x, [alpha], SPEC)
+    values = inner.values(np.zeros(thetas.size, dtype=int), thetas, lams)[0]
+    i = _starts(values, 1)[0]
+    assert thetas.size == 73 and result.n_evaluations == 73
+    assert (result.value, result.theta_hat, result.lambda_hat) == (values[i], thetas[i], lams[i])
+    assert len(result.start_points) == settings.nm_starts
+
+
+@pytest.mark.parametrize("alpha", [np.nextafter(SPEC.theta_lo, 0.0), 2.5])
+def test_chi2_simple_refuses_a_rate_outside_the_interval(alpha):
+    x = rexp(Stream(5), 50, 1.0)
+    with pytest.raises(InvalidInput, match="outside the rate interval"):
+        chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
+
+
+def test_two_column_sample_is_refused():
+    sample = Sample(rexp(Stream(5), 100, 1.0).reshape(-1, 2))
+    with pytest.raises(InvalidInput, match="contamination test is univariate"):
+        contamination_test(sample, SPEC, 0.05)
+    with pytest.raises(InvalidInput, match="contamination test is univariate"):
+        chi2_simple(sample, 1.0, SPEC)
 
 
 def test_coarse_rate_grids_are_cached_read_only_per_spec(monkeypatch):
@@ -364,7 +400,7 @@ def test_coarse_rate_grids_are_cached_read_only_per_spec(monkeypatch):
     assert values_only and not any(values_only)
     inner = _InnerObjective(x, [0.875], SPEC)
     for theta, lam, _, value in result.start_points:
-        row = inner.batch(np.zeros(1, dtype=int), np.array([theta]), np.array([lam]), slopes=False)
+        row = inner.values(np.zeros(1, dtype=int), np.array([theta]), np.array([lam]))
         assert row[0][0] == value
 
 
@@ -647,7 +683,7 @@ def _objective_bound(alpha, theta, lam):
     return 2.0 * alpha**2 / ((1.0 - lam) * theta * (2.0 * alpha - theta)) - 1.0
 
 
-def test_sup_over_the_capped_box_is_finite():
+def test_sup_over_the_capped_box_is_finite(monkeypatch):
     # at alpha = 0.7 < theta_hi / 2 the rate interval reaches the lambda = 0
     # edge theta -> 2 alpha, which the cap keeps out of the search box
     x = rmixture(Stream(101), 200, 1.0, 0.0, SPEC.pareto_gamma, SPEC.pareto_nu)
@@ -657,22 +693,17 @@ def test_sup_over_the_capped_box_is_finite():
         thetas = THETA_CAP * np.array(alphas)
         values = inner.batch(np.arange(len(alphas)), thetas, np.full(len(alphas), lam))[0]
         assert np.all(values <= _objective_bound(np.array(alphas), thetas, lam))
-    alpha = 0.7
-    top = THETA_CAP * alpha
-    inner = _InnerObjective(x, [alpha], SPEC)
-    thetas, lams = _candidate_grid(alpha, top, SPEC, SearchSettings())
-    grid = (thetas, lams, inner.batch(np.zeros(thetas.size, dtype=int), thetas, lams)[0])
-    asked = []
+    # every point the search's Newton rounds ask for stays in the capped box
+    alpha, asked, batch = 0.7, [], _InnerObjective.batch
 
-    def objective(rows, ts, ls):
-        asked.append(ts)
-        return inner.batch(rows, ts, ls)
+    def recording_batch(self, rates, thetas, lams):
+        asked.append(thetas)
+        return batch(self, rates, thetas, lams)
 
-    ((value, (theta, lam), _),) = _grid_then_refine(
-        objective, [grid], [top], SPEC, SearchSettings()
-    )
-    assert np.concatenate(asked).max() <= top
-    assert 0.0 <= value <= _objective_bound(alpha, theta, lam)
+    monkeypatch.setattr(_InnerObjective, "batch", recording_batch)
+    result = chi2_simple(Sample(x.reshape(-1, 1)), alpha, SPEC)
+    assert asked and np.concatenate(asked).max() <= THETA_CAP * alpha
+    assert 0.0 <= result.value <= _objective_bound(alpha, result.theta_hat, result.lambda_hat)
 
 
 def test_mixing_box_narrower_than_a_fixed_margin_is_refined(monkeypatch):
@@ -684,9 +715,9 @@ def test_mixing_box_narrower_than_a_fixed_margin_is_refined(monkeypatch):
     asked = []
     batch = _InnerObjective.batch
 
-    def recording_batch(self, rates, thetas, lams, slopes=True):
+    def recording_batch(self, rates, thetas, lams):
         asked.append(lams)
-        return batch(self, rates, thetas, lams, slopes)
+        return batch(self, rates, thetas, lams)
 
     monkeypatch.setattr(_InnerObjective, "batch", recording_batch)
     result = chi2_simple(Sample(x.reshape(-1, 1)), 1.0, spec)
@@ -1072,7 +1103,7 @@ def test_derivatives_match_differences_of_the_values():
 
                 def f(d_theta, d_lam):
                     point = np.array([theta + d_theta]), np.array([lam + d_lam])
-                    return inner.batch(np.array([rate]), *point, slopes=False)[0][0]
+                    return inner.values(np.array([rate]), *point)[0][0]
 
                 _, grad, hess = inner.batch(np.array([rate]), np.array([theta]), np.array([lam]))
                 expected = _derivatives_by_differences(f, (0.1, min(lam, 1.0 - lam)), theta == top)

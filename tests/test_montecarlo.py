@@ -224,6 +224,32 @@ class TestRunPlan:
         finally:
             mc._linear_moment_family = original
 
+    def test_failure_within_the_budget_is_left_out(self, monkeypatch):
+        # one failure in 200 replicates is within the 1% budget: the rejection
+        # rate and the KS distance are taken over the other 199 statistics
+        import scipy.stats
+
+        import chi2dual.montecarlo as mc
+        from chi2dual import SingularCovariance
+
+        plan = ReplicationPlan("linear_null", n=50, replicates=200, base_seed=3, alpha=0.05)
+        full = run_plan(plan)
+        replicate, keys = mc._SCENARIO_TABLE["linear_null"]
+
+        def failing_at_37(plan, stream):
+            if int(stream.seed) == replicate_seed(plan.base_seed, 37):
+                raise SingularCovariance("replicate 37")
+            return replicate(plan, stream)
+
+        monkeypatch.setitem(mc._SCENARIO_TABLE, "linear_null", (failing_at_37, keys))
+        report = run_plan(plan)
+        assert report.n_failures == 1 and report.failed_replicates == (37,)
+        kept = full.statistics[:37] + full.statistics[38:]
+        assert report.statistics == kept and len(kept) == 199
+        law = scipy.stats.chi2(3)
+        assert report.rejection_rate == np.count_nonzero(law.sf(kept) < 0.05) / 199
+        assert abs(report.ks_distance - scipy.stats.kstest(kept, law.cdf).statistic) <= 1e-12
+
     def test_plan_validation(self):
         from chi2dual import InvalidInput
 
